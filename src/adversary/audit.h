@@ -43,6 +43,11 @@ enum class SecurityEventKind : uint8_t {
                             // re-comparison of a spot-checked bucket
 };
 
+// Number of SecurityEventKind values; the engine pre-registers one
+// rejection counter per kind so every snapshot has the full schema even
+// when a run sees no attacks.
+inline constexpr size_t kNumSecurityEventKinds = 11;
+
 const char* SecurityEventKindName(SecurityEventKind kind);
 
 // One verification rejection, with enough context to attribute it.

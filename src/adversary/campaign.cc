@@ -350,6 +350,8 @@ void AttackCampaignDriver::MatchSecurityEvents(CampaignReport& report) {
           if (inj.kind != AttackKind::kForgeNoSig) return false;
           break;
         case SecurityEventKind::kUnknownPrincipal:
+        case SecurityEventKind::kForeignProvenance:
+          // A foreign annotation cube is evidence of a forged tuple too.
           if (!IsForgeKind(inj.kind)) return false;
           break;
         case SecurityEventKind::kReplay:
@@ -361,9 +363,13 @@ void AttackCampaignDriver::MatchSecurityEvents(CampaignReport& report) {
           break;
         case SecurityEventKind::kMalformed:
           return false;
+        case SecurityEventKind::kBogusResponse:
         case SecurityEventKind::kSilentResponder:
-          // Attributed by the audit sweep itself (suspect set), not by
-          // matching an injection record.
+        case SecurityEventKind::kLyingComparer:
+          // Query-path evidence is not matched to injection records:
+          // silent and lying responders become suspects in the audit sweep
+          // itself, and a bogus response is evidence about the query wire,
+          // not about the tuples injected at the node.
           return false;
       }
       return ev.node == inj.victim;

@@ -50,10 +50,7 @@ void Engine::RecordSecurityEvent(SecurityEventKind kind, NodeId node,
   // distinct signals): one labeled counter per SecurityEventKind, plus an
   // unsampled trace event so detection latency is measurable in virtual
   // time.
-  size_t k = static_cast<size_t>(kind);
-  if (k < cells_.security_events.size()) {
-    ++cells_.security_events[k]->value;
-  }
+  ++cells_.security(kind)->value;
   if (tracer_.enabled()) {
     obs::TraceEvent ev;
     ev.sim_time = net_.now();
@@ -86,57 +83,49 @@ Result<bool> Engine::VerifyInbound(NodeId to, NodeId from,
                                    const Bytes& content, ByteReader& body,
                                    const char* what) {
   obs::Profiler::Scope verify_scope(profiler_, obs::Phase::kVerify);
-  const bool enforce = options_.authenticate && options_.verify_incoming;
+  if (!options_.authenticate) return true;
   ExecSlot& ex = exec();
 
-  if (enforce) {
-    if (!tag.has_value()) {
-      ++ex.cells.auth_failures->value;
-      RecordSecurityEvent(SecurityEventKind::kMissingSignature, to, from, "",
-                          what);
-      return false;
-    }
-    if (node_of_.find(tag->principal) == node_of_.end()) {
-      // The simulated PKI derives keys for any name, so an invented
-      // principal's signature would verify; deployment membership is the
-      // certificate check.
-      ++ex.cells.auth_failures->value;
-      RecordSecurityEvent(SecurityEventKind::kUnknownPrincipal, to, from,
-                          tag->principal, what);
-      return false;
-    }
-    Status verdict = auth_.Verify(*tag, content);
-    if (!verdict.ok()) {
-      ++ex.cells.auth_failures->value;
-      RecordSecurityEvent(SecurityEventKind::kBadSignature, to, from,
-                          tag->principal, what);
-      return false;
-    }
+  if (!tag.has_value()) {
+    ++ex.cells[Ctr::kAuthFailures]->value;
+    RecordSecurityEvent(SecurityEventKind::kMissingSignature, to, from, "",
+                        what);
+    return false;
+  }
+  if (node_of_.find(tag->principal) == node_of_.end()) {
+    // The simulated PKI derives keys for any name, so an invented
+    // principal's signature would verify; deployment membership is the
+    // certificate check.
+    ++ex.cells[Ctr::kAuthFailures]->value;
+    RecordSecurityEvent(SecurityEventKind::kUnknownPrincipal, to, from,
+                        tag->principal, what);
+    return false;
+  }
+  Status verdict = auth_.Verify(*tag, content);
+  if (!verdict.ok()) {
+    ++ex.cells[Ctr::kAuthFailures]->value;
+    RecordSecurityEvent(SecurityEventKind::kBadSignature, to, from,
+                        tag->principal, what);
+    return false;
   }
 
-  if (options_.authenticate) {
-    // The signed header: (sequence, destination). Parsed whenever the
-    // sender attached it (format is symmetric), enforced when verifying.
-    PROVNET_ASSIGN_OR_RETURN(uint64_t seq, body.GetVarint());
-    PROVNET_ASSIGN_OR_RETURN(uint64_t dest, body.GetVarint());
-    if (enforce && options_.replay_protection && tag.has_value()) {
-      if (dest != to) {
-        ++ex.cells.replays_rejected->value;
-        RecordSecurityEvent(
-            SecurityEventKind::kMisdirected, to, from, tag->principal,
-            StrFormat("%s signed for node %llu", what,
-                      static_cast<unsigned long long>(dest)));
-        return false;
-      }
-      if (!contexts_[to]->ReplayGuardFor(tag->principal).Accept(seq)) {
-        ++ex.cells.replays_rejected->value;
-        RecordSecurityEvent(
-            SecurityEventKind::kReplay, to, from, tag->principal,
-            StrFormat("%s seq %llu", what,
-                      static_cast<unsigned long long>(seq)));
-        return false;
-      }
-    }
+  // The signed header: (sequence, destination).
+  PROVNET_ASSIGN_OR_RETURN(uint64_t seq, body.GetVarint());
+  PROVNET_ASSIGN_OR_RETURN(uint64_t dest, body.GetVarint());
+  if (dest != to) {
+    ++ex.cells[Ctr::kReplaysRejected]->value;
+    RecordSecurityEvent(SecurityEventKind::kMisdirected, to, from,
+                        tag->principal,
+                        StrFormat("%s signed for node %llu", what,
+                                  static_cast<unsigned long long>(dest)));
+    return false;
+  }
+  if (!contexts_[to]->ReplayGuardFor(tag->principal).Accept(seq)) {
+    ++ex.cells[Ctr::kReplaysRejected]->value;
+    RecordSecurityEvent(SecurityEventKind::kReplay, to, from, tag->principal,
+                        StrFormat("%s seq %llu", what,
+                                  static_cast<unsigned long long>(seq)));
+    return false;
   }
   return true;
 }

@@ -17,10 +17,6 @@
 
 namespace provnet {
 
-// Worker lanes bind their ExecSlot here for the duration of a parallel
-// phase; null means "the main slot" (see Engine::exec()).
-thread_local Engine::ExecSlot* Engine::tls_slot_ = nullptr;
-
 namespace {
 
 // Human label of a wire message tag, for the per-link byte counters and
@@ -39,10 +35,11 @@ const char* MsgKindName(uint8_t kind) {
   return "?";
 }
 
-// Number of SecurityEventKind values (adversary/audit.h); the per-kind
-// rejection counters are pre-registered so every snapshot has the full
-// schema even when a run sees no attacks.
-constexpr size_t kNumSecurityEventKinds = 11;
+// Virtual one-way latency of every link.
+constexpr double kLinkLatencyS = 0.01;
+
+// Local annotations are re-condensed when they outgrow this node count.
+constexpr size_t kCondenseThreshold = 64;
 
 }  // namespace
 
@@ -103,7 +100,7 @@ Engine::~Engine() = default;
 Engine::Engine(const Topology& topo, EngineOptions options)
     : topo_(topo),
       options_(std::move(options)),
-      net_(topo.num_nodes, options_.link_latency),
+      net_(topo.num_nodes, kLinkLatencyS),
       keystore_(options_.seed, options_.rsa_bits),
       auth_(&keystore_) {
   // The sequential lane queues delta events straight onto the engine queue;
@@ -216,7 +213,7 @@ Status Engine::Init(Program program) {
   // flows so every wire message of the run is acked/retransmitted.
   net_.SetObsRegistry(&obs_);
   if (TransportActive()) {
-    net_.EnableTransport(options_.transport);
+    net_.EnableTransport();
     // Loss recovery re-derives upstream and re-sends, so receivers see
     // content-identical refreshes; dedup keeps them from reshaping stored
     // annotations, which must match the fault-free fixpoint bytes.
@@ -267,54 +264,61 @@ Status Engine::Init(Program program) {
 }
 
 void Engine::InitObs() {
-  cells_.deliveries = obs_.GetCounter("engine.deliveries");
-  cells_.events = obs_.GetCounter("engine.events");
-  cells_.retractions = obs_.GetCounter("engine.retractions");
-  cells_.rederivations = obs_.GetCounter("engine.rederivations");
-  cells_.tuple_bytes = obs_.GetCounter("net.tuple_bytes");
-  cells_.auth_bytes = obs_.GetCounter("net.auth_bytes");
-  cells_.prov_bytes = obs_.GetCounter("net.prov_bytes");
-  cells_.auth_failures = obs_.GetCounter("verify.auth_failures");
-  cells_.replays_rejected = obs_.GetCounter("verify.replays_rejected");
-  cells_.retracts_rejected = obs_.GetCounter("verify.retracts_rejected");
-  cells_.prov_queries = obs_.GetCounter("provquery.queries");
-  cells_.prov_query_bytes = obs_.GetCounter("provquery.bytes");
-  cells_.prov_responses_rejected =
-      obs_.GetCounter("provquery.responses_rejected");
-  cells_.prov_frames_rejected = obs_.GetCounter("provquery.frames_rejected");
-  cells_.query_offline_hits = obs_.GetCounter("provquery.offline_hits");
-
-  // Durable-store instruments (src/store/), registered only when the
-  // subsystem is active so none/condensed runs keep exactly their
-  // pre-store snapshot key set (golden telemetry).
-  if (options_.prov_mode == ProvMode::kFull) {
-    cells_.store_interned_nodes = obs_.GetCounter("store.interned_nodes");
-    cells_.store_interned_hits = obs_.GetCounter("store.interned_hits");
-  }
-  if (options_.record_offline) {
-    cells_.archive_page_reads = obs_.GetCounter("store.archive_page_reads");
-    cells_.archive_page_writes = obs_.GetCounter("store.archive_page_writes");
-    cells_.archive_compactions = obs_.GetCounter("store.archive_compactions");
-  }
+  // The Ctr name table. Durable-store instruments (src/store/) are
+  // registered only when their subsystem is active, so none/condensed runs
+  // keep exactly their pre-store snapshot key set (golden telemetry).
+  enum class Gate : uint8_t { kAlways, kArena, kArchive };
+  struct Spec {
+    Ctr ctr;
+    const char* name;
+    Gate gate;
+  };
+  static constexpr Spec kSpecs[] = {
+      {Ctr::kDeliveries, "engine.deliveries", Gate::kAlways},
+      {Ctr::kEvents, "engine.events", Gate::kAlways},
+      {Ctr::kRetractions, "engine.retractions", Gate::kAlways},
+      {Ctr::kRederivations, "engine.rederivations", Gate::kAlways},
+      {Ctr::kTupleBytes, "net.tuple_bytes", Gate::kAlways},
+      {Ctr::kAuthBytes, "net.auth_bytes", Gate::kAlways},
+      {Ctr::kProvBytes, "net.prov_bytes", Gate::kAlways},
+      {Ctr::kAuthFailures, "verify.auth_failures", Gate::kAlways},
+      {Ctr::kReplaysRejected, "verify.replays_rejected", Gate::kAlways},
+      {Ctr::kRetractsRejected, "verify.retracts_rejected", Gate::kAlways},
+      {Ctr::kProvQueries, "provquery.queries", Gate::kAlways},
+      {Ctr::kProvQueryBytes, "provquery.bytes", Gate::kAlways},
+      {Ctr::kProvResponsesRejected, "provquery.responses_rejected",
+       Gate::kAlways},
+      {Ctr::kProvFramesRejected, "provquery.frames_rejected", Gate::kAlways},
+      {Ctr::kQueryOfflineHits, "provquery.offline_hits", Gate::kAlways},
+      {Ctr::kStoreInternedNodes, "store.interned_nodes", Gate::kArena},
+      {Ctr::kStoreInternedHits, "store.interned_hits", Gate::kArena},
+      {Ctr::kArchivePageReads, "store.archive_page_reads", Gate::kArchive},
+      {Ctr::kArchivePageWrites, "store.archive_page_writes", Gate::kArchive},
+      {Ctr::kArchiveCompactions, "store.archive_compactions", Gate::kArchive},
+  };
+  static_assert(std::size(kSpecs) == kSecurityBase);
 
   const std::vector<CompiledRule>& rules = plan_.rules();
-  cells_.rule_firings.reserve(rules.size());
-  cells_.rule_candidates.reserve(rules.size());
-  cells_.rule_derivations.reserve(rules.size());
-  for (const CompiledRule& cr : rules) {
-    obs::Labels labels{{"rule", cr.prog.label}};
-    cells_.rule_firings.push_back(obs_.GetCounter("rule.firings", labels));
-    cells_.rule_candidates.push_back(
-        obs_.GetCounter("rule.candidates", labels));
-    cells_.rule_derivations.push_back(
-        obs_.GetCounter("rule.derivations", labels));
+  cells_.counters.assign(kRuleBase + 3 * rules.size(), nullptr);
+  for (const Spec& spec : kSpecs) {
+    if ((spec.gate == Gate::kArena && options_.prov_mode != ProvMode::kFull) ||
+        (spec.gate == Gate::kArchive && !options_.record_offline)) {
+      continue;
+    }
+    cells_.counters[static_cast<size_t>(spec.ctr)] =
+        obs_.GetCounter(spec.name);
   }
-
-  cells_.security_events.reserve(kNumSecurityEventKinds);
+  for (size_t r = 0; r < rules.size(); ++r) {
+    obs::Labels labels{{"rule", rules[r].prog.label}};
+    size_t at = kRuleBase + 3 * r;
+    cells_.counters[at] = obs_.GetCounter("rule.firings", labels);
+    cells_.counters[at + 1] = obs_.GetCounter("rule.candidates", labels);
+    cells_.counters[at + 2] = obs_.GetCounter("rule.derivations", labels);
+  }
   for (size_t k = 0; k < kNumSecurityEventKinds; ++k) {
-    cells_.security_events.push_back(obs_.GetCounter(
+    cells_.counters[kSecurityBase + k] = obs_.GetCounter(
         "security.events",
-        {{"kind", SecurityEventKindName(static_cast<SecurityEventKind>(k))}}));
+        {{"kind", SecurityEventKindName(static_cast<SecurityEventKind>(k))}});
   }
 
   cells_.query_latency = obs_.GetHistogram("provquery.latency_s");
@@ -329,20 +333,20 @@ void Engine::InitObs() {
 
 RunStats Engine::StatsView() const {
   RunStats s;
-  s.deliveries = cells_.deliveries->value;
-  s.events = cells_.events->value;
-  s.retractions = cells_.retractions->value;
-  s.rederivations = cells_.rederivations->value;
-  s.tuple_bytes = cells_.tuple_bytes->value;
-  s.auth_bytes = cells_.auth_bytes->value;
-  s.prov_bytes = cells_.prov_bytes->value;
-  s.auth_failures = cells_.auth_failures->value;
-  s.replays_rejected = cells_.replays_rejected->value;
-  s.retracts_rejected = cells_.retracts_rejected->value;
-  s.prov_queries = cells_.prov_queries->value;
-  s.prov_query_bytes = cells_.prov_query_bytes->value;
-  s.prov_responses_rejected = cells_.prov_responses_rejected->value;
-  s.prov_frames_rejected = cells_.prov_frames_rejected->value;
+  s.deliveries = cells_[Ctr::kDeliveries]->value;
+  s.events = cells_[Ctr::kEvents]->value;
+  s.retractions = cells_[Ctr::kRetractions]->value;
+  s.rederivations = cells_[Ctr::kRederivations]->value;
+  s.tuple_bytes = cells_[Ctr::kTupleBytes]->value;
+  s.auth_bytes = cells_[Ctr::kAuthBytes]->value;
+  s.prov_bytes = cells_[Ctr::kProvBytes]->value;
+  s.auth_failures = cells_[Ctr::kAuthFailures]->value;
+  s.replays_rejected = cells_[Ctr::kReplaysRejected]->value;
+  s.retracts_rejected = cells_[Ctr::kRetractsRejected]->value;
+  s.prov_queries = cells_[Ctr::kProvQueries]->value;
+  s.prov_query_bytes = cells_[Ctr::kProvQueryBytes]->value;
+  s.prov_responses_rejected = cells_[Ctr::kProvResponsesRejected]->value;
+  s.prov_frames_rejected = cells_[Ctr::kProvFramesRejected]->value;
   // Global totals recovered from the per-rule breakdowns.
   s.derivations = obs_.CounterTotal("rule.derivations");
   s.join_candidates = obs_.CounterTotal("rule.candidates");
@@ -507,7 +511,7 @@ Status Engine::DeliverLocal(NodeId node_id, StoredTuple entry,
       if (options_.prov_mode == ProvMode::kCondensed) {
         StoredTuple* merged = table.FindMutable(result.stored);
         if (merged != nullptr &&
-            merged->prov.NodeCount() > options_.condense_threshold) {
+            merged->prov.NodeCount() > kCondenseThreshold) {
           merged->prov = Condense(merged->prov).ToExpr();
         }
       }
@@ -591,19 +595,19 @@ void Engine::RecordProvenance(NodeId node_id, const Tuple& tuple,
 void Engine::RecordArchiveIo(NodeId node) const {
   // exec() is non-const, but only to reach the lane's cell pointers — the
   // counters themselves are mutable registry state.
-  ObsCells& cells = const_cast<Engine*>(this)->exec().cells;
-  if (cells.archive_page_reads == nullptr) return;  // not registered
+  const ObsCells& cells = const_cast<Engine*>(this)->exec().cells;
+  if (cells[Ctr::kArchivePageReads] == nullptr) return;  // not registered
   store::ArchiveIo io = contexts_[node]->offline_store().TakeIo();
-  cells.archive_page_reads->value += io.page_reads;
-  cells.archive_page_writes->value += io.page_writes;
-  cells.archive_compactions->value += io.compactions;
+  cells[Ctr::kArchivePageReads]->value += io.page_reads;
+  cells[Ctr::kArchivePageWrites]->value += io.page_writes;
+  cells[Ctr::kArchiveCompactions]->value += io.compactions;
 }
 
 Status Engine::FlushDurableStores() {
-  if (arena_ != nullptr && cells_.store_interned_nodes != nullptr) {
+  if (arena_ != nullptr && cells_[Ctr::kStoreInternedNodes] != nullptr) {
     store::ProvArena::Stats s = arena_->TakeStats();
-    cells_.store_interned_nodes->value += s.interned_nodes;
-    cells_.store_interned_hits->value += s.interned_hits;
+    cells_[Ctr::kStoreInternedNodes]->value += s.interned_nodes;
+    cells_[Ctr::kStoreInternedHits]->value += s.interned_hits;
   }
   if (options_.record_offline) {
     for (const auto& ctx : contexts_) {
@@ -789,7 +793,7 @@ Status Engine::FireStrand(NodeId node_id, const CompiledRule& cr,
   }
 
   // The strand actually runs its join (the delta literal matched).
-  ++ex.cells.rule_firings[RuleIndex(cr)]->value;
+  ++ex.cells.rule(RuleIndex(cr), RuleCtr::kFirings)->value;
   if (tracer_.enabled()) {
     obs::TraceEvent ev;
     ev.sim_time = net_.now();
@@ -834,7 +838,7 @@ Status Engine::EmitHead(NodeId node_id, const CompiledRule& cr,
                         const Frame& frame,
                         const std::vector<const StoredTuple*>& used) {
   PROVNET_ASSIGN_OR_RETURN(Tuple head, BuildHeadTuple(cr.prog, frame));
-  ++exec().cells.rule_derivations[RuleIndex(cr)]->value;
+  ++exec().cells.rule(RuleIndex(cr), RuleCtr::kDerivations)->value;
 
   const std::string& label = cr.prog.label;
 
@@ -1056,9 +1060,9 @@ Status Engine::SendTuple(NodeId from, NodeId to, const Tuple& tuple,
   // The anti-replay header is authentication overhead, not tuple payload.
   size_t auth_part = msg.size() - pre_auth + header_len;
 
-  ex.cells.prov_bytes->value += prov_part;
-  ex.cells.auth_bytes->value += auth_part;
-  ex.cells.tuple_bytes->value += msg.size() - prov_part - auth_part;
+  ex.cells[Ctr::kProvBytes]->value += prov_part;
+  ex.cells[Ctr::kAuthBytes]->value += auth_part;
+  ex.cells[Ctr::kTupleBytes]->value += msg.size() - prov_part - auth_part;
   ChargeLink(from, to, kMsgTuple, msg.size());
   if (tracer_.enabled()) {
     obs::TraceEvent ev;
@@ -1160,7 +1164,7 @@ Status Engine::HandleTupleMessage(NodeId to, NodeId from, ByteReader& reader) {
       // stolen key can still forge tuples, but it can no longer *frame*
       // other principals with annotation cubes that omit itself — the
       // traceback that follows a framed cube would blame an innocent.
-      if (options_.authenticate && options_.verify_incoming &&
+      if (options_.authenticate &&
           options_.prov_grain == ProvGrain::kPrincipal && tag.has_value()) {
         std::optional<ProvVar> sender_var = registry_.Find(tag->principal);
         bool framed = false;
@@ -1173,7 +1177,7 @@ Status Engine::HandleTupleMessage(NodeId to, NodeId from, ByteReader& reader) {
           }
         }
         if (framed) {
-          ++exec().cells.prov_frames_rejected->value;
+          ++exec().cells[Ctr::kProvFramesRejected]->value;
           RecordSecurityEvent(
               SecurityEventKind::kForeignProvenance, to, from,
               tag->principal,
@@ -1371,7 +1375,7 @@ Result<RunStats> Engine::Run() {
       // reaches fixpoint before any restoration fires.
       DeltaState::Retraction retraction = std::move(dynamics_->queue.front());
       dynamics_->queue.pop_front();
-      ++cells_.retractions->value;
+      ++cells_[Ctr::kRetractions]->value;
       // Restore the context captured at enqueue: the deletion cascade (and
       // any kMsgRetract it ships) stays in its originating trace.
       exec().causal = retraction.causal;
@@ -1388,7 +1392,7 @@ Result<RunStats> Engine::Run() {
       } else {
         PendingEvent event = std::move(events_.front());
         events_.pop_front();
-        ++cells_.events->value;
+        ++cells_[Ctr::kEvents]->value;
         PROVNET_RETURN_IF_ERROR(ProcessEvent(event));
       }
     } else if (!net_.Idle()) {
@@ -1408,7 +1412,7 @@ Result<RunStats> Engine::Run() {
           // only handler invocations count as deliveries.
           uint64_t delivered = net_.deliveries();
           net_.Step();
-          cells_.deliveries->value += net_.deliveries() - delivered;
+          cells_[Ctr::kDeliveries]->value += net_.deliveries() - delivered;
         }
       }
     } else if (!recovery_reinserts_.empty()) {
@@ -1433,7 +1437,7 @@ Result<RunStats> Engine::Run() {
     } else {
       break;  // distributed fixpoint: no events, no in-flight messages
     }
-    if (++steps > options_.max_steps) {
+    if (++steps > kMaxSteps) {
       return ResourceExhaustedError(
           "engine exceeded max_steps; divergent program?");
     }

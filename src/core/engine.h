@@ -33,7 +33,6 @@
 
 #include "adversary/audit.h"
 #include "core/causal.h"
-#include "core/eval.h"
 #include "core/node_context.h"
 #include "core/plan.h"
 #include "crypto/authenticator.h"
@@ -88,16 +87,14 @@ struct EngineOptions {
   // --- says / authentication (Section 2.2, 4.3) ---
   bool authenticate = false;
   SaysLevel says_level = SaysLevel::kRsa;
-  bool verify_incoming = true;  // receivers check tags (drop on failure)
   size_t rsa_bits = 256;
 
   // --- receive-side verification pipeline (src/adversary/) ---
-  // With authentication on, every kMsgTuple/kMsgRetract carries a signed
-  // (sequence, destination) header: the destination check defeats
-  // cross-receiver replay, the per-sender ReplayGuard defeats re-sent
-  // messages. Off => the header is still sent/parsed but not enforced (for
-  // measuring enforcement overhead in isolation).
-  bool replay_protection = true;
+  // With authentication on, receivers verify every says tag (dropping
+  // failures), and every kMsgTuple/kMsgRetract carries a signed (sequence,
+  // destination) header: the destination check defeats cross-receiver
+  // replay, the per-sender ReplayGuard defeats re-sent messages.
+  //
   // Principals with an operator capability: allowed to retract tuples they
   // did not assert (the "network operator" of Section 4.2's compromise
   // response). Everyone else may only retract their own assertions.
@@ -110,8 +107,6 @@ struct EngineOptions {
   bool record_offline = false;  // populate OfflineProvStore
   bool recording_enabled = true;  // false = reactive mode (Section 5)
   uint32_t sample_k = 1;          // 1-in-k provenance sampling (Section 5)
-  // Local annotations are re-condensed when they outgrow this node count.
-  size_t condense_threshold = 64;
 
   // --- durable provenance store (src/store/) ---
   // Non-empty: each node's offline archive lives on disk at
@@ -133,20 +128,13 @@ struct EngineOptions {
   // Ack/retransmit framing even without a fault plan (loss-free reliable
   // delivery costs only the frame bytes). Off and with an empty plan, the
   // wire format, meters, and telemetry key set are byte-identical to the
-  // lossless FIFO.
+  // lossless FIFO. Its timing is fixed (Network::kRtoInitialS and
+  // friends).
   bool reliable_transport = false;
-  TransportOptions transport;
-  // Distributed ProvQuery per-hop timeout, in virtual seconds. <= 0 picks
-  // a default when the transport is on (10 x rto_initial) and disables
-  // timeouts otherwise (the lossless network always answers).
-  double query_hop_timeout = 0.0;
-  size_t query_max_attempts = 3;  // request transmissions before giving up
 
   // --- execution ---
   uint64_t seed = 1;
   double default_ttl = -1.0;  // table TTL unless materialize says otherwise
-  double link_latency = 0.01;
-  uint64_t max_steps = 100000000;  // safety valve (events + deliveries)
   // Worker lanes for the sharded parallel executor (src/core/parallel.cc).
   // 1 = today's single-threaded loop, bit-for-bit. 0 = hardware
   // concurrency. >1 shards event cascades and delivery waves across a
@@ -395,6 +383,10 @@ class Engine {
  private:
   Engine(const Topology& topo, EngineOptions options);
 
+  // Divergence guard: the steps (events + deliveries) one Run() or one
+  // query pump may take before failing as a divergent program.
+  static constexpr uint64_t kMaxSteps = 100000000;
+
   Status Init(Program program);
 
   // --- Observability plumbing (src/obs/) ------------------------------------
@@ -413,43 +405,60 @@ class Engine {
     return static_cast<size_t>(&cr - plan_.rules().data());
   }
 
-  // Pre-resolved registry handles: registration (string hashing) happens at
-  // InitObs, never on the firing/receive hot paths.
-  struct ObsCells {
-    obs::Counter* deliveries = nullptr;
-    obs::Counter* events = nullptr;
-    obs::Counter* retractions = nullptr;
-    obs::Counter* rederivations = nullptr;
-    obs::Counter* tuple_bytes = nullptr;
-    obs::Counter* auth_bytes = nullptr;
-    obs::Counter* prov_bytes = nullptr;
-    obs::Counter* auth_failures = nullptr;
-    obs::Counter* replays_rejected = nullptr;
-    obs::Counter* retracts_rejected = nullptr;
-    obs::Counter* prov_queries = nullptr;
-    obs::Counter* prov_query_bytes = nullptr;
-    obs::Counter* prov_responses_rejected = nullptr;
-    obs::Counter* prov_frames_rejected = nullptr;
-    obs::Counter* query_offline_hits = nullptr;
+  // Engine counters with pre-resolved registry handles: registration
+  // (string hashing) happens at InitObs, never on the firing/receive hot
+  // paths. The named ones are indexed by Ctr and registered from the one
+  // name table in InitObs.
+  enum class Ctr : uint8_t {
+    kDeliveries,
+    kEvents,
+    kRetractions,
+    kRederivations,
+    kTupleBytes,
+    kAuthBytes,
+    kProvBytes,
+    kAuthFailures,
+    kReplaysRejected,
+    kRetractsRejected,
+    kProvQueries,
+    kProvQueryBytes,
+    kProvResponsesRejected,
+    kProvFramesRejected,
+    kQueryOfflineHits,
     // Durable-store health (src/store/). Conditionally registered: the
     // arena pair only in kFull mode, the archive trio only with
     // record_offline — so condensed/none telemetry snapshots keep exactly
-    // their pre-store key set. Null when not registered (ForEachCell and
-    // the worker-mirror plumbing tolerate null handles).
-    obs::Counter* store_interned_nodes = nullptr;
-    obs::Counter* store_interned_hits = nullptr;
-    obs::Counter* archive_page_reads = nullptr;
-    obs::Counter* archive_page_writes = nullptr;
-    obs::Counter* archive_compactions = nullptr;
-    // Indexed by position in plan_.rules().
-    std::vector<obs::Counter*> rule_firings;
-    std::vector<obs::Counter*> rule_candidates;
-    std::vector<obs::Counter*> rule_derivations;
-    // Indexed by SecurityEventKind.
-    std::vector<obs::Counter*> security_events;
+    // their pre-store key set. Null handles when not registered.
+    kStoreInternedNodes,
+    kStoreInternedHits,
+    kArchivePageReads,
+    kArchivePageWrites,
+    kArchiveCompactions,
+    kNumNamed,
+  };
+  // Per-rule counters (label rule=<label>), three per compiled rule.
+  enum class RuleCtr : uint8_t { kFirings, kCandidates, kDerivations };
+  static constexpr size_t kSecurityBase = static_cast<size_t>(Ctr::kNumNamed);
+  static constexpr size_t kRuleBase = kSecurityBase + kNumSecurityEventKinds;
+
+  struct ObsCells {
+    // Every counter handle in one array, so worker lanes mirror and merge
+    // it by position: the Ctr counters, then one per SecurityEventKind,
+    // then three per rule in plan_.rules() order.
+    std::vector<obs::Counter*> counters;
     // Virtual-time latency distributions of the ProvQuery walk.
     obs::Histogram* query_latency = nullptr;
     obs::Histogram* query_hop_latency = nullptr;
+
+    obs::Counter* operator[](Ctr c) const {
+      return counters[static_cast<size_t>(c)];
+    }
+    obs::Counter* security(SecurityEventKind kind) const {
+      return counters[kSecurityBase + static_cast<size_t>(kind)];
+    }
+    obs::Counter* rule(size_t rule_index, RuleCtr c) const {
+      return counters[kRuleBase + 3 * rule_index + static_cast<size_t>(c)];
+    }
   };
 
   struct PendingEvent {
@@ -552,9 +561,9 @@ class Engine {
                          TupleDigest digest, std::vector<ProvRecord> records);
   Status HandleProvRequest(NodeId to, NodeId from, ByteReader& reader);
   Status HandleProvResponse(NodeId to, NodeId from, ByteReader& reader);
-  // Effective per-hop virtual-time deadline for distributed queries:
-  // query_hop_timeout when set, 10x the transport's initial RTO when the
-  // fault-tolerant transport is active, 0 (disabled) otherwise.
+  // Effective per-hop virtual-time deadline for distributed queries: 10x
+  // the transport's initial RTO when the fault-tolerant transport is
+  // active, 0 (disabled) otherwise.
   double QueryTimeoutSeconds() const;
   // Fires every armed per-hop deadline at or before net_.now(): due requests
   // are re-sent under the same query id with exponential backoff until the
@@ -731,36 +740,6 @@ class Engine {
   // a parallel phase, the main slot otherwise.
   ExecSlot& exec() { return tls_slot_ != nullptr ? *tls_slot_ : main_slot_; }
 
-  // Enumerates every counter handle of an ObsCells in one fixed order, so
-  // worker mirrors can be allocated and merged positionally.
-  template <typename Fn>
-  static void ForEachCell(ObsCells& cells, Fn&& fn) {
-    fn(cells.deliveries);
-    fn(cells.events);
-    fn(cells.retractions);
-    fn(cells.rederivations);
-    fn(cells.tuple_bytes);
-    fn(cells.auth_bytes);
-    fn(cells.prov_bytes);
-    fn(cells.auth_failures);
-    fn(cells.replays_rejected);
-    fn(cells.retracts_rejected);
-    fn(cells.prov_queries);
-    fn(cells.prov_query_bytes);
-    fn(cells.prov_responses_rejected);
-    fn(cells.prov_frames_rejected);
-    fn(cells.query_offline_hits);
-    fn(cells.store_interned_nodes);
-    fn(cells.store_interned_hits);
-    fn(cells.archive_page_reads);
-    fn(cells.archive_page_writes);
-    fn(cells.archive_compactions);
-    for (obs::Counter*& c : cells.rule_firings) fn(c);
-    for (obs::Counter*& c : cells.rule_candidates) fn(c);
-    for (obs::Counter*& c : cells.rule_derivations) fn(c);
-    for (obs::Counter*& c : cells.security_events) fn(c);
-  }
-
   // Side-effect helpers shared by the sequential and worker-lane paths.
   // Per-link byte charge: direct on the main slot, buffered (interned at
   // the barrier) on workers — the cells are sums, so order is free.
@@ -812,7 +791,11 @@ class Engine {
   // mutations), registry-backed counter handles, events -> &events_.
   // Worker lanes get buffered ExecSlots of their own (see exec()).
   ExecSlot main_slot_;
-  static thread_local ExecSlot* tls_slot_;
+  // Bound by worker lanes for the duration of a parallel phase; null means
+  // "the main slot" (see exec()). Defined in the class: with an out-of-line
+  // definition, GCC 12's UBSan reports each store to it as a store to a
+  // null pointer.
+  static inline thread_local ExecSlot* tls_slot_ = nullptr;
   std::unique_ptr<ThreadPool> pool_;  // lazily built on first parallel phase
   std::vector<std::unique_ptr<ExecSlot>> worker_slots_;  // one per lane
   size_t resolved_threads_ = 0;  // cached ResolvedThreads(); 0 = unresolved

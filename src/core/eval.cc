@@ -1,6 +1,5 @@
-#include "core/eval.h"
-
-#include <algorithm>
+// The f_* builtin library and the binary operators shared by every
+// slot-compiled rule program (core/slots.h).
 #include <cmath>
 
 #include "core/slots.h"
@@ -127,37 +126,6 @@ Result<Value> CallBuiltin(BuiltinFn fn, const std::vector<Value>& args) {
   return InternalError("unreachable builtin");
 }
 
-Result<Value> CallBuiltin(const std::string& name,
-                          const std::vector<Value>& args) {
-  PROVNET_ASSIGN_OR_RETURN(BuiltinFn fn, LookupBuiltin(name));
-  return CallBuiltin(fn, args);
-}
-
-Result<Value> EvalTerm(const Term& term, const Env& env) {
-  switch (term.kind) {
-    case TermKind::kConstant:
-      return term.constant;
-    case TermKind::kVariable:
-    case TermKind::kAggregate: {
-      auto it = env.find(term.name);
-      if (it == env.end()) {
-        return FailedPreconditionError("unbound variable " + term.name);
-      }
-      return it->second;
-    }
-    case TermKind::kFunction: {
-      std::vector<Value> args;
-      args.reserve(term.args.size());
-      for (const Term& a : term.args) {
-        PROVNET_ASSIGN_OR_RETURN(Value v, EvalTerm(a, env));
-        args.push_back(std::move(v));
-      }
-      return CallBuiltin(term.name, args);
-    }
-  }
-  return InternalError("unreachable term kind");
-}
-
 Result<Value> ApplyBinaryOp(ExprOp op, const Value& lhs, const Value& rhs) {
   switch (op) {
     case ExprOp::kEq:
@@ -215,92 +183,6 @@ Result<Value> ApplyBinaryOp(ExprOp op, const Value& lhs, const Value& rhs) {
     default:
       return InternalError("unreachable arithmetic op");
   }
-}
-
-Result<Value> EvalExpr(const Expr& expr, const Env& env) {
-  if (expr.op == ExprOp::kTerm) return EvalTerm(expr.term, env);
-  PROVNET_ASSIGN_OR_RETURN(Value lhs, EvalExpr(expr.children[0], env));
-  PROVNET_ASSIGN_OR_RETURN(Value rhs, EvalExpr(expr.children[1], env));
-  return ApplyBinaryOp(expr.op, lhs, rhs);
-}
-
-Result<bool> EvalCondition(const Expr& expr, const Env& env) {
-  if (!expr.IsComparison()) {
-    return InvalidArgumentError("condition must be a comparison: " +
-                                expr.ToString());
-  }
-  PROVNET_ASSIGN_OR_RETURN(Value v, EvalExpr(expr, env));
-  return v.AsInt() != 0;
-}
-
-bool UnifyTuple(const Atom& atom, const Tuple& tuple, Env& env) {
-  if (atom.predicate != tuple.predicate()) return false;
-  if (atom.args.size() != tuple.arity()) return false;
-  for (size_t i = 0; i < atom.args.size(); ++i) {
-    const Term& pattern = atom.args[i];
-    const Value& value = tuple.arg(i);
-    switch (pattern.kind) {
-      case TermKind::kConstant:
-        if (!(pattern.constant == value)) return false;
-        break;
-      case TermKind::kVariable: {
-        auto it = env.find(pattern.name);
-        if (it == env.end()) {
-          env.emplace(pattern.name, value);
-        } else if (!(it->second == value)) {
-          return false;
-        }
-        break;
-      }
-      default:
-        // Function/aggregate args in body atoms are rejected at plan time.
-        return false;
-    }
-  }
-  return true;
-}
-
-bool UnifyHeadPattern(const Atom& head, const Tuple& tuple, Env& env,
-                      const std::vector<int>& positions) {
-  if (head.predicate != tuple.predicate()) return false;
-  if (head.args.size() != tuple.arity()) return false;
-  for (size_t i = 0; i < head.args.size(); ++i) {
-    if (!positions.empty() &&
-        std::find(positions.begin(), positions.end(), static_cast<int>(i)) ==
-            positions.end()) {
-      continue;
-    }
-    const Term& pattern = head.args[i];
-    const Value& value = tuple.arg(i);
-    switch (pattern.kind) {
-      case TermKind::kConstant:
-        if (!(pattern.constant == value)) return false;
-        break;
-      case TermKind::kVariable: {
-        auto it = env.find(pattern.name);
-        if (it == env.end()) {
-          env.emplace(pattern.name, value);
-        } else if (!(it->second == value)) {
-          return false;
-        }
-        break;
-      }
-      case TermKind::kFunction:
-      case TermKind::kAggregate:
-        break;  // computed by the body; checked after BuildHeadTuple
-    }
-  }
-  return true;
-}
-
-Result<Tuple> BuildHeadTuple(const Atom& head, const Env& env) {
-  std::vector<Value> args;
-  args.reserve(head.args.size());
-  for (const Term& t : head.args) {
-    PROVNET_ASSIGN_OR_RETURN(Value v, EvalTerm(t, env));
-    args.push_back(std::move(v));
-  }
-  return Tuple(head.predicate, std::move(args));
 }
 
 }  // namespace provnet

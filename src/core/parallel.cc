@@ -99,19 +99,12 @@ void Engine::EnsureParallelRuntime() {
   for (size_t i = 0; i < threads; ++i) {
     auto slot = std::make_unique<ExecSlot>();
     slot->buffered = true;
-    // Positional counter mirror: same shape as cells_, storage private to
-    // the lane. Histograms stay null — no worker path records one.
-    slot->cells = cells_;
-    slot->cells.query_latency = nullptr;
-    slot->cells.query_hop_latency = nullptr;
-    size_t count = 0;
-    ForEachCell(slot->cells, [&count](obs::Counter*&) { ++count; });
-    slot->cell_storage.resize(count);
-    size_t at = 0;
-    ExecSlot* raw = slot.get();
-    ForEachCell(slot->cells, [raw, &at](obs::Counter*& cell) {
-      cell = &raw->cell_storage[at++];
-    });
+    // Counter mirror: same shape as cells_, storage private to the lane.
+    // Histograms stay null — no worker path records one.
+    slot->cell_storage.resize(cells_.counters.size());
+    for (obs::Counter& mirror : slot->cell_storage) {
+      slot->cells.counters.push_back(&mirror);
+    }
     worker_slots_.push_back(std::move(slot));
   }
 }
@@ -119,15 +112,15 @@ void Engine::EnsureParallelRuntime() {
 void Engine::MergeWorkerSlots() {
   for (auto& slot : worker_slots_) {
     // Counter mirrors: positional sum into the registry-backed cells.
-    size_t at = 0;
-    ExecSlot* raw = slot.get();
-    ForEachCell(cells_, [raw, &at](obs::Counter*& cell) {
-      obs::Counter& mirror = raw->cell_storage[at++];
+    for (size_t i = 0; i < cells_.counters.size(); ++i) {
+      obs::Counter& mirror = slot->cell_storage[i];
       // Conditionally registered cells (durable-store instruments) are null
       // when their subsystem is off; their mirrors are never incremented.
-      if (cell != nullptr) cell->value += mirror.value;
+      if (cells_.counters[i] != nullptr) {
+        cells_.counters[i]->value += mirror.value;
+      }
       mirror.value = 0;
-    });
+    }
     for (const ExecSlot::LinkCharge& charge : slot->link_charges) {
       LinkBytesCell(charge.from, charge.to, charge.msg_kind)->value +=
           charge.bytes;
@@ -215,19 +208,19 @@ Status Engine::ParallelDrainEvents(uint64_t* steps) {
     while (!run.queue.empty()) {
       PendingEvent event = std::move(run.queue.front());
       run.queue.pop_front();
-      ++cells_.events->value;
+      ++cells_[Ctr::kEvents]->value;
       PROVNET_RETURN_IF_ERROR(ProcessEvent(event));
       while (!events_.empty()) {
         PendingEvent next = std::move(events_.front());
         events_.pop_front();
-        ++cells_.events->value;
+        ++cells_[Ctr::kEvents]->value;
         PROVNET_RETURN_IF_ERROR(ProcessEvent(next));
-        if (++*steps > options_.max_steps) {
+        if (++*steps > kMaxSteps) {
           return ResourceExhaustedError(
               "engine exceeded max_steps; divergent program?");
         }
       }
-      if (++*steps > options_.max_steps) {
+      if (++*steps > kMaxSteps) {
         return ResourceExhaustedError(
             "engine exceeded max_steps; divergent program?");
       }
@@ -290,7 +283,7 @@ Status Engine::ParallelDrainEvents(uint64_t* steps) {
     size_t k = committed[r]++;
     PROVNET_CHECK(k < run.units.size());
     Unit& unit = run.units[k];
-    ++cells_.events->value;
+    ++cells_[Ctr::kEvents]->value;
     Status commit = CommitEffects(run.effects, effect_at[r], unit.effect_end);
     effect_at[r] = unit.effect_end;
     if (!commit.ok()) {
@@ -302,7 +295,7 @@ Status Engine::ParallelDrainEvents(uint64_t* steps) {
       break;
     }
     for (uint32_t s = 0; s < unit.spawned; ++s) tokens.push_back(r);
-    if (++*steps > options_.max_steps) {
+    if (++*steps > kMaxSteps) {
       result = ResourceExhaustedError(
           "engine exceeded max_steps; divergent program?");
       break;
@@ -434,8 +427,8 @@ Result<bool> Engine::TryParallelWave(uint64_t* steps) {
       break;
     }
     Unit& unit = run.units[k];
-    ++cells_.deliveries->value;
-    cells_.events->value += unit.events_processed;
+    ++cells_[Ctr::kDeliveries]->value;
+    cells_[Ctr::kEvents]->value += unit.events_processed;
     Status commit =
         CommitEffects(run.effects, effect_at[run_of_msg[i]], unit.effect_end);
     effect_at[run_of_msg[i]] = unit.effect_end;
@@ -450,7 +443,7 @@ Result<bool> Engine::TryParallelWave(uint64_t* steps) {
       break;
     }
     *steps += 1 + unit.events_processed;
-    if (*steps > options_.max_steps) {
+    if (*steps > kMaxSteps) {
       result = ResourceExhaustedError(
           "engine exceeded max_steps; divergent program?");
       break;

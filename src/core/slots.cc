@@ -1,19 +1,25 @@
 #include "core/slots.h"
 
-#include "core/eval.h"
+#include <algorithm>
+#include <unordered_map>
 
 namespace provnet {
 
 namespace {
 
+// Variable name -> frame slot while one rule compiles, numbered in order of
+// first appearance.
+using SlotNames = std::unordered_map<std::string, int>;
+
 // Interns `name` into the program's slot table.
-int SlotOf(RuleProgram& prog, const std::string& name) {
-  auto [it, fresh] = prog.var_slots.emplace(name, prog.num_slots);
+int SlotOf(RuleProgram& prog, SlotNames& names, const std::string& name) {
+  auto [it, fresh] = names.emplace(name, prog.num_slots);
   if (fresh) ++prog.num_slots;
   return it->second;
 }
 
-Result<SlotTerm> CompileTerm(const Term& term, RuleProgram& prog) {
+Result<SlotTerm> CompileTerm(const Term& term, RuleProgram& prog,
+                             SlotNames& names) {
   SlotTerm out;
   out.kind = term.kind;
   switch (term.kind) {
@@ -23,14 +29,14 @@ Result<SlotTerm> CompileTerm(const Term& term, RuleProgram& prog) {
     case TermKind::kVariable:
     case TermKind::kAggregate:
       out.name = term.name;
-      out.slot = SlotOf(prog, term.name);
+      out.slot = SlotOf(prog, names, term.name);
       return out;
     case TermKind::kFunction: {
       out.name = term.name;
       PROVNET_ASSIGN_OR_RETURN(out.fn, LookupBuiltin(term.name));
       out.args.reserve(term.args.size());
       for (const Term& a : term.args) {
-        PROVNET_ASSIGN_OR_RETURN(SlotTerm arg, CompileTerm(a, prog));
+        PROVNET_ASSIGN_OR_RETURN(SlotTerm arg, CompileTerm(a, prog, names));
         out.args.push_back(std::move(arg));
       }
       return out;
@@ -39,16 +45,17 @@ Result<SlotTerm> CompileTerm(const Term& term, RuleProgram& prog) {
   return InternalError("unreachable term kind");
 }
 
-Result<SlotExpr> CompileExpr(const Expr& expr, RuleProgram& prog) {
+Result<SlotExpr> CompileExpr(const Expr& expr, RuleProgram& prog,
+                             SlotNames& names) {
   SlotExpr out;
   out.op = expr.op;
   if (expr.op == ExprOp::kTerm) {
-    PROVNET_ASSIGN_OR_RETURN(out.term, CompileTerm(expr.term, prog));
+    PROVNET_ASSIGN_OR_RETURN(out.term, CompileTerm(expr.term, prog, names));
     return out;
   }
   out.children.reserve(expr.children.size());
   for (const Expr& child : expr.children) {
-    PROVNET_ASSIGN_OR_RETURN(SlotExpr c, CompileExpr(child, prog));
+    PROVNET_ASSIGN_OR_RETURN(SlotExpr c, CompileExpr(child, prog, names));
     out.children.push_back(std::move(c));
   }
   return out;
@@ -58,10 +65,11 @@ Result<SlotExpr> CompileExpr(const Expr& expr, RuleProgram& prog) {
 
 Result<RuleProgram> CompileRuleProgram(const LocalizedRule& lr) {
   RuleProgram prog;
+  SlotNames names;
   const Rule& rule = lr.rule;
   prog.head_predicate = rule.head.predicate;
   prog.label = rule.label.empty() ? rule.head.predicate : rule.label;
-  prog.local_slot = SlotOf(prog, lr.local_var);
+  prog.local_slot = SlotOf(prog, names, lr.local_var);
 
   prog.body.reserve(rule.body.size());
   for (const Literal& lit : rule.body) {
@@ -86,7 +94,7 @@ Result<RuleProgram> CompileRuleProgram(const LocalizedRule& lr) {
               cand.constant = arg.constant;
               break;
             case TermKind::kVariable:
-              op.slot = SlotOf(prog, arg.name);
+              op.slot = SlotOf(prog, names, arg.name);
               cand.slot = op.slot;
               break;
             default:
@@ -104,7 +112,7 @@ Result<RuleProgram> CompileRuleProgram(const LocalizedRule& lr) {
             says.is_const = true;
             says.constant = term.constant;
           } else if (term.kind == TermKind::kVariable) {
-            says.slot = SlotOf(prog, term.name);
+            says.slot = SlotOf(prog, names, term.name);
           } else {
             says.never = true;
           }
@@ -113,12 +121,14 @@ Result<RuleProgram> CompileRuleProgram(const LocalizedRule& lr) {
         break;
       }
       case LiteralKind::kCondition: {
-        PROVNET_ASSIGN_OR_RETURN(out.expr, CompileExpr(lit.expr, prog));
+        PROVNET_ASSIGN_OR_RETURN(out.expr,
+                                 CompileExpr(lit.expr, prog, names));
         break;
       }
       case LiteralKind::kAssign: {
-        out.assign_slot = SlotOf(prog, lit.assign_var);
-        PROVNET_ASSIGN_OR_RETURN(out.expr, CompileExpr(lit.expr, prog));
+        out.assign_slot = SlotOf(prog, names, lit.assign_var);
+        PROVNET_ASSIGN_OR_RETURN(out.expr,
+                                 CompileExpr(lit.expr, prog, names));
         break;
       }
     }
@@ -127,11 +137,12 @@ Result<RuleProgram> CompileRuleProgram(const LocalizedRule& lr) {
 
   prog.head_args.reserve(rule.head.args.size());
   for (const Term& t : rule.head.args) {
-    PROVNET_ASSIGN_OR_RETURN(SlotTerm st, CompileTerm(t, prog));
+    PROVNET_ASSIGN_OR_RETURN(SlotTerm st, CompileTerm(t, prog, names));
     prog.head_args.push_back(std::move(st));
   }
   if (lr.send_to.has_value()) {
-    PROVNET_ASSIGN_OR_RETURN(SlotTerm st, CompileTerm(*lr.send_to, prog));
+    PROVNET_ASSIGN_OR_RETURN(SlotTerm st,
+                             CompileTerm(*lr.send_to, prog, names));
     prog.send_to = std::move(st);
   }
   return prog;
@@ -147,6 +158,31 @@ bool MatchTuple(const SlotLiteral& lit, const Tuple& tuple, Frame& frame) {
     } else if (!frame.BindOrCheck(op.slot, value)) {
       return false;
     }
+  }
+  return true;
+}
+
+bool MatchHead(const RuleProgram& prog, const Tuple& tuple, Frame& frame,
+               const std::vector<int>& positions) {
+  if (tuple.predicate() != prog.head_predicate ||
+      tuple.arity() != prog.head_args.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < prog.head_args.size(); ++i) {
+    if (!positions.empty() &&
+        std::find(positions.begin(), positions.end(), static_cast<int>(i)) ==
+            positions.end()) {
+      continue;
+    }
+    const SlotTerm& term = prog.head_args[i];
+    const Value& value = tuple.arg(i);
+    if (term.kind == TermKind::kConstant) {
+      if (!(term.constant == value)) return false;
+    } else if (term.kind == TermKind::kVariable &&
+               !frame.BindOrCheck(term.slot, value)) {
+      return false;
+    }
+    // Function and aggregate columns are computed by the body: skipped.
   }
   return true;
 }

@@ -1,19 +1,16 @@
-// Slot-compiled rule programs: the plan-time half of the zero-copy join
-// core.
+// Slot-compiled rule programs: the engine's one rule evaluator.
 //
-// The seed evaluator bound variables through a string-keyed
-// std::unordered_map<std::string, Value> cloned per join candidate — a map
-// allocation plus per-term hashing in the innermost loop of every rule
-// firing. This module numbers each rule's variables into a dense frame of
-// integer slots at plan time and pre-resolves everything the inner loop
-// touches:
+// Each rule's variables are numbered into a dense frame of integer slots at
+// plan time, and everything the inner loop touches is pre-resolved:
 //
 //   * body atoms   -> one MatchOp per column (bind-or-check slot / check
 //                     constant) plus the column candidates an index lookup
 //                     may serve, so unification is a flat loop over ops;
 //   * conditions / assignments / head terms -> SlotExpr / SlotTerm trees
 //     whose variables are slot references and whose builtin calls are
-//     interned BuiltinFn enums (no string dispatch per call);
+//     interned BuiltinFn enums (no string dispatch per call); the head
+//     terms double as the head pattern re-derivation matches a deleted
+//     tuple against (constants check, variables bind or check);
 //   * says clauses -> a SlotSays (constant principal or slot).
 //
 // At run time a single Frame (slot values + bound bitmap + undo trail) is
@@ -22,13 +19,12 @@
 // seeded dynamically (the delta literal, or a partially-bound head pattern
 // during re-derivation), so every variable column compiles to bind-OR-check
 // and index-column selection picks the first constant or *currently bound*
-// column at run time, exactly mirroring the seed's per-firing choice.
+// column at run time.
 #ifndef PROVNET_CORE_SLOTS_H_
 #define PROVNET_CORE_SLOTS_H_
 
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "datalog/ast.h"
@@ -38,7 +34,14 @@
 
 namespace provnet {
 
-// Interned f_* builtin names (see eval.h for the library's semantics).
+// The f_* builtin library, interned at compile time:
+//   f_init(a, b)         -> [a, b]            (initial path vector)
+//   f_concatPath(x, P)   -> [x | P]           (prepend)
+//   f_append(P, x)       -> P ++ [x]
+//   f_member(P, x)       -> 1 if x in list P else 0
+//   f_size(P)            -> length of P
+//   f_first(P), f_last(P), f_second(P)   (f_second = next hop)
+//   f_min(a, b), f_max(a, b)
 enum class BuiltinFn : uint8_t {
   kInit = 0,
   kConcatPath,
@@ -55,6 +58,11 @@ enum class BuiltinFn : uint8_t {
 const char* BuiltinFnName(BuiltinFn fn);
 Result<BuiltinFn> LookupBuiltin(const std::string& name);
 Result<Value> CallBuiltin(BuiltinFn fn, const std::vector<Value>& args);
+
+// Applies a binary arithmetic/comparison operator. Comparisons yield Int
+// 0/1; arithmetic requires numeric operands (Int stays Int when both are
+// Int, else Double); division and modulo by zero are errors.
+Result<Value> ApplyBinaryOp(ExprOp op, const Value& lhs, const Value& rhs);
 
 // A term with variables resolved to frame slots and builtins interned.
 struct SlotTerm {
@@ -121,11 +129,8 @@ struct RuleProgram {
   // source left it unlabeled), resolved once at compile time.
   std::string label;
   std::vector<SlotLiteral> body;       // in rule-body order
-  std::vector<SlotTerm> head_args;
+  std::vector<SlotTerm> head_args;  // also the head pattern (MatchHead)
   std::optional<SlotTerm> send_to;
-  // Variable name -> slot, for seeding frames from name-keyed bindings
-  // (re-derivation unifies head patterns by name before joining).
-  std::unordered_map<std::string, int> var_slots;
 };
 
 Result<RuleProgram> CompileRuleProgram(const LocalizedRule& lr);
@@ -186,6 +191,15 @@ class Frame {
 // Matches `tuple` against the literal's column ops, extending `frame`. On
 // mismatch the frame may hold partial bindings; callers undo to their mark.
 bool MatchTuple(const SlotLiteral& lit, const Tuple& tuple, Frame& frame);
+
+// Matches `tuple` against the rule's head pattern, extending `frame`:
+// predicate and arity must agree, constants must match, variables bind or
+// check, and function/aggregate columns are skipped. Re-derivation uses it
+// to run a rule backwards from a deleted head tuple. When `positions` is
+// non-empty only those columns are matched (aggregate-group re-derivation
+// constrains the group columns and leaves the aggregate free).
+bool MatchHead(const RuleProgram& prog, const Tuple& tuple, Frame& frame,
+               const std::vector<int>& positions = {});
 
 Result<Value> EvalSlotTerm(const SlotTerm& term, const Frame& frame);
 Result<Value> EvalSlotExpr(const SlotExpr& expr, const Frame& frame);

@@ -62,8 +62,8 @@ enum class ExprOp : uint8_t {
 const char* ExprOpName(ExprOp op);
 
 // True for the comparison operators (kEq..kGe) — the ops a condition
-// literal may use. Shared by the Env evaluator and the slot-compiled
-// evaluator so the two can never disagree on what counts as a condition.
+// literal may use. Shared by the parser and the slot-compiled evaluator so
+// the two can never disagree on what counts as a condition.
 bool IsComparisonOp(ExprOp op);
 
 struct Expr {

@@ -187,7 +187,7 @@ Status Engine::FireDeleteStrand(NodeId node_id, const CompiledRule& cr,
   }
 
   // Delete-mode firing of the same strand (DRed over-deletion).
-  ++exec().cells.rule_firings[RuleIndex(cr)]->value;
+  ++exec().cells.rule(RuleIndex(cr), RuleCtr::kFirings)->value;
 
   std::vector<const StoredTuple*> used;
   used.reserve(prog.body.size());
@@ -236,7 +236,8 @@ Status Engine::DynJoin(NodeId node_id, const CompiledRule& cr,
       // buffer), so the rows backing these pointers cannot move or die
       // mid-scan. The per-rule candidate cell is resolved once per literal,
       // outside the scan — the inner loop pays one pointer increment.
-      obs::Counter* candidates = exec().cells.rule_candidates[RuleIndex(cr)];
+      obs::Counter* candidates =
+          exec().cells.rule(RuleIndex(cr), RuleCtr::kCandidates);
       auto try_candidate = [&](const StoredTuple& candidate) -> Status {
         ++candidates->value;
         size_t mark = frame.Mark();
@@ -374,7 +375,8 @@ Status Engine::OverDeleteAt(NodeId node_id, const Tuple& tuple,
           }
           EnqueueRetraction(node_id, std::move(removal.old_entry),
                             /*rederive=*/false, /*rederive_group=*/false);
-          events_.push_back(PendingEvent{node_id, removal.new_tuple});
+          events_.push_back(
+              PendingEvent{node_id, removal.new_tuple, CausalIds{}});
           return OkStatus();
         case Table::WitnessRemoval::Kind::kGroupEmptied:
           EnqueueRetraction(node_id, std::move(removal.old_entry),
@@ -474,8 +476,8 @@ Status Engine::SendRetract(NodeId from, NodeId to, const Tuple& tuple) {
         auth_.Say(contexts_[from]->principal(), content.bytes(), level));
     tag.Serialize(msg);
   }
-  ex.cells.auth_bytes->value += msg.size() - pre_auth;
-  ex.cells.tuple_bytes->value += pre_auth;
+  ex.cells[Ctr::kAuthBytes]->value += msg.size() - pre_auth;
+  ex.cells[Ctr::kTupleBytes]->value += pre_auth;
   ChargeLink(from, to, kMsgRetract, msg.size());
   if (tracer_.enabled()) {
     obs::TraceEvent ev;
@@ -547,11 +549,11 @@ Status Engine::HandleRetractMessage(NodeId to, NodeId from,
       }
     }
   }
-  if (options_.authenticate && options_.verify_incoming) {
+  if (options_.authenticate) {
     if (stored == nullptr) return OkStatus();
     const Principal& claimed = tag.has_value() ? tag->principal : Principal();
     if (!AuthorizedRetractor(to, claimed, *stored)) {
-      ++cells_.retracts_rejected->value;
+      ++cells_[Ctr::kRetractsRejected]->value;
       RecordSecurityEvent(SecurityEventKind::kUnauthorizedRetract, to, from,
                           claimed, tuple.ToString());
       return OkStatus();
@@ -703,19 +705,18 @@ Status Engine::RederiveTuple(NodeId node, const Tuple& tuple,
   const bool exact = !group_only || positions.empty();
 
   for (const CompiledRule& cr : plan_.rules()) {
-    const Rule& rule = cr.lr.rule;
-    if (rule.head.predicate != tuple.predicate()) continue;
-    Env env0;
-    if (!UnifyHeadPattern(rule.head, tuple, env0, positions)) continue;
+    Frame& frame = exec().frame;
+    frame.Reset(cr.prog.num_slots);
+    if (!MatchHead(cr.prog, tuple, frame, positions)) continue;
 
     // Executing nodes: the head may pin the rule's local variable (e.g. a
     // rule that stores where it runs); otherwise any node storing the
     // rule's body predicates could hold the supporting tuples.
     std::vector<NodeId> sites;
-    auto lv = env0.find(cr.lr.local_var);
-    if (lv != env0.end()) {
-      if (lv->second.kind() != ValueKind::kAddress) continue;
-      NodeId m = lv->second.AsAddress();
+    if (frame.IsBound(cr.prog.local_slot)) {
+      const Value& local = frame.Get(cr.prog.local_slot);
+      if (local.kind() != ValueKind::kAddress) continue;
+      NodeId m = local.AsAddress();
       if (m >= contexts_.size()) continue;
       sites.push_back(m);
     } else {
@@ -723,21 +724,11 @@ Status Engine::RederiveTuple(NodeId node, const Tuple& tuple,
     }
 
     for (NodeId site : sites) {
-      Frame& frame = exec().frame;
+      // Seed the frame with the head-pattern bindings (each site's join
+      // and drain reuse the lane's frame), then pin the executing site.
       frame.Reset(cr.prog.num_slots);
-      // Seed the frame with the head-pattern bindings, then pin the
-      // executing site.
-      bool consistent = true;
-      for (const auto& [name, value] : env0) {
-        auto slot = cr.prog.var_slots.find(name);
-        if (slot == cr.prog.var_slots.end()) continue;
-        if (!frame.BindOrCheck(slot->second, value)) {
-          consistent = false;
-          break;
-        }
-      }
-      if (!consistent ||
-          !frame.BindOrCheck(cr.prog.local_slot, Value::Address(site))) {
+      MatchHead(cr.prog, tuple, frame, positions);
+      if (!frame.BindOrCheck(cr.prog.local_slot, Value::Address(site))) {
         continue;
       }
       std::vector<const StoredTuple*> used;
@@ -764,7 +755,7 @@ Status Engine::RederiveTuple(NodeId node, const Tuple& tuple,
             }
           }
         }
-        ++cells_.rederivations->value;
+        ++cells_[Ctr::kRederivations]->value;
         // The normal head path: annotation product, signing, shipping —
         // restored tuples are indistinguishable from first derivations.
         return EmitHead(site, cr, f, u);

@@ -87,9 +87,8 @@ double Network::LatencyOf(NodeId from, NodeId to) const {
   return it == link_latency_.end() ? default_latency_ : it->second;
 }
 
-void Network::EnableTransport(TransportOptions options) {
+void Network::EnableTransport() {
   transport_enabled_ = true;
-  transport_ = options;
   // Touch the transport counters so a telemetry snapshot shows them (at
   // zero) as soon as the subsystem is armed, not only after the first loss.
   TransportCounter("net.retransmits");
@@ -209,7 +208,7 @@ Status Network::Send(NodeId from, NodeId to, Bytes payload) {
   LinkTx::Pending pending;
   pending.payload = std::move(msg.payload);
   pending.attempts = 1;
-  pending.rto = transport_.rto_initial_s;
+  pending.rto = kRtoInitialS;
   pending.next_retry = now_ + pending.rto;
   const Bytes& wire_payload =
       tx.unacked.emplace(frame_seq, std::move(pending)).first->second.payload;
@@ -328,7 +327,7 @@ void Network::FireRetransmits() {
         ++it;
         continue;
       }
-      if (p.attempts >= transport_.max_attempts) {
+      if (p.attempts >= kMaxAttempts) {
         // Retry budget exhausted: the link is dead. Surface it and stop
         // retrying everything queued behind the lost frame.
         tx.dead = true;
@@ -338,7 +337,7 @@ void Network::FireRetransmits() {
         break;
       }
       ++p.attempts;
-      p.rto = std::min(p.rto * transport_.rto_backoff, transport_.rto_max_s);
+      p.rto = std::min(p.rto * kRtoBackoff, kRtoMaxS);
       p.next_retry = now_ + p.rto;
       TransmitFrame(from, to, tx.generation, it->first, p.payload, 0.0,
                     /*is_retransmit=*/true);
@@ -536,7 +535,7 @@ void Network::SetCrashed(NodeId node, bool crashed) {
         // Restart every surviving pending's backoff clock so recovery
         // retransmissions happen promptly after the restart.
         for (auto& [seq, pending] : tx.unacked) {
-          pending.rto = transport_.rto_initial_s;
+          pending.rto = kRtoInitialS;
           pending.next_retry = now_ + pending.rto;
         }
       }

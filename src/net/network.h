@@ -61,16 +61,16 @@ struct NetMessage {
   uint64_t seq = 0;  // FIFO tie-break for equal delivery times
 };
 
-// Knobs of the ack/retransmit machinery. All times are virtual seconds.
-struct TransportOptions {
-  double rto_initial_s = 0.05;  // first retransmission timeout
-  double rto_backoff = 2.0;     // multiplier per retry
-  double rto_max_s = 2.0;       // backoff ceiling
-  size_t max_attempts = 10;     // transmissions before the link is dead
-};
-
 class Network {
  public:
+  // The ack/retransmit machinery's timing, in virtual seconds: the first
+  // retransmission timeout, doubled per retry up to the ceiling, and the
+  // transmissions after which the link is declared dead.
+  static constexpr double kRtoInitialS = 0.05;
+  static constexpr double kRtoBackoff = 2.0;
+  static constexpr double kRtoMaxS = 2.0;
+  static constexpr size_t kMaxAttempts = 10;
+
   // `default_latency_s` applies to pairs without an explicit link latency.
   explicit Network(size_t num_nodes, double default_latency_s = 0.01);
   ~Network();
@@ -85,7 +85,7 @@ class Network {
   Status Send(NodeId from, NodeId to, Bytes payload);
 
   // --- Reliable transport & fault injection ---------------------------------
-  void EnableTransport(TransportOptions options);
+  void EnableTransport();
   bool TransportEnabled() const { return transport_enabled_; }
   // Installs benign faults (implies nothing about transport: callers who
   // want loss masked must also EnableTransport).
@@ -263,7 +263,6 @@ class Network {
 
   // Transport + faults (inert until EnableTransport / InstallFaultPlan).
   bool transport_enabled_ = false;
-  TransportOptions transport_;
   std::unique_ptr<FaultInjector> injector_;
   std::map<uint64_t, LinkTx> tx_links_;  // key = from<<32|to (ordered:
   std::map<uint64_t, LinkRx> rx_links_;  // timer scans stay deterministic)

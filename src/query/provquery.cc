@@ -492,7 +492,7 @@ Status ProvQuery::DrainLocalFrontier(Engine& engine,
         engine.ProvRecordsAt(key.first, key.second, &offline);
     if (offline) {
       ++session.stats.offline_hits;
-      ++engine.cells_.query_offline_hits->value;
+      ++engine.cells_[Engine::Ctr::kQueryOfflineHits]->value;
     }
     PROVNET_RETURN_IF_ERROR(
         engine.ProvQueryIngest(session, key.first, key.second,
@@ -513,7 +513,7 @@ Status ProvQuery::Pump(Engine& engine, ProvQuerySession& session) {
     if (!progressed) break;
     // Responses may have queued asker-local references.
     PROVNET_RETURN_IF_ERROR(DrainLocalFrontier(engine, session));
-    if (++guard > engine.options_.max_steps) {
+    if (++guard > Engine::kMaxSteps) {
       return ResourceExhaustedError("provenance query did not converge");
     }
   }
@@ -564,7 +564,6 @@ Result<QueryResult> ProvQuery::RunDistributed() {
   session.kind = kQueryRecords;
   session.limits = limits_;
   session.hop_timeout = engine.QueryTimeoutSeconds();
-  session.max_attempts = std::max<size_t>(1, engine.options_.query_max_attempts);
   TupleDigest root = DigestOf(tuple_);
   session.depth.emplace(ProvQuerySession::Key{node_, root}, 0);
   session.local_frontier.push_back({node_, root});
@@ -588,7 +587,7 @@ Result<QueryResult> ProvQuery::RunDistributed() {
   Network::Meters meters1 = engine.net_.MeterSnapshot();
   session.stats.bytes = meters1.bytes - meters0.bytes;
   session.stats.messages = meters1.messages - meters0.messages;
-  ++engine.cells_.prov_queries->value;
+  ++engine.cells_[Engine::Ctr::kProvQueries]->value;
   // End-to-end walk latency in virtual time: deterministic across runs,
   // unlike QueryStats::wall_seconds.
   double sim_latency = engine.net_.now() - sim0;
@@ -670,7 +669,6 @@ Result<std::vector<ClaimsExchange::Claim>> ClaimsExchange::Collect(
   session.asker = auditor_;
   session.kind = kQueryClaims;
   session.hop_timeout = engine.QueryTimeoutSeconds();
-  session.max_attempts = std::max<size_t>(1, engine.options_.query_max_attempts);
 
   Network::Meters meters0 = engine.net_.MeterSnapshot();
   engine.query_session_ = &session;
@@ -689,7 +687,7 @@ Result<std::vector<ClaimsExchange::Claim>> ClaimsExchange::Collect(
     } else if (!progressed.value()) {
       break;
     }
-    if (++guard > engine.options_.max_steps) {
+    if (++guard > Engine::kMaxSteps) {
       status = ResourceExhaustedError("claims exchange did not converge");
     }
   }
@@ -726,7 +724,7 @@ Result<std::vector<ClaimsExchange::Claim>> ClaimsExchange::Collect(
   session.stats.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  ++engine.cells_.prov_queries->value;
+  ++engine.cells_[Engine::Ctr::kProvQueries]->value;
   stats_ = session.stats;
   return std::move(session.claims);
 }
@@ -784,7 +782,6 @@ Result<std::vector<CompareExchange::Conflict>> CompareExchange::Compare(
   session.asker = auditor_;
   session.kind = kQueryCompare;
   session.hop_timeout = engine.QueryTimeoutSeconds();
-  session.max_attempts = std::max<size_t>(1, engine.options_.query_max_attempts);
 
   Network::Meters meters0 = engine.net_.MeterSnapshot();
   engine.query_session_ = &session;
@@ -803,7 +800,7 @@ Result<std::vector<CompareExchange::Conflict>> CompareExchange::Compare(
     } else if (!progressed.value()) {
       break;
     }
-    if (++guard > engine.options_.max_steps) {
+    if (++guard > Engine::kMaxSteps) {
       status = ResourceExhaustedError("compare exchange did not converge");
     }
   }

@@ -90,7 +90,7 @@ struct QueryStats {
   uint64_t records = 0;         // ProvRecords folded into the DAG
   uint64_t local_lookups = 0;   // store lookups answered without messages
   uint64_t offline_hits = 0;    // lookups that fell back to the archive
-  // Degradation under faults (EngineOptions::query_hop_timeout): per-hop
+  // Degradation under faults (Engine::QueryTimeoutSeconds): per-hop
   // deadlines that expired, requests re-sent with backoff, and branches
   // finally surfaced as kUnreachableRule leaves. All zero on a healthy
   // network (ToString omits them then, keeping historical bytes).

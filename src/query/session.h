@@ -78,12 +78,13 @@ struct ProvQuerySession {
   std::unordered_map<uint64_t, Pending> pending;
   size_t outstanding = 0;
 
-  // --- Fault degradation (EngineOptions::query_hop_timeout) ----------------
-  // Per-hop deadline and retry budget, resolved by the driver from the
-  // engine options; hop_timeout <= 0 disables deadlines entirely (the
-  // pre-fault-tolerance behavior: pump until the network drains).
+  // --- Fault degradation (Engine::QueryTimeoutSeconds) --------------------
+  // Per-hop deadline, resolved by the driver from the engine;
+  // hop_timeout <= 0 disables deadlines entirely (the pre-fault-tolerance
+  // behavior: pump until the network drains). Each hop is transmitted at
+  // most kQueryMaxAttempts times.
+  static constexpr size_t kQueryMaxAttempts = 3;
   double hop_timeout = 0.0;
-  size_t max_attempts = 1;
   // Records-walk keys whose responder never answered and whose offline
   // archive had nothing: the assembler plants kUnreachableRule (instead of
   // kMissingRule) leaves for these.

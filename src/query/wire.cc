@@ -58,7 +58,7 @@ Status Engine::SendQueryWire(NodeId from, NodeId to, uint8_t msg_type,
         auth_.Say(contexts_[from]->principal(), content.bytes(), level));
     tag.Serialize(msg);
   }
-  cells_.prov_query_bytes->value += msg.size();
+  cells_[Ctr::kProvQueryBytes]->value += msg.size();
   LinkBytesCell(from, to, msg_type)->value += msg.size();
   if (tracer_.enabled()) {
     // Sampling decided at emit (TraceSampled), not here: the 1-in-k counter
@@ -171,13 +171,11 @@ Status Engine::ProvQuerySendCompareRequest(
 }
 
 double Engine::QueryTimeoutSeconds() const {
-  // Explicit option wins; otherwise deadlines only make sense when the
-  // transport (and thus faults) can actually lose traffic — a lossless
-  // simulated network always answers, so they stay disabled and the pump
-  // keeps its historical drain-until-idle behavior.
-  if (options_.query_hop_timeout > 0) return options_.query_hop_timeout;
-  if (TransportActive()) return 10.0 * options_.transport.rto_initial_s;
-  return 0.0;
+  // Deadlines only make sense when the transport (and thus faults) can
+  // actually lose traffic — a lossless simulated network always answers,
+  // so they stay disabled and the pump keeps its historical drain-until-idle
+  // behavior.
+  return TransportActive() ? 10.0 * Network::kRtoInitialS : 0.0;
 }
 
 Status Engine::HandleQueryTimeouts(ProvQuerySession& session) {
@@ -194,7 +192,7 @@ Status Engine::HandleQueryTimeouts(ProvQuerySession& session) {
     if (it == session.pending.end()) continue;
     ProvQuerySession::Pending& p = it->second;
     ++session.stats.timeouts;
-    if (p.attempts < session.max_attempts) {
+    if (p.attempts < ProvQuerySession::kQueryMaxAttempts) {
       // Re-ask under the SAME query id (a late answer to any attempt still
       // matches), with an exponentially backed-off deadline. This is the
       // engine-level retry above the transport's retransmit: it survives
@@ -233,7 +231,7 @@ Status Engine::HandleQueryTimeouts(ProvQuerySession& session) {
     RecordArchiveIo(responder);
     if (!records.empty()) {
       ++session.stats.offline_hits;
-      ++cells_.query_offline_hits->value;
+      ++cells_[Ctr::kQueryOfflineHits]->value;
       PROVNET_RETURN_IF_ERROR(
           ProvQueryIngest(session, responder, digest, std::move(records)));
     } else {
@@ -485,7 +483,7 @@ Status Engine::HandleProvResponse(NodeId to, NodeId from, ByteReader& reader) {
                                          "prov_response"));
   ProvQuerySession* session = query_session_;
   if (!accepted) {
-    ++cells_.prov_responses_rejected->value;
+    ++cells_[Ctr::kProvResponsesRejected]->value;
     if (session != nullptr) ++session->stats.responses_rejected;
     return OkStatus();  // rejected and audited; drop
   }
@@ -502,7 +500,7 @@ Status Engine::HandleProvResponse(NodeId to, NodeId from, ByteReader& reader) {
   // what stops a compromised responder (holding a perfectly valid key) from
   // pushing unsolicited "answers" into a node's forensic state.
   auto bogus = [&](const char* why) {
-    ++cells_.prov_responses_rejected->value;
+    ++cells_[Ctr::kProvResponsesRejected]->value;
     if (session != nullptr) ++session->stats.responses_rejected;
     RecordSecurityEvent(SecurityEventKind::kBogusResponse, to, from,
                         tag.has_value() ? tag->principal : Principal(),
@@ -523,7 +521,7 @@ Status Engine::HandleProvResponse(NodeId to, NodeId from, ByteReader& reader) {
     if (abandoned_queries_.erase(query_id) > 0) return OkStatus();
     return bogus("unsolicited response");
   }
-  if (options_.authenticate && options_.verify_incoming && tag.has_value()) {
+  if (options_.authenticate && tag.has_value()) {
     // The responder named in the signed content must be the node the
     // speaking principal operates: a compromised node cannot answer for
     // another responder's records.
@@ -551,7 +549,7 @@ Status Engine::HandleProvResponse(NodeId to, NodeId from, ByteReader& reader) {
       }
       if (offline != 0) {
         ++session->stats.offline_hits;
-        ++cells_.query_offline_hits->value;
+        ++cells_[Ctr::kQueryOfflineHits]->value;
       }
       ObserveQueryHop(to, from, it->second.sent_at);
       // If this hop was retried, an earlier attempt's answer may still be in

@@ -519,6 +519,66 @@ TEST(CampaignTest, StolenKeyForgeryLocalizedAndPurged) {
   ExpectSamePredAt(*engine, *golden, "bestPath", /*skip=*/{mallory});
 }
 
+TEST(CampaignTest, RejectionsCreditOnlyTheAttacksTheyEvidence) {
+  Topology topo = Ring(6);
+  std::unique_ptr<Engine> engine = BestPathEngine(topo, AuthProvOptions());
+  Adversary adversary(*engine, 7);
+  const NodeId victim = 0;
+
+  // Three injections at one victim. The equivocation passes verification
+  // there (only the audit can catch it); the framed forgery and the forged
+  // provenance response are rejected there, as foreign_provenance and
+  // bogus_response.
+  ASSERT_TRUE(adversary
+                  .InjectEquivocation(2, victim, Link3(2, 4, 1), 5,
+                                      Link3(2, 4, 99))
+                  .ok());
+  ASSERT_TRUE(engine->Run().ok());
+  ASSERT_TRUE(adversary
+                  .InjectFramedTuple(1, victim, Link3(1, 4, 1),
+                                     engine->PrincipalOf(1),
+                                     engine->PrincipalOf(3))
+                  .ok());
+  ASSERT_TRUE(adversary
+                  .InjectForgedProvResponse(AttackKind::kForgeStolenKey, 3,
+                                            victim, /*query_id=*/99999,
+                                            Link3(3, 4, 1),
+                                            engine->PrincipalOf(3))
+                  .ok());
+  ASSERT_TRUE(engine->Run().ok());
+  const SecurityLog& log = engine->security_log();
+  ASSERT_EQ(log.CountOf(SecurityEventKind::kForeignProvenance), 1u);
+  ASSERT_EQ(log.CountOf(SecurityEventKind::kBogusResponse), 1u);
+
+  // The campaign picks the injections and the rejections up at its first
+  // event (one link flap) and scores them.
+  Rng churn_rng(3);
+  AttackScript script;
+  script.AddChurn(ChurnScript::RandomLinkFlaps(topo, /*flaps=*/1,
+                                               /*start=*/1.0,
+                                               /*spacing=*/1.0, churn_rng));
+  script.SortByTime();
+  AttackCampaignDriver driver(*engine, adversary, CampaignOptions{});
+  Result<CampaignReport> report = driver.Replay(script);
+  ASSERT_TRUE(report.ok()) << report.status();
+  const std::vector<AttackOutcome>& outcomes = report.value().outcomes;
+  ASSERT_EQ(outcomes.size(), 4u);
+
+  // The foreign annotation cube is evidence of the forged tuple, not of the
+  // equivocation that reached the same node earlier.
+  EXPECT_EQ(outcomes[0].injection.kind, AttackKind::kEquivocate);
+  EXPECT_EQ(outcomes[0].method, "audit:equivocation");
+  EXPECT_EQ(outcomes[1].method, "audit:equivocation");
+  EXPECT_EQ(outcomes[2].injection.kind, AttackKind::kForgeStolenKey);
+  EXPECT_EQ(outcomes[2].method, "verify:foreign_provenance");
+  EXPECT_TRUE(outcomes[2].localized_correct);
+  // A bogus response credits no injection record.
+  for (const AttackOutcome& o : outcomes) {
+    EXPECT_NE(o.method, "verify:bogus_response");
+  }
+  EXPECT_FALSE(outcomes[3].detected);
+}
+
 TEST(CampaignTest, AllHonestCampaignIsByteIdenticalToPlainChurn) {
   Rng rng(5);
   Topology topo = Topology::RingPlusRandom(12, 3, rng);

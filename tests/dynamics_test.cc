@@ -16,6 +16,7 @@
 #include "dynamics/churn.h"
 #include "net/topology.h"
 #include "provenance/prov_expr.h"
+#include "util/hash.h"
 
 namespace provnet {
 namespace {
@@ -468,6 +469,50 @@ TEST(ChurnDriverTest, FlapsReturnToSteadyStateAnnotationPruning) {
 
 TEST(ChurnDriverTest, FlapsReturnToSteadyStatePureDRed) {
   FlapsReturnToSteadyState(EngineOptions{});
+}
+
+// Every stored tuple at every node, sorted per table, hashed.
+uint64_t FixpointFingerprint(Engine& engine) {
+  std::string out;
+  for (NodeId n = 0; n < engine.num_nodes(); ++n) {
+    for (Table* table : engine.node(n).AllTables()) {
+      std::vector<std::string> lines;
+      for (const StoredTuple* e : table->Scan()) {
+        lines.push_back(e->tuple.ToString() + " by " + e->asserted_by);
+      }
+      std::sort(lines.begin(), lines.end());
+      for (const std::string& line : lines) {
+        out += "n" + std::to_string(n) + "|" + table->name() + "|" + line +
+               "\n";
+      }
+    }
+  }
+  return Fnv1a64(out);
+}
+
+// The exact DRed work of the pure-DRed flap script above: the over-deletion
+// cascade, re-derivation's head matching, and the joins both run. A change
+// in how re-derivation matches heads or seeds its joins shows up here even
+// when the fixpoint still heals. The counts hold at every thread count on
+// a lossless network (loss reorders deliveries, and the work with them).
+TEST(ChurnWorkGoldenTest, PureDRedFlapScriptWorkIsPinned) {
+  Rng rng(42);
+  Topology topo = Topology::RingPlusRandom(12, 3, rng);
+  std::unique_ptr<Engine> e = BestPathEngine(topo, EngineOptions{});
+  ASSERT_NE(e, nullptr);
+  Rng flap_rng(7);
+  ChurnDriver driver(*e, /*link_arity=*/3);
+  ASSERT_TRUE(driver
+                  .Replay(ChurnScript::RandomLinkFlaps(
+                      topo, /*flaps=*/4, /*start=*/1.0, /*spacing=*/1.0,
+                      flap_rng))
+                  .ok());
+
+  const obs::Registry& m = e->metrics();
+  EXPECT_EQ(m.CounterTotal("engine.retractions"), 251u);
+  EXPECT_EQ(m.CounterTotal("engine.rederivations"), 257u);
+  EXPECT_EQ(m.CounterTotal("rule.candidates"), 3325u);
+  EXPECT_EQ(FixpointFingerprint(*e), 0xfbfb8f957c3ea881ull);
 }
 
 // --- COUNT witness multiset: O(delta) deletion ------------------------------
