@@ -1,8 +1,9 @@
 // Reproducible fixpoint benchmark: Best-Path fixpoint time, derivation
-// throughput, and peak RSS across node counts x ProvMode {none, condensed,
-// full}. Seeds the perf trajectory for the rule-firing inner loop (the
-// paper's Figures 4-6 are about making provenance cheap enough to leave on;
-// this bench tracks whether our evaluator keeps up as networks grow).
+// throughput, and accounted memory peaks across node counts x ProvMode
+// {none, condensed, full}. Seeds the perf trajectory for the rule-firing
+// inner loop (the paper's Figures 4-6 are about making provenance cheap
+// enough to leave on; this bench tracks whether our evaluator keeps up as
+// networks grow).
 //
 // Writes a JSON report (default ./BENCH_fixpoint.json, i.e. the repo root
 // when run from there) so CI can archive per-PR numbers.
@@ -40,8 +41,6 @@
 // Environment knobs:
 //   PROVNET_FIXPOINT_RUNS   repetitions per point (default 3; --quick: 1)
 //   PROVNET_FIXPOINT_SEED   topology seed (default 20080407)
-
-#include <sys/resource.h>
 
 #include <algorithm>
 #include <chrono>
@@ -90,7 +89,6 @@ struct Point {
   double events = 0.0;
   double messages = 0.0;
   double mbytes = 0.0;
-  long rss_peak_kb = 0;  // process high-water mark after this point
   // From the point's last run (profiler + memory accounting enabled):
   // serial-commit share of the parallel executor's time, and per-subsystem
   // accounted peaks.
@@ -114,12 +112,6 @@ struct FaultPoint {
   double losses = 0.0;            // frames the injector dropped
   double retransmit_overhead = 0.0;  // retransmits per delivered data frame
 };
-
-long PeakRssKb() {
-  struct rusage usage;
-  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
-  return usage.ru_maxrss;  // KiB on Linux
-}
 
 EngineOptions OptionsFor(ProvMode mode, uint64_t seed, size_t threads) {
   EngineOptions opts;
@@ -201,7 +193,6 @@ Result<Point> RunPoint(size_t n, ProvMode mode, size_t threads, bool archive,
   point.mbytes /= nruns;
   point.derivations_per_sec =
       point.wall_seconds > 0 ? point.derivations / point.wall_seconds : 0.0;
-  point.rss_peak_kb = PeakRssKb();
   return point;
 }
 
@@ -295,9 +286,6 @@ void WriteJson(const Config& cfg, const std::vector<Point>& points,
         .Field("events", p.events, "%.0f")
         .Field("messages", p.messages, "%.0f")
         .Field("mbytes", p.mbytes, "%.3f")
-        .Field("rss_peak_kb", int64_t{p.rss_peak_kb})
-        .Field("peak_rss_bytes", uint64_t{static_cast<uint64_t>(p.rss_peak_kb) *
-                                          1024})
         .Field("commit_serial_fraction", p.commit_serial_fraction, "%.6f");
     w.Key("mem_peak_bytes").BeginObject();
     for (size_t i = 0; i < obs::kNumMemSubsystems; ++i) {
@@ -440,9 +428,9 @@ int main(int argc, char** argv) {
   std::printf("bench_fixpoint: Best-Path fixpoint, outdegree 3, %zu run(s) "
               "per point, hw threads %zu\n\n",
               cfg.runs, hw);
-  std::printf("%5s %-10s %3s %12s %8s %14s %14s %12s %10s %12s\n", "n",
-              "prov", "thr", "wall s", "speedup", "derivations", "deriv/sec",
-              "candidates", "MB", "rss KiB");
+  std::printf("%5s %-10s %3s %12s %8s %14s %14s %12s %10s\n", "n", "prov",
+              "thr", "wall s", "speedup", "derivations", "deriv/sec",
+              "candidates", "MB");
 
   std::vector<Point> points;
   auto run_point = [&](size_t n, ProvMode mode, size_t threads, bool archive,
@@ -464,11 +452,10 @@ int main(int argc, char** argv) {
     }
     std::string label = ProvModeName(p.mode);
     if (p.archive) label += "+disk";
-    std::printf(
-        "%5zu %-10s %3zu %12.4f %8.2f %14.0f %14.0f %12.0f %10.3f %12ld\n",
-        p.n, label.c_str(), p.threads, p.wall_seconds, p.speedup_vs_1t,
-        p.derivations, p.derivations_per_sec, p.join_candidates, p.mbytes,
-        p.rss_peak_kb);
+    std::printf("%5zu %-10s %3zu %12.4f %8.2f %14.0f %14.0f %12.0f %10.3f\n",
+                p.n, label.c_str(), p.threads, p.wall_seconds,
+                p.speedup_vs_1t, p.derivations, p.derivations_per_sec,
+                p.join_candidates, p.mbytes);
     points.push_back(p);
     return true;
   };

@@ -20,7 +20,8 @@
 //   --json PATH  write obs::SnapshotJson of the registry to PATH
 //   --trace PATH write the virtual-time trace stream (JSONL) to PATH
 //   --prof       enable the wall-clock profiler + memory accounting and
-//                append the phase/lane/memory profile to the output
+//                append the phase/lane/memory profile to the output (plus
+//                the retransmission-timer work when the transport is armed)
 //   --trace-tree record causal span ids and print the largest stitched
 //                cross-node span tree (the distributed-walk view)
 //
@@ -214,6 +215,14 @@ Status RunDump(const Config& cfg) {
     std::string prof = obs::ProfileText(engine->profiler(),
                                         obs::MemAccounting::Global());
     std::fwrite(prof.data(), 1, prof.size(), stdout);
+    const Network& net = engine->network();
+    if (net.TransportEnabled()) {
+      std::printf("== transport (armed) ==\n"
+                  "timer_ops  %llu  (data frames %llu, retransmits %llu)\n",
+                  (unsigned long long)net.timer_ops(),
+                  (unsigned long long)net.total_messages(),
+                  (unsigned long long)net.retransmits());
+    }
   }
   if (cfg.trace_tree) PrintLargestTraceTree(engine->tracer());
 

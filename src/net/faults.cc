@@ -107,23 +107,19 @@ FaultInjector::Verdict FaultInjector::OnTransmit(NodeId from, NodeId to) {
   uint64_t counter = attempt_counters_[LinkKey(from, to)]++;
   if (spec->loss > 0.0 && Draw(from, to, counter, kLossSalt) < spec->loss) {
     verdict.drop = true;
-    ++counts_.losses;
     return verdict;  // a lost message can be nothing else
   }
   if (spec->duplication > 0.0 &&
       Draw(from, to, counter, kDupSalt) < spec->duplication) {
     verdict.duplicate = true;
-    ++counts_.duplicates;
   }
   if (spec->corruption > 0.0 &&
       Draw(from, to, counter, kCorruptSalt) < spec->corruption) {
     verdict.corrupt = true;
-    ++counts_.corruptions;
   }
   if (spec->reorder > 0.0 &&
       Draw(from, to, counter, kReorderSalt) < spec->reorder) {
     verdict.extra_delay_s = spec->reorder_delay_s;
-    ++counts_.reorders;
   }
   return verdict;
 }

@@ -83,16 +83,6 @@ struct FaultPlan {
   static FaultPlan ParseSpec(const std::string& spec, bool* ok);
 };
 
-// Monotone per-run fault tallies, surfaced through the obs registry as
-// faults.* by the engine.
-struct FaultCounts {
-  uint64_t losses = 0;
-  uint64_t duplicates = 0;
-  uint64_t corruptions = 0;
-  uint64_t reorders = 0;
-  uint64_t partition_drops = 0;
-};
-
 // Draws per-transmission verdicts from the plan. Stateless apart from the
 // per-link attempt counters that key the hash RNG.
 class FaultInjector {
@@ -111,11 +101,8 @@ class FaultInjector {
 
   // True while any partition window covers (from, to) at time `now`.
   bool Partitioned(NodeId from, NodeId to, double now) const;
-  // Tallies a transmission the caller suppressed because of a partition.
-  void CountPartitionDrop() { ++counts_.partition_drops; }
 
   const FaultPlan& plan() const { return plan_; }
-  const FaultCounts& counts() const { return counts_; }
 
  private:
   // Uniform double in [0, 1) for draw number `n` of `salt` on this link.
@@ -123,7 +110,6 @@ class FaultInjector {
   const LinkFaultSpec* SpecFor(NodeId from, NodeId to) const;
 
   FaultPlan plan_;
-  FaultCounts counts_;
   std::unordered_map<uint64_t, uint64_t> attempt_counters_;  // from<<32|to
 };
 

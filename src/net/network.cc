@@ -210,6 +210,7 @@ Status Network::Send(NodeId from, NodeId to, Bytes payload) {
   pending.attempts = 1;
   pending.rto = kRtoInitialS;
   pending.next_retry = now_ + pending.rto;
+  ArmTimer(PairKey(from, to), frame_seq, pending.next_retry);
   const Bytes& wire_payload =
       tx.unacked.emplace(frame_seq, std::move(pending)).first->second.payload;
   TransmitFrame(from, to, tx.generation, frame_seq, wire_payload, extra_delay,
@@ -223,7 +224,6 @@ void Network::TransmitFrame(NodeId from, NodeId to, uint64_t generation,
   if (crashed_[from]) return;
   if (injector_ != nullptr) {
     if (injector_->Partitioned(from, to, now_)) {
-      injector_->CountPartitionDrop();
       if (obs::Counter* c = FaultCounter("faults.partition_drops")) {
         ++c->value;
       }
@@ -265,7 +265,6 @@ void Network::SendAck(NodeId from, NodeId to, uint64_t generation,
   if (crashed_[from]) return;
   if (injector_ != nullptr) {
     if (injector_->Partitioned(from, to, now_)) {
-      injector_->CountPartitionDrop();
       return;  // lost ack: the sender retransmits, the receiver re-acks
     }
     FaultInjector::Verdict v = injector_->OnTransmit(from, to);
@@ -292,57 +291,58 @@ void Network::Enqueue(NodeId from, NodeId to, Bytes framed,
   queue_.push(std::move(msg));
 }
 
-bool Network::HasPendingRetransmits() const {
-  for (const auto& [key, tx] : tx_links_) {
-    if (!tx.dead && !tx.unacked.empty()) return true;
+void Network::ArmTimer(uint64_t link, uint64_t seq, double at) {
+  timers_.insert(Timer{at, link, seq});
+  ++timer_ops_;
+}
+
+void Network::DisarmTimer(uint64_t link, uint64_t seq, double at) {
+  timer_ops_ += timers_.erase(Timer{at, link, seq});
+}
+
+void Network::ClearUnacked(uint64_t link, LinkTx& tx) {
+  for (const auto& [seq, pending] : tx.unacked) {
+    DisarmTimer(link, seq, pending.next_retry);
   }
-  return false;
+  tx.unacked.clear();
 }
 
 double Network::NextRetransmitTime() const {
-  double next = kInf;
-  for (const auto& [key, tx] : tx_links_) {
-    if (tx.dead) continue;
-    for (const auto& [seq, pending] : tx.unacked) {
-      next = std::min(next, pending.next_retry);
-    }
-  }
-  return next;
+  return timers_.empty() ? kInf : timers_.begin()->at;
 }
 
 double Network::NextEventTime() const {
   double next = queue_.empty() ? kInf : queue_.top().deliver_time;
-  if (transport_enabled_) next = std::min(next, NextRetransmitTime());
-  return next;
+  return std::min(next, NextRetransmitTime());
 }
 
 void Network::FireRetransmits() {
-  for (auto& [key, tx] : tx_links_) {
-    if (tx.dead) continue;
-    NodeId from = static_cast<NodeId>(key >> 32);
-    NodeId to = static_cast<NodeId>(key & 0xFFFFFFFFu);
-    for (auto it = tx.unacked.begin(); it != tx.unacked.end();) {
-      LinkTx::Pending& p = it->second;
-      if (p.next_retry > now_) {
-        ++it;
-        continue;
-      }
-      if (p.attempts >= kMaxAttempts) {
-        // Retry budget exhausted: the link is dead. Surface it and stop
-        // retrying everything queued behind the lost frame.
-        tx.dead = true;
-        ++links_dead_;
-        if (obs::Counter* c = TransportCounter("net.links_dead")) ++c->value;
-        tx.unacked.clear();
-        break;
-      }
-      ++p.attempts;
-      p.rto = std::min(p.rto * kRtoBackoff, kRtoMaxS);
-      p.next_retry = now_ + p.rto;
-      TransmitFrame(from, to, tx.generation, it->first, p.payload, 0.0,
-                    /*is_retransmit=*/true);
-      ++it;
+  // Step() sets now_ to the earliest timer, so every due entry shares that
+  // due time and the index yields them in (link key, frame seq) order. That
+  // order fixes the per-link fault-RNG draws and the queue's FIFO
+  // tie-break. A retransmitted frame re-arms strictly later, past the loop.
+  while (!timers_.empty() && timers_.begin()->at <= now_) {
+    Timer due = *timers_.begin();
+    timers_.erase(timers_.begin());
+    ++timer_ops_;
+    LinkTx& tx = tx_links_.at(due.link);
+    LinkTx::Pending& p = tx.unacked.at(due.seq);
+    if (p.attempts >= kMaxAttempts) {
+      // Retry budget exhausted: the link is dead. Surface it and stop
+      // retrying everything queued behind the lost frame.
+      tx.dead = true;
+      ++links_dead_;
+      if (obs::Counter* c = TransportCounter("net.links_dead")) ++c->value;
+      ClearUnacked(due.link, tx);
+      continue;
     }
+    ++p.attempts;
+    p.rto = std::min(p.rto * kRtoBackoff, kRtoMaxS);
+    p.next_retry = now_ + p.rto;
+    ArmTimer(due.link, due.seq, p.next_retry);
+    TransmitFrame(static_cast<NodeId>(due.link >> 32),
+                  static_cast<NodeId>(due.link & 0xFFFFFFFFu), tx.generation,
+                  due.seq, p.payload, 0.0, /*is_retransmit=*/true);
   }
 }
 
@@ -362,7 +362,10 @@ void Network::HandleFrame(const NetMessage& msg) {
     if (it == tx_links_.end()) return;
     LinkTx& tx = it->second;
     if (generation.value() != tx.generation) return;  // pre-restart ack
-    if (tx.unacked.erase(frame_seq.value()) > 0) {
+    auto pending = tx.unacked.find(frame_seq.value());
+    if (pending != tx.unacked.end()) {
+      DisarmTimer(it->first, pending->first, pending->second.next_retry);
+      tx.unacked.erase(pending);
       ++acks_received_;
       if (obs::Counter* c = TransportCounter("net.acks_received")) {
         ++c->value;
@@ -415,7 +418,7 @@ void Network::HandleFrame(const NetMessage& msg) {
 }
 
 bool Network::Step() {
-  double retry_at = transport_enabled_ ? NextRetransmitTime() : kInf;
+  double retry_at = NextRetransmitTime();
   if (queue_.empty()) {
     if (retry_at == kInf) return false;
     now_ = retry_at;
@@ -508,7 +511,7 @@ void Network::SetCrashed(NodeId node, bool crashed) {
     // In-flight messages touching the node vanish with it.
     PurgeQueueFor(node);
     for (auto& [key, tx] : tx_links_) {
-      if (static_cast<NodeId>(key >> 32) == node) tx.unacked.clear();
+      if (static_cast<NodeId>(key >> 32) == node) ClearUnacked(key, tx);
     }
     // The node's receive windows were in memory.
     for (auto it = rx_links_.begin(); it != rx_links_.end();) {
@@ -535,8 +538,10 @@ void Network::SetCrashed(NodeId node, bool crashed) {
         // Restart every surviving pending's backoff clock so recovery
         // retransmissions happen promptly after the restart.
         for (auto& [seq, pending] : tx.unacked) {
+          DisarmTimer(key, seq, pending.next_retry);
           pending.rto = kRtoInitialS;
           pending.next_retry = now_ + pending.rto;
+          ArmTimer(key, seq, pending.next_retry);
         }
       }
     }

@@ -14,7 +14,12 @@
 // in checksummed data frames carrying a per-link (generation, seq) pair;
 // receivers ack every frame and dedup duplicates in a sliding window, and
 // senders retransmit unacked frames with exponential backoff in virtual
-// time until a bounded retry budget declares the link dead. Dedup happens
+// time until a bounded retry budget declares the link dead. Every unacked
+// frame owns exactly one entry in an ordered timer index keyed by
+// (next_retry, link, frame seq), kept in step on send, ack, retransmit,
+// link death, crash and restart: the next timer is the index's first
+// entry and firing pops the due prefix, so a step costs O(log pending)
+// instead of a walk over every unacked frame. Dedup happens
 // *below* the engine handler, so a retransmitted honest message never
 // reaches the adversary layer's ReplayGuard — only genuinely replayed
 // signed bytes (which arrive under a fresh frame seq) do. Acks and
@@ -37,6 +42,7 @@
 #include <map>
 #include <memory>
 #include <queue>
+#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -151,7 +157,7 @@ class Network {
   // charged and tapped when first sent.
   void Requeue(std::vector<NetMessage> messages);
 
-  bool Idle() const { return queue_.empty() && !HasPendingRetransmits(); }
+  bool Idle() const { return queue_.empty() && timers_.empty(); }
   double now() const { return now_; }
   // Advances virtual time when the network is idle (for TTL experiments).
   void AdvanceTime(double seconds);
@@ -186,6 +192,10 @@ class Network {
   uint64_t links_dead() const { return links_dead_; }
   uint64_t duplicates_deduped() const { return dup_deduped_; }
   uint64_t corrupt_dropped() const { return corrupt_dropped_; }
+  // Retransmission-timer work: inserts, erases and due-pops on the timer
+  // index. Deterministic, and kept out of the metrics registry (like the
+  // profiler) so telemetry goldens do not see it.
+  uint64_t timer_ops() const { return timer_ops_; }
 
  private:
   struct Later {
@@ -214,6 +224,15 @@ class Network {
     std::map<uint64_t, Pending> unacked;  // frame seq -> pending (ordered)
   };
 
+  // A retransmission timer: one per unacked frame. Ordered by due time,
+  // then link key, then frame seq.
+  struct Timer {
+    double at = 0.0;
+    uint64_t link = 0;
+    uint64_t seq = 0;
+    friend auto operator<=>(const Timer&, const Timer&) = default;
+  };
+
   // Receiver-side dedup window of one directed link (ReplayGuard-shaped:
   // high-water mark plus a 64-deep bitmap; frames older than the window
   // are treated as duplicates).
@@ -236,14 +255,16 @@ class Network {
                uint64_t frame_seq);
   void Enqueue(NodeId from, NodeId to, Bytes framed, double extra_delay_s);
   void HandleFrame(const NetMessage& msg);
-  bool HasPendingRetransmits() const;
+  void ArmTimer(uint64_t link, uint64_t seq, double at);
+  void DisarmTimer(uint64_t link, uint64_t seq, double at);
+  // Disarms and drops every unacked frame of the link.
+  void ClearUnacked(uint64_t link, LinkTx& tx);
   double NextRetransmitTime() const;
   void FireRetransmits();
   void PurgeQueueFor(NodeId node);
   obs::Counter* TransportCounter(const char* name);
   obs::Counter* DropCounter(DropCause cause);
   obs::Counter* FaultCounter(const char* name);
-  void SyncFaultCounters(const FaultCounts& before);
 
   size_t num_nodes_;
   double default_latency_;
@@ -264,8 +285,10 @@ class Network {
   // Transport + faults (inert until EnableTransport / InstallFaultPlan).
   bool transport_enabled_ = false;
   std::unique_ptr<FaultInjector> injector_;
-  std::map<uint64_t, LinkTx> tx_links_;  // key = from<<32|to (ordered:
-  std::map<uint64_t, LinkRx> rx_links_;  // timer scans stay deterministic)
+  std::map<uint64_t, LinkTx> tx_links_;  // key = from<<32|to
+  std::map<uint64_t, LinkRx> rx_links_;  // key = from<<32|to
+  std::set<Timer> timers_;  // exactly one entry per unacked frame
+  uint64_t timer_ops_ = 0;
   std::vector<char> crashed_;
   uint64_t retransmits_ = 0;
   uint64_t acks_received_ = 0;

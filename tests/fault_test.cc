@@ -37,6 +37,7 @@
 #include "net/faults.h"
 #include "net/topology.h"
 #include "query/provquery.h"
+#include "util/random.h"
 
 namespace provnet {
 namespace {
@@ -281,6 +282,30 @@ TEST(FaultTransportTest, ThreadCountDoesNotChangeTheFaultedRun) {
             CounterValue(*one_thread, "faults.losses"));
   EXPECT_EQ(four_threads->network().total_bytes(),
             one_thread->network().total_bytes());
+}
+
+TEST(FaultTransportTest, TimerWorkIsLinearInFrames) {
+  // Each data frame arms one retransmission timer and its ack disarms it; a
+  // retransmission pops the due timer and re-arms it. So timer work stays a
+  // few operations per frame, never a walk over every unacked frame per step.
+  for (double loss : {0.0, 0.01}) {
+    Rng rng(20080407);
+    Topology topo = Topology::RingPlusRandom(50, 3, rng);
+    EngineOptions opts;
+    opts.reliable_transport = true;
+    opts.fault_plan = FaultPlan::UniformLoss(loss, 7);
+    auto engine = Engine::Create(topo, BestPathNdlogProgram(), opts).value();
+    ASSERT_TRUE(engine->InsertLinkFacts().ok());
+    ASSERT_TRUE(engine->Run().ok());
+    const Network& net = engine->network();
+    EXPECT_GT(net.total_messages(), 0u);
+    if (loss > 0.0) {
+      EXPECT_GT(net.retransmits(), 0u);
+    }
+    EXPECT_LE(net.timer_ops(), 3 * (net.total_messages() + net.retransmits()))
+        << "loss=" << loss;
+    EXPECT_TRUE(net.Idle());
+  }
 }
 
 // --- Crash-restart recovery -------------------------------------------------

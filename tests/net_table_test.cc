@@ -80,6 +80,110 @@ TEST(NetworkTest, AdvanceTimeWhenIdle) {
   EXPECT_DOUBLE_EQ(net.now(), 5.0);
 }
 
+// --- Reliable transport: retransmission timers ---------------------------------
+
+// Timers due at one instant fire in (link key, frame seq) order, whatever
+// order they were armed in. That order fixes the per-link fault draws and
+// the FIFO tie-break of the retransmitted copies.
+TEST(NetworkTest, DueRetransmitsFireInLinkThenSeqOrder) {
+  Network net(4, 0.01);
+  net.EnableTransport();
+  FaultPlan plan;
+  for (NodeId to = 1; to <= 3; ++to) {
+    plan.partitions.push_back(PartitionSpec{/*start=*/0.0, /*end=*/0.04,
+                                            /*a=*/0, /*b=*/to});
+  }
+  net.InstallFaultPlan(plan);
+  std::vector<uint8_t> order;
+  net.SetHandler([&](NodeId, NodeId, const Bytes& payload) {
+    order.push_back(payload[0]);
+  });
+  // Armed highest link first; the partition drops every first copy.
+  ASSERT_TRUE(net.Send(0, 3, {30}).ok());
+  ASSERT_TRUE(net.Send(0, 2, {20}).ok());
+  ASSERT_TRUE(net.Send(0, 2, {21}).ok());
+  ASSERT_TRUE(net.Send(0, 1, {10}).ok());
+  EXPECT_DOUBLE_EQ(net.NextEventTime(), Network::kRtoInitialS);
+  // Heal the partition: move the clock past it and past all four timers.
+  net.AdvanceTime(0.1);
+  net.Run();
+  EXPECT_EQ(order, (std::vector<uint8_t>{10, 20, 21, 30}));
+  EXPECT_EQ(net.retransmits(), 4u);
+  EXPECT_TRUE(net.Idle());
+}
+
+// A frame that exhausts its retry budget kills its link at that instant and
+// drops the link's younger frame with it; frames of the links before and
+// after it in key order, due at the same instant, still retransmit.
+TEST(NetworkTest, ExhaustedFrameKillsOnlyItsLink) {
+  Network net(4, 0.01);
+  net.EnableTransport();
+  std::vector<uint8_t> got;
+  net.SetHandler([&](NodeId, NodeId, const Bytes& payload) {
+    got.push_back(payload[0]);
+  });
+  net.SetCrashed(0, true);  // every copy sent to node 0 is lost
+  ASSERT_TRUE(net.Send(2, 0, {20}).ok());
+  // Spend all but the budget's last check on link 2->0's frame.
+  while (net.retransmits() < Network::kMaxAttempts - 1) {
+    ASSERT_TRUE(net.Step());
+  }
+  const double armed_at = net.now();
+  ASSERT_TRUE(net.Send(1, 0, {10}).ok());
+  ASSERT_TRUE(net.Send(2, 0, {21}).ok());
+  ASSERT_TRUE(net.Send(3, 0, {30}).ok());
+  // Drop the first copies at the crashed receiver, then restart it before
+  // any timer is due: all four timers re-arm at one instant.
+  while (net.NextEventTime() < armed_at + Network::kRtoInitialS) {
+    ASSERT_TRUE(net.Step());
+  }
+  net.SetCrashed(0, false);
+  net.Run();
+  EXPECT_EQ(got, (std::vector<uint8_t>{10, 30}));
+  EXPECT_EQ(net.links_dead(), 1u);
+  EXPECT_EQ(net.retransmits(), Network::kMaxAttempts + 1);
+  EXPECT_TRUE(net.Idle());
+  // The dead link drops new payloads instead of arming timers.
+  ASSERT_TRUE(net.Send(2, 0, {22}).ok());
+  EXPECT_TRUE(net.Idle());
+}
+
+// A restart re-arms a pending frame at restart + kRtoInitialS, and the frame
+// retransmits exactly once there, also when the restart lands on the
+// instant the frame was sent (the re-armed time equals the old one).
+TEST(NetworkTest, RestartRearmsAPendingFrameOnce) {
+  Network net(2, 0.01);
+  net.EnableTransport();
+  std::vector<double> arrivals;
+  net.SetHandler(
+      [&](NodeId, NodeId, const Bytes&) { arrivals.push_back(net.now()); });
+
+  // The receiver crashes with the first copy in flight; the sender backs
+  // off against it (retransmits at 0.05, 0.15 and 0.35, all lost).
+  ASSERT_TRUE(net.Send(0, 1, {1}).ok());
+  net.SetCrashed(1, true);
+  while (net.retransmits() < 3) ASSERT_TRUE(net.Step());
+  while (net.NextEventTime() < 0.5) ASSERT_TRUE(net.Step());
+  net.AdvanceTo(0.5);
+  net.SetCrashed(1, false);
+  EXPECT_DOUBLE_EQ(net.NextEventTime(), 0.5 + Network::kRtoInitialS);
+  net.Run();
+  EXPECT_EQ(net.retransmits(), 4u);
+  ASSERT_EQ(arrivals.size(), 1u);
+  EXPECT_DOUBLE_EQ(arrivals[0], 0.5 + Network::kRtoInitialS + 0.01);
+  EXPECT_TRUE(net.Idle());
+
+  const double restart = net.now();
+  ASSERT_TRUE(net.Send(0, 1, {2}).ok());
+  net.SetCrashed(1, true);  // purges the copy in flight
+  net.SetCrashed(1, false);
+  net.Run();
+  EXPECT_EQ(net.retransmits(), 5u);
+  ASSERT_EQ(arrivals.size(), 2u);
+  EXPECT_DOUBLE_EQ(arrivals[1], restart + Network::kRtoInitialS + 0.01);
+  EXPECT_TRUE(net.Idle());
+}
+
 // --- Topology -------------------------------------------------------------------
 
 TEST(TopologyTest, FigureAbcShape) {
