@@ -70,8 +70,13 @@ Network::TapVerdict Adversary::OnSend(const NetMessage& msg) {
   return verdict;
 }
 
-void Adversary::LogInjection(AttackKind kind, NodeId attacker, NodeId victim,
-                             const Principal& claimed, const Tuple& tuple) {
+Status Adversary::Inject(AttackKind kind, NodeId attacker, NodeId victim,
+                         Bytes msg, const Principal& claimed,
+                         const Tuple& tuple) {
+  injecting_ = true;
+  Status sent = engine_.network().Send(attacker, victim, std::move(msg));
+  injecting_ = false;
+  PROVNET_RETURN_IF_ERROR(sent);
   // An injecting node is Byzantine by definition: mark it compromised so
   // honest-state scans and audits exclude it (and its traffic is captured).
   if (!IsCompromised(attacker)) Compromise(attacker);
@@ -83,6 +88,51 @@ void Adversary::LogInjection(AttackKind kind, NodeId attacker, NodeId victim,
   rec.claimed = claimed;
   rec.tuple = tuple;
   injections_.push_back(std::move(rec));
+  return OkStatus();
+}
+
+Result<Bytes> Adversary::Seal(uint8_t type, const Principal& as, NodeId dest,
+                              const Bytes& body, bool attach_says,
+                              bool corrupt_sig) {
+  const EngineOptions& opts = engine_.options();
+  SignedPrefix prefix;
+  if (opts.authenticate) {
+    // Key theft includes counter theft: continue the victim principal's
+    // sequence so the header is indistinguishable from honest traffic.
+    prefix.seq = engine_.NextSendSeq(as);
+    prefix.dest = dest;
+  }
+  // Counter theft extends to the causal layer: the forged span continues
+  // the impersonated node's sequence, indistinguishable from honest
+  // traffic, and roots a fresh trace (no inbound context to extend).
+  // Invented identities have no node; any counter parses, and the receiver
+  // rejects the message before adopting its causal ids.
+  Result<NodeId> as_node = engine_.NodeOf(as);
+  const uint64_t span =
+      engine_.NewCausalSpan(as_node.ok() ? as_node.value() : dest);
+  prefix.causal = CausalIds{span, span};
+
+  Envelope env;
+  env.type = type;
+  ByteWriter content;
+  PutSignedPrefix(content, prefix, opts.authenticate);
+  content.PutRaw(body.data(), body.size());
+  env.content = std::move(content).Take();
+  if (attach_says) {
+    PROVNET_ASSIGN_OR_RETURN(
+        env.tag, engine_.authenticator().Say(
+                     as, env.content,
+                     opts.authenticate ? opts.says_level
+                                       : SaysLevel::kCleartext));
+    if (corrupt_sig) {
+      if (env.tag->proof.empty()) {
+        env.tag->proof.push_back(0x5a);  // cleartext tags carry no proof
+      } else {
+        env.tag->proof[0] ^= 0xff;
+      }
+    }
+  }
+  return env.Encode();
 }
 
 Result<Bytes> Adversary::BuildTupleMessage(const Principal& as, NodeId dest,
@@ -91,43 +141,24 @@ Result<Bytes> Adversary::BuildTupleMessage(const Principal& as, NodeId dest,
                                            bool corrupt_sig,
                                            const Principal* frame_as) {
   const EngineOptions& opts = engine_.options();
-
-  ByteWriter content;
-  if (opts.authenticate) {
-    // Key theft includes counter theft: continue the victim principal's
-    // sequence so the header is indistinguishable from honest traffic.
-    content.PutVarint(engine_.NextSendSeq(as));
-    content.PutVarint(dest);
-  }
-  {
-    // Counter theft extends to the causal layer: the forged span continues
-    // the impersonated node's sequence, indistinguishable from honest
-    // traffic, and roots a fresh trace (no inbound context to extend).
-    // Invented identities have no node; any counter parses, and the
-    // receiver rejects the message before adopting its causal ids.
-    Result<NodeId> as_node = engine_.NodeOf(as);
-    uint64_t span = engine_.NewCausalSpan(as_node.ok() ? as_node.value() : dest);
-    PutCausalIds(content, CausalIds{span, span});
-  }
-  tuple.Serialize(content);
+  ByteWriter body;
+  tuple.Serialize(body);
+  body.PutU8(ProvPayloadKind(opts.prov_mode));
   switch (opts.prov_mode) {
     case ProvMode::kNone:
     case ProvMode::kPointers:
-      content.PutU8(kProvPayloadNone);
       break;
     case ProvMode::kCondensed: {
       // Mimic honest wire format: cubes claiming `as` asserted the tuple. A
       // forgery without an annotation would be trivially conspicuous — and
       // this is also what makes provenance-driven response (retracting the
       // principal) reach everything derived from the forgery.
-      content.PutU8(kProvPayloadCubes);
       ProvExpr base = ProvExpr::Var(
           engine_.registry().Intern(frame_as != nullptr ? *frame_as : as));
-      Condense(base).Serialize(content);
+      Condense(base).Serialize(body);
       break;
     }
     case ProvMode::kFull: {
-      content.PutU8(kProvPayloadTree);
       DerivationPtr deriv = MakeBaseDerivation(
           tuple, dest, as, engine_.network().now(), -1.0);
       if (opts.authenticate) {
@@ -135,65 +166,11 @@ Result<Bytes> Adversary::BuildTupleMessage(const Principal& as, NodeId dest,
             deriv, SignDerivation(deriv, engine_.authenticator(),
                                   opts.says_level));
       }
-      deriv->Serialize(content);
+      deriv->Serialize(body);
       break;
     }
   }
-
-  ByteWriter msg;
-  msg.PutU8(kMsgTuple);
-  msg.PutBlob(content.bytes());
-  msg.PutU8(attach_says ? 1 : 0);
-  if (attach_says) {
-    SaysLevel level =
-        opts.authenticate ? opts.says_level : SaysLevel::kCleartext;
-    PROVNET_ASSIGN_OR_RETURN(
-        SaysTag tag,
-        engine_.authenticator().Say(as, content.bytes(), level));
-    if (corrupt_sig) {
-      if (tag.proof.empty()) {
-        tag.proof.push_back(0x5a);  // cleartext tags carry no proof to mangle
-      } else {
-        tag.proof[0] ^= 0xff;
-      }
-    }
-    tag.Serialize(msg);
-  }
-  return std::move(msg).Take();
-}
-
-Result<Bytes> Adversary::BuildRetractMessage(
-    const Principal& as, NodeId dest, const Tuple& tuple,
-    const std::vector<ProvVar>& killed) {
-  const EngineOptions& opts = engine_.options();
-  ByteWriter content;
-  if (opts.authenticate) {
-    content.PutVarint(engine_.NextSendSeq(as));
-    content.PutVarint(dest);
-  }
-  {
-    Result<NodeId> as_node = engine_.NodeOf(as);
-    uint64_t span = engine_.NewCausalSpan(as_node.ok() ? as_node.value() : dest);
-    PutCausalIds(content, CausalIds{span, span});
-  }
-  tuple.Serialize(content);
-  content.PutVarint(killed.size());
-  for (ProvVar v : killed) content.PutU32(v);
-
-  ByteWriter msg;
-  msg.PutU8(kMsgRetract);
-  msg.PutBlob(content.bytes());
-  bool attach_says = opts.authenticate || engine_.plan().sendlog();
-  msg.PutU8(attach_says ? 1 : 0);
-  if (attach_says) {
-    SaysLevel level =
-        opts.authenticate ? opts.says_level : SaysLevel::kCleartext;
-    PROVNET_ASSIGN_OR_RETURN(
-        SaysTag tag,
-        engine_.authenticator().Say(as, content.bytes(), level));
-    tag.Serialize(msg);
-  }
-  return std::move(msg).Take();
+  return Seal(kMsgTuple, as, dest, body.bytes(), attach_says, corrupt_sig);
 }
 
 Status Adversary::InjectForgedTuple(AttackKind kind, NodeId attacker,
@@ -204,12 +181,7 @@ Status Adversary::InjectForgedTuple(AttackKind kind, NodeId attacker,
   PROVNET_ASSIGN_OR_RETURN(
       Bytes msg, BuildTupleMessage(as, victim, tuple, attach_says,
                                    corrupt_sig));
-  injecting_ = true;
-  Status sent = engine_.network().Send(attacker, victim, std::move(msg));
-  injecting_ = false;
-  PROVNET_RETURN_IF_ERROR(sent);
-  LogInjection(kind, attacker, victim, as, tuple);
-  return OkStatus();
+  return Inject(kind, attacker, victim, std::move(msg), as, tuple);
 }
 
 Status Adversary::InjectReplay(NodeId attacker,
@@ -220,8 +192,7 @@ Status Adversary::InjectReplay(NodeId attacker,
   // the forensic path).
   std::vector<size_t> candidates;
   for (size_t i = 0; i < captured_.size(); ++i) {
-    if (!captured_[i].payload.empty() &&
-        captured_[i].payload[0] == msg_type) {
+    if (Envelope::TypeOf(captured_[i].payload) == msg_type) {
       candidates.push_back(i);
     }
   }
@@ -232,37 +203,25 @@ Status Adversary::InjectReplay(NodeId attacker,
       captured_[candidates[rng_.NextBelow(candidates.size())]];
   NodeId dest = redirect.value_or(pick.to);
 
-  // Best-effort parse of the captured message for the scoring record (the
-  // bytes go out verbatim regardless).
+  // Ground truth for the scoring record, parsed through the wire codec: the
+  // speaking principal, and the carried tuple of a tuple or retract message
+  // (the bytes go out verbatim regardless).
   Principal claimed;
   Tuple tuple;
-  {
-    ByteReader reader(pick.payload);
-    (void)reader.GetU8();
-    Result<Bytes> content = reader.GetBlob();
-    Result<uint8_t> has_says = reader.GetU8();
-    if (has_says.ok() && has_says.value() != 0) {
-      Result<SaysTag> tag = SaysTag::Deserialize(reader);
-      if (tag.ok()) claimed = tag.value().principal;
-    }
-    if (content.ok()) {
-      ByteReader body(content.value());
-      if (engine_.options().authenticate) {
-        (void)body.GetVarint();
-        (void)body.GetVarint();
-      }
+  Result<Envelope> env = Envelope::Decode(pick.payload);
+  if (env.ok()) {
+    if (env->tag.has_value()) claimed = env->tag->principal;
+    ByteReader body(env->content);
+    if ((msg_type == kMsgTuple || msg_type == kMsgRetract) &&
+        GetSignedPrefix(body, engine_.options().authenticate).ok()) {
       Result<Tuple> t = Tuple::Deserialize(body);
       if (t.ok()) tuple = std::move(t).value();
     }
   }
 
-  Bytes payload = pick.payload;  // copy; the corpus entry stays replayable
-  injecting_ = true;
-  Status sent = engine_.network().Send(attacker, dest, std::move(payload));
-  injecting_ = false;
-  PROVNET_RETURN_IF_ERROR(sent);
-  LogInjection(AttackKind::kReplay, attacker, dest, claimed, tuple);
-  return OkStatus();
+  // A copy: the corpus entry stays replayable.
+  return Inject(AttackKind::kReplay, attacker, dest, pick.payload, claimed,
+                tuple);
 }
 
 Status Adversary::InjectEquivocation(NodeId attacker, NodeId victim_a,
@@ -277,15 +236,10 @@ Status Adversary::InjectEquivocation(NodeId attacker, NodeId victim_a,
       Bytes msg_b, BuildTupleMessage(self, victim_b, tuple_b,
                                      /*attach_says=*/true,
                                      /*corrupt_sig=*/false));
-  injecting_ = true;
-  Status sent_a = engine_.network().Send(attacker, victim_a, std::move(msg_a));
-  Status sent_b = engine_.network().Send(attacker, victim_b, std::move(msg_b));
-  injecting_ = false;
-  PROVNET_RETURN_IF_ERROR(sent_a);
-  PROVNET_RETURN_IF_ERROR(sent_b);
-  LogInjection(AttackKind::kEquivocate, attacker, victim_a, self, tuple_a);
-  LogInjection(AttackKind::kEquivocate, attacker, victim_b, self, tuple_b);
-  return OkStatus();
+  PROVNET_RETURN_IF_ERROR(Inject(AttackKind::kEquivocate, attacker, victim_a,
+                                 std::move(msg_a), self, tuple_a));
+  return Inject(AttackKind::kEquivocate, attacker, victim_b, std::move(msg_b),
+                self, tuple_b);
 }
 
 Status Adversary::InjectForgedProvResponse(AttackKind kind, NodeId attacker,
@@ -308,53 +262,21 @@ Status Adversary::InjectForgedProvResponse(AttackKind kind, NodeId attacker,
   rec.asserted_by = as;
   rec.created_at = engine_.network().now();
 
-  ByteWriter content;
-  if (opts.authenticate) {
-    content.PutVarint(engine_.NextSendSeq(as));
-    content.PutVarint(victim);
-  }
-  {
-    Result<NodeId> as_node = engine_.NodeOf(as);
-    uint64_t span =
-        engine_.NewCausalSpan(as_node.ok() ? as_node.value() : victim);
-    PutCausalIds(content, CausalIds{span, span});
-  }
-  content.PutU8(kQueryRecords);
-  content.PutU64(query_id);
-  content.PutU32(responder);
-  content.PutU64(DigestOf(tuple));
-  content.PutU8(0);  // offline-archive flag (wire-faithful forgery)
-  content.PutVarint(1);
-  rec.Serialize(content);
-
-  bool attach_says = kind != AttackKind::kForgeNoSig &&
-                     (opts.authenticate || engine_.plan().sendlog());
-  ByteWriter msg;
-  msg.PutU8(kMsgProvResponse);
-  msg.PutBlob(content.bytes());
-  msg.PutU8(attach_says ? 1 : 0);
-  if (attach_says) {
-    SaysLevel level =
-        opts.authenticate ? opts.says_level : SaysLevel::kCleartext;
-    PROVNET_ASSIGN_OR_RETURN(
-        SaysTag tag,
-        engine_.authenticator().Say(as, content.bytes(), level));
-    if (kind == AttackKind::kForgeBadSig) {
-      if (tag.proof.empty()) {
-        tag.proof.push_back(0x5a);
-      } else {
-        tag.proof[0] ^= 0xff;
-      }
-    }
-    tag.Serialize(msg);
-  }
-
-  injecting_ = true;
-  Status sent = engine_.network().Send(attacker, victim, std::move(msg).Take());
-  injecting_ = false;
-  PROVNET_RETURN_IF_ERROR(sent);
-  LogInjection(kind, attacker, victim, as, tuple);
-  return OkStatus();
+  ByteWriter body;
+  body.PutU8(kQueryRecords);
+  body.PutU64(query_id);
+  body.PutU32(responder);
+  body.PutU64(DigestOf(tuple));
+  body.PutU8(0);  // offline-archive flag (wire-faithful forgery)
+  body.PutVarint(1);
+  rec.Serialize(body);
+  PROVNET_ASSIGN_OR_RETURN(
+      Bytes msg,
+      Seal(kMsgProvResponse, as, victim, body.bytes(),
+           kind != AttackKind::kForgeNoSig &&
+               (opts.authenticate || engine_.plan().sendlog()),
+           kind == AttackKind::kForgeBadSig));
+  return Inject(kind, attacker, victim, std::move(msg), as, tuple);
 }
 
 Status Adversary::InjectFramedTuple(NodeId attacker, NodeId victim,
@@ -363,26 +285,25 @@ Status Adversary::InjectFramedTuple(NodeId attacker, NodeId victim,
   PROVNET_ASSIGN_OR_RETURN(
       Bytes msg, BuildTupleMessage(as, victim, tuple, /*attach_says=*/true,
                                    /*corrupt_sig=*/false, &framed));
-  injecting_ = true;
-  Status sent = engine_.network().Send(attacker, victim, std::move(msg));
-  injecting_ = false;
-  PROVNET_RETURN_IF_ERROR(sent);
-  LogInjection(AttackKind::kForgeStolenKey, attacker, victim, as, tuple);
-  return OkStatus();
+  return Inject(AttackKind::kForgeStolenKey, attacker, victim, std::move(msg),
+                as, tuple);
 }
 
 Status Adversary::InjectRogueRetract(NodeId attacker, NodeId victim,
                                      const Tuple& tuple,
                                      std::vector<ProvVar> killed) {
   Principal self = engine_.PrincipalOf(attacker);
-  PROVNET_ASSIGN_OR_RETURN(Bytes msg,
-                           BuildRetractMessage(self, victim, tuple, killed));
-  injecting_ = true;
-  Status sent = engine_.network().Send(attacker, victim, std::move(msg));
-  injecting_ = false;
-  PROVNET_RETURN_IF_ERROR(sent);
-  LogInjection(AttackKind::kRogueRetract, attacker, victim, self, tuple);
-  return OkStatus();
+  ByteWriter body;
+  tuple.Serialize(body);
+  body.PutVarint(killed.size());
+  for (ProvVar v : killed) body.PutU32(v);
+  const EngineOptions& opts = engine_.options();
+  PROVNET_ASSIGN_OR_RETURN(
+      Bytes msg, Seal(kMsgRetract, self, victim, body.bytes(),
+                      opts.authenticate || engine_.plan().sendlog(),
+                      /*corrupt_sig=*/false));
+  return Inject(AttackKind::kRogueRetract, attacker, victim, std::move(msg),
+                self, tuple);
 }
 
 }  // namespace provnet

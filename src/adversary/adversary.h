@@ -15,11 +15,11 @@
 //   * a Network send tap (Network::SetSendTap) applies per-node drop/delay
 //     policies to traffic leaving compromised nodes and captures wire
 //     payloads crossing them (the replay corpus);
-//   * injection primitives craft wire-faithful messages — same byte format
-//     Engine::SendTuple/SendRetract emit, including the signed
-//     (sequence, destination) header and, in condensed-provenance mode,
-//     mimicked provenance cubes — and push them through Network::Send, so
-//     attack traffic is metered like any other traffic.
+//   * injection primitives craft wire-faithful messages — sealed by the
+//     same envelope codec honest senders use (core/envelope.h), including
+//     the signed (sequence, destination) header and, in condensed-provenance
+//     mode, mimicked provenance cubes — and push them through Network::Send,
+//     so attack traffic is metered like any other traffic.
 //
 // Key compromise is modeled honestly: the simulated KeyStore derives any
 // principal's key material, so "stealing" principal P's key means signing
@@ -161,19 +161,25 @@ class Adversary {
   };
 
   Network::TapVerdict OnSend(const NetMessage& msg);
-  // Wire-faithful tuple message: [kMsgTuple][blob: header+tuple+prov]
-  // [has_says][tag]. `corrupt_sig`/`attach_says` select the forgery class;
+  // Seals `body` into a `type` envelope speaking for `as`, through the same
+  // codec honest senders use (core/envelope.h): the signed prefix carries
+  // `as`'s stolen sequence number and causal span, and the says tag — when
+  // `attach_says` — is signed with `as`'s key, then mangled when
+  // `corrupt_sig`.
+  Result<Bytes> Seal(uint8_t type, const Principal& as, NodeId dest,
+                     const Bytes& body, bool attach_says, bool corrupt_sig);
+  // Wire-faithful tuple message (tuple + mimicked provenance payload,
+  // sealed by Seal). `corrupt_sig`/`attach_says` select the forgery class;
   // `frame_as` (condensed mode) names a different principal inside the
   // mimicked cubes than the one speaking.
   Result<Bytes> BuildTupleMessage(const Principal& as, NodeId dest,
                                   const Tuple& tuple, bool attach_says,
                                   bool corrupt_sig,
                                   const Principal* frame_as = nullptr);
-  Result<Bytes> BuildRetractMessage(const Principal& as, NodeId dest,
-                                    const Tuple& tuple,
-                                    const std::vector<ProvVar>& killed);
-  void LogInjection(AttackKind kind, NodeId attacker, NodeId victim,
-                    const Principal& claimed, const Tuple& tuple);
+  // Sends `msg` past the tap's capture and policies and logs its
+  // InjectionRecord.
+  Status Inject(AttackKind kind, NodeId attacker, NodeId victim, Bytes msg,
+                const Principal& claimed, const Tuple& tuple);
 
   Engine& engine_;
   Rng rng_;

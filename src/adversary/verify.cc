@@ -1,6 +1,6 @@
 // Receive-side verification pipeline (Engine member functions live here,
 // next to the audit state they feed — the same layout as dynamics/delta.cc
-// and core/distquery.cc).
+// and query/wire.cc).
 //
 // An authenticated deployment rejects, and audits, five classes of inbound
 // misbehavior before a message touches any table:
@@ -71,63 +71,56 @@ void Engine::RecordSecurityEvent(SecurityEventKind kind, NodeId node,
   security_log_.Record(std::move(event));
 }
 
-void Engine::PutAuthHeader(ByteWriter& content, const Principal& sender,
-                           NodeId dest) {
-  if (!options_.authenticate) return;
-  content.PutVarint(NextSendSeq(sender));
-  content.PutVarint(dest);
-}
-
-Result<bool> Engine::VerifyInbound(NodeId to, NodeId from,
-                                   const std::optional<SaysTag>& tag,
-                                   const Bytes& content, ByteReader& body,
-                                   const char* what) {
+Result<std::optional<SignedPrefix>> Engine::VerifyInbound(NodeId to,
+                                                          NodeId from,
+                                                          const Envelope& env,
+                                                          ByteReader& body) {
   obs::Profiler::Scope verify_scope(profiler_, obs::Phase::kVerify);
-  if (!options_.authenticate) return true;
+  if (!options_.authenticate) {
+    PROVNET_ASSIGN_OR_RETURN(SignedPrefix prefix, GetSignedPrefix(body, false));
+    return std::optional<SignedPrefix>(prefix);
+  }
   ExecSlot& ex = exec();
+  const char* what = MsgKindName(env.type);
+  auto reject = [&](Ctr counter, SecurityEventKind kind,
+                    const Principal& claimed, std::string detail) {
+    ++ex.cells[counter]->value;
+    RecordSecurityEvent(kind, to, from, claimed, std::move(detail));
+    return std::optional<SignedPrefix>();
+  };
 
+  const std::optional<SaysTag>& tag = env.tag;
   if (!tag.has_value()) {
-    ++ex.cells[Ctr::kAuthFailures]->value;
-    RecordSecurityEvent(SecurityEventKind::kMissingSignature, to, from, "",
-                        what);
-    return false;
+    return reject(Ctr::kAuthFailures, SecurityEventKind::kMissingSignature, "",
+                  what);
   }
   if (node_of_.find(tag->principal) == node_of_.end()) {
     // The simulated PKI derives keys for any name, so an invented
     // principal's signature would verify; deployment membership is the
     // certificate check.
-    ++ex.cells[Ctr::kAuthFailures]->value;
-    RecordSecurityEvent(SecurityEventKind::kUnknownPrincipal, to, from,
-                        tag->principal, what);
-    return false;
+    return reject(Ctr::kAuthFailures, SecurityEventKind::kUnknownPrincipal,
+                  tag->principal, what);
   }
-  Status verdict = auth_.Verify(*tag, content);
-  if (!verdict.ok()) {
-    ++ex.cells[Ctr::kAuthFailures]->value;
-    RecordSecurityEvent(SecurityEventKind::kBadSignature, to, from,
-                        tag->principal, what);
-    return false;
+  if (!auth_.Verify(*tag, env.content).ok()) {
+    return reject(Ctr::kAuthFailures, SecurityEventKind::kBadSignature,
+                  tag->principal, what);
   }
 
-  // The signed header: (sequence, destination).
-  PROVNET_ASSIGN_OR_RETURN(uint64_t seq, body.GetVarint());
-  PROVNET_ASSIGN_OR_RETURN(uint64_t dest, body.GetVarint());
-  if (dest != to) {
-    ++ex.cells[Ctr::kReplaysRejected]->value;
-    RecordSecurityEvent(SecurityEventKind::kMisdirected, to, from,
-                        tag->principal,
-                        StrFormat("%s signed for node %llu", what,
-                                  static_cast<unsigned long long>(dest)));
-    return false;
+  // The signed prefix: (sequence, destination), then the causal ids.
+  PROVNET_ASSIGN_OR_RETURN(SignedPrefix prefix, GetSignedPrefix(body, true));
+  if (prefix.dest != to) {
+    return reject(Ctr::kReplaysRejected, SecurityEventKind::kMisdirected,
+                  tag->principal,
+                  StrFormat("%s signed for node %llu", what,
+                            static_cast<unsigned long long>(prefix.dest)));
   }
-  if (!contexts_[to]->ReplayGuardFor(tag->principal).Accept(seq)) {
-    ++ex.cells[Ctr::kReplaysRejected]->value;
-    RecordSecurityEvent(SecurityEventKind::kReplay, to, from, tag->principal,
-                        StrFormat("%s seq %llu", what,
-                                  static_cast<unsigned long long>(seq)));
-    return false;
+  if (!contexts_[to]->ReplayGuardFor(tag->principal).Accept(prefix.seq)) {
+    return reject(Ctr::kReplaysRejected, SecurityEventKind::kReplay,
+                  tag->principal,
+                  StrFormat("%s seq %llu", what,
+                            static_cast<unsigned long long>(prefix.seq)));
   }
-  return true;
+  return std::optional<SignedPrefix>(prefix);
 }
 
 bool Engine::AuthorizedRetractor(NodeId node, const Principal& claimed,

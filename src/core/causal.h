@@ -1,14 +1,13 @@
 // Cross-node causal trace context (ISSUE 8).
 //
-// Every wire message (kMsgTuple / kMsgRetract / kMsgProvRequest /
-// kMsgProvResponse) carries a compact (trace_id, span_id) pair inside its
-// signed content: the message *is* a span, minted by the sender from a
-// per-node counter (no wall clock, no randomness — seeded runs stay
-// byte-identical), and the receiver adopts the pair as its causal context,
-// so the cascades, retractions, and query hops a message triggers — and the
-// messages *they* send — share one trace id across nodes. Trace streams
-// from different nodes then stitch into a single span tree
-// (obs::TraceEvent::{trace_id, span_id, parent_span}).
+// Every wire message carries a compact (trace_id, span_id) pair in the
+// signed prefix of its content (core/envelope.h): the message *is* a span,
+// minted by the sender from a per-node counter (no wall clock, no
+// randomness — seeded runs stay byte-identical), and the receiver adopts
+// the pair as its causal context, so the cascades, retractions, and query
+// hops a message triggers — and the messages *they* send — share one trace
+// id across nodes. Trace streams from different nodes then stitch into a
+// single span tree (obs::TraceEvent::{trace_id, span_id, parent_span}).
 //
 // trace_id 0 = no causal context: sends from such a context root a new
 // trace (trace_id := the new span id). The ids ride the wire
@@ -18,9 +17,6 @@
 #define PROVNET_CORE_CAUSAL_H_
 
 #include <cstdint>
-
-#include "util/bytes.h"
-#include "util/status.h"
 
 namespace provnet {
 
@@ -33,18 +29,6 @@ struct CausalIds {
 // are globally unique, deterministic, and attribute their minting node.
 inline uint64_t PackSpanId(uint32_t node, uint64_t seq) {
   return ((static_cast<uint64_t>(node) + 1) << 32) | (seq & 0xffffffffull);
-}
-
-inline void PutCausalIds(ByteWriter& out, const CausalIds& ids) {
-  out.PutVarint(ids.trace_id);
-  out.PutVarint(ids.span_id);
-}
-
-inline Result<CausalIds> GetCausalIds(ByteReader& in) {
-  CausalIds ids;
-  PROVNET_ASSIGN_OR_RETURN(ids.trace_id, in.GetVarint());
-  PROVNET_ASSIGN_OR_RETURN(ids.span_id, in.GetVarint());
-  return ids;
 }
 
 }  // namespace provnet

@@ -10,6 +10,7 @@
 #include "dynamics/delta.h"
 #include "obs/mem.h"
 #include "provenance/sampling.h"
+#include "query/session.h"
 #include "store/arena.h"
 #include "util/logging.h"
 #include "util/strings.h"
@@ -18,22 +19,6 @@
 namespace provnet {
 
 namespace {
-
-// Human label of a wire message tag, for the per-link byte counters and
-// trace events.
-const char* MsgKindName(uint8_t kind) {
-  switch (kind) {
-    case kMsgTuple:
-      return "tuple";
-    case kMsgProvRequest:
-      return "prov_request";
-    case kMsgProvResponse:
-      return "prov_response";
-    case kMsgRetract:
-      return "retract";
-  }
-  return "?";
-}
 
 // Virtual one-way latency of every link.
 constexpr double kLinkLatencyS = 0.01;
@@ -55,6 +40,19 @@ const char* ProvModeName(ProvMode mode) {
       return "pointers";
   }
   return "?";
+}
+
+uint8_t ProvPayloadKind(ProvMode mode) {
+  switch (mode) {
+    case ProvMode::kNone:
+    case ProvMode::kPointers:
+      return kProvPayloadNone;
+    case ProvMode::kCondensed:
+      return kProvPayloadCubes;
+    case ProvMode::kFull:
+      return kProvPayloadTree;
+  }
+  return kProvPayloadNone;
 }
 
 std::string RunStats::ToString() const {
@@ -964,62 +962,33 @@ Status Engine::DrainPending() {
 
 Status Engine::SendTuple(NodeId from, NodeId to, const Tuple& tuple,
                          const ProvExpr& prov, const DerivationPtr& deriv) {
-  // Content: [seq, dest when authenticated] + tuple + provenance payload.
-  // The says tag signs these bytes, so piggybacked provenance is
-  // authenticated too (Section 4.3), and the anti-replay header cannot be
-  // stripped or re-targeted.
-  ByteWriter content;
-  PutAuthHeader(content, contexts_[from]->principal(), to);
-  size_t header_len = content.size();
-  ExecSlot& ex = exec();
-  // Causal span (core/causal.h): the message is a span, child of whatever
-  // context produced it; no context roots a fresh trace. The ids ride the
-  // wire unconditionally — inside the signed content, so they cannot be
-  // re-stitched — which keeps message bytes identical whether or not
-  // tracing is on.
-  CausalIds ids;
-  ids.span_id = NewCausalSpan(from);
-  ids.trace_id = ex.causal.trace_id != 0 ? ex.causal.trace_id : ids.span_id;
-  PutCausalIds(content, ids);
-  tuple.Serialize(content);
+  // Body: tuple + provenance payload. The says tag signs it, so piggybacked
+  // provenance is authenticated too (Section 4.3).
+  ByteWriter body;
+  tuple.Serialize(body);
+  body.PutU8(ProvPayloadKind(options_.prov_mode));
+  const size_t marker_end = body.size();  // the kind marker is protocol, not
+                                          // provenance payload
   switch (options_.prov_mode) {
     case ProvMode::kNone:
     case ProvMode::kPointers:
-      content.PutU8(kProvPayloadNone);
       break;
     case ProvMode::kCondensed:
-      content.PutU8(kProvPayloadCubes);
+      Condense(prov).Serialize(body);
       break;
-    case ProvMode::kFull:
-      content.PutU8(kProvPayloadTree);
-      break;
-  }
-  size_t marker_end = content.size();  // the kind marker is protocol, not
-                                       // provenance payload
-  switch (options_.prov_mode) {
-    case ProvMode::kNone:
-    case ProvMode::kPointers:
-      break;
-    case ProvMode::kCondensed: {
-      CondensedProv condensed = Condense(prov);
-      condensed.Serialize(content);
-      break;
-    }
     case ProvMode::kFull: {
       PROVNET_CHECK(deriv != nullptr);
       // The same canonical proof ships to every neighbor; serialize it once
       // and replay the bytes from the arena's wire cache afterwards.
-      const store::DerivId id =
-          arena_ != nullptr ? arena_->IdOfOwned(deriv.get()) : 0;
+      const store::DerivId id = arena_->IdOfOwned(deriv.get());
       const Bytes* cached = id != 0 ? arena_->CachedWire(id) : nullptr;
-      size_t at = content.size();
       if (cached != nullptr) {
-        content.PutRaw(cached->data(), cached->size());
+        body.PutRaw(cached->data(), cached->size());
       } else {
-        deriv->Serialize(content);
+        deriv->Serialize(body);
         if (id != 0) {
-          arena_->CacheWire(id, Bytes(content.bytes().begin() + at,
-                                      content.bytes().end()));
+          arena_->CacheWire(id, Bytes(body.bytes().begin() + marker_end,
+                                      body.bytes().end()));
         }
       }
       // Prime the receive path's decode cache with the exact bytes just
@@ -1030,52 +999,77 @@ Status Engine::SendTuple(NodeId from, NodeId to, const Tuple& tuple,
       // produced (forged frames) miss the cache and take the full decode
       // path with all its checks.
       if (id != 0) {
-        arena_->CacheDecode(content.bytes().data() + at, content.size() - at,
-                            id);
+        arena_->CacheDecode(body.bytes().data() + marker_end,
+                            body.size() - marker_end, id);
       }
       break;
     }
   }
-  size_t prov_part = content.size() - marker_end;
+  return SealAndShip(from, to, kMsgTuple, body.bytes(),
+                     body.size() - marker_end, tuple.predicate());
+}
 
+Status Engine::SealAndShip(NodeId from, NodeId to, uint8_t type,
+                           const Bytes& body, size_t prov_bytes,
+                           const std::string& pred) {
+  ExecSlot& ex = exec();
+  const Principal& sender = contexts_[from]->principal();
+  // Causal span (core/causal.h): the message is a span, child of whatever
+  // context produced it; no context roots a fresh trace. The ids ride the
+  // wire unconditionally — inside the signed content, so they cannot be
+  // re-stitched — which keeps message bytes identical whether or not
+  // tracing is on.
+  SignedPrefix prefix;
+  if (options_.authenticate) {
+    prefix.seq = NextSendSeq(sender);
+    prefix.dest = to;
+  }
+  prefix.causal.span_id = NewCausalSpan(from);
+  prefix.causal.trace_id = ex.causal.trace_id != 0 ? ex.causal.trace_id
+                                                   : prefix.causal.span_id;
+  Envelope env;
+  env.type = type;
+  ByteWriter content;
+  content.Reserve(kMaxSignedPrefixBytes + body.size());
+  const size_t header_bytes =
+      PutSignedPrefix(content, prefix, options_.authenticate);
+  content.PutRaw(body.data(), body.size());
+  env.content = std::move(content).Take();
   // A says tag ships whenever the program's dialect uses principals: with
   // authentication it carries a MAC/signature; without it, the paper's
   // "benign world" cleartext principal header.
-  bool attach_says = options_.authenticate || plan_.sendlog();
-  SaysLevel level = options_.authenticate ? options_.says_level
-                                          : SaysLevel::kCleartext;
-
-  ByteWriter msg;
-  msg.PutU8(kMsgTuple);
-  msg.PutBlob(content.bytes());
-  msg.PutU8(attach_says ? 1 : 0);
-  size_t pre_auth = msg.size();
-  if (attach_says) {
+  if (options_.authenticate || plan_.sendlog()) {
     obs::Profiler::Scope sign_scope(profiler_, obs::Phase::kSign);
     PROVNET_ASSIGN_OR_RETURN(
-        SaysTag tag,
-        auth_.Say(contexts_[from]->principal(), content.bytes(), level));
-    tag.Serialize(msg);
+        env.tag, auth_.Say(sender, env.content,
+                           options_.authenticate ? options_.says_level
+                                                 : SaysLevel::kCleartext));
   }
-  // The anti-replay header is authentication overhead, not tuple payload.
-  size_t auth_part = msg.size() - pre_auth + header_len;
+  size_t tag_bytes = 0;
+  Bytes wire = env.Encode(&tag_bytes);
 
-  ex.cells[Ctr::kProvBytes]->value += prov_part;
-  ex.cells[Ctr::kAuthBytes]->value += auth_part;
-  ex.cells[Ctr::kTupleBytes]->value += msg.size() - prov_part - auth_part;
-  ChargeLink(from, to, kMsgTuple, msg.size());
+  if (type == kMsgProvRequest || type == kMsgProvResponse) {
+    ex.cells[Ctr::kProvQueryBytes]->value += wire.size();
+  } else {
+    // The anti-replay header and the tag are authentication overhead, not
+    // tuple payload.
+    const size_t auth_bytes = header_bytes + tag_bytes;
+    ex.cells[Ctr::kProvBytes]->value += prov_bytes;
+    ex.cells[Ctr::kAuthBytes]->value += auth_bytes;
+    ex.cells[Ctr::kTupleBytes]->value += wire.size() - prov_bytes - auth_bytes;
+  }
+  ChargeLink(from, to, type, wire.size());
   if (tracer_.enabled()) {
     obs::TraceEvent ev;
     ev.sim_time = net_.now();
     ev.node = from;
     ev.kind = "send";
-    ev.trace_id = ids.trace_id;
-    ev.span_id = ids.span_id;
+    ev.trace_id = prefix.causal.trace_id;
+    ev.span_id = prefix.causal.span_id;
     ev.parent_span = ex.causal.span_id;
-    ev.attrs = {{"to", PrincipalOf(to)},
-                {"msg", "tuple"},
-                {"pred", tuple.predicate()},
-                {"bytes", std::to_string(msg.size())}};
+    ev.attrs = {{"to", PrincipalOf(to)}, {"msg", MsgKindName(type)}};
+    if (!pred.empty()) ev.attrs.emplace_back("pred", pred);
+    ev.attrs.emplace_back("bytes", std::to_string(wire.size()));
     TraceSampled(std::move(ev));
   }
   if (ex.buffered) {
@@ -1087,35 +1081,50 @@ Status Engine::SendTuple(NodeId from, NodeId to, const Tuple& tuple,
     fx.kind = ExecSlot::Effect::Kind::kSend;
     fx.node = from;
     fx.peer = to;
-    fx.payload = std::move(msg).Take();
+    fx.payload = std::move(wire);
     ex.effects->push_back(std::move(fx));
     return OkStatus();
   }
-  return net_.Send(from, to, std::move(msg).Take());
+  return net_.Send(from, to, std::move(wire));
 }
 
 Status Engine::HandleMessage(NodeId to, NodeId from, const Bytes& payload) {
-  ByteReader reader(payload);
   Status s = [&]() -> Status {
-    PROVNET_ASSIGN_OR_RETURN(uint8_t type, reader.GetU8());
-    switch (type) {
+    PROVNET_ASSIGN_OR_RETURN(Envelope env, Envelope::Decode(payload));
+    ByteReader body(env.content);
+    PROVNET_ASSIGN_OR_RETURN(std::optional<SignedPrefix> prefix,
+                             VerifyInbound(to, from, env, body));
+    if (!prefix.has_value()) {
+      if (env.type == kMsgProvResponse) {
+        ++cells_[Ctr::kProvResponsesRejected]->value;
+        if (query_session_ != nullptr) {
+          ++query_session_->stats.responses_rejected;
+        }
+      }
+      return OkStatus();  // rejected and audited; drop
+    }
+    // Adopt the sender's causal context: whatever the delivery triggers —
+    // a cascade, an over-deletion, a query answer or follow-up request —
+    // and every message that sends descends from the message span.
+    exec().causal = prefix->causal;
+    switch (env.type) {
       case kMsgTuple:
-        return HandleTupleMessage(to, from, reader);
+        return HandleTupleMessage(to, from, env, body);
       case kMsgProvRequest:
-        return HandleProvRequest(to, from, reader);
+        return HandleProvRequest(to, from, body);
       case kMsgProvResponse:
-        return HandleProvResponse(to, from, reader);
-      case kMsgRetract:
-        return HandleRetractMessage(to, from, reader);
-      default:
-        return InvalidArgumentError("unknown message type");
+        return HandleProvResponse(to, from, env, body);
+      default:  // kMsgRetract; Decode refuses unknown types
+        return HandleRetractMessage(to, from, env, body);
     }
   }();
-  // In an authenticated (hostile-world) deployment, unparseable traffic is
-  // an attack symptom, not an engine failure: audit it and drop the message
-  // instead of poisoning the run. (A verified signature does not imply
-  // well-formed content — a stolen key signs anything.)
-  if (!s.ok() && s.code() == StatusCode::kInvalidArgument &&
+  // In an authenticated (hostile-world) deployment, unparseable or torn
+  // traffic is an attack symptom, not an engine failure: audit it and drop
+  // the message instead of poisoning the run. (A verified signature does
+  // not imply well-formed content — a stolen key signs anything.)
+  if (!s.ok() &&
+      (s.code() == StatusCode::kInvalidArgument ||
+       s.code() == StatusCode::kOutOfRange) &&
       options_.authenticate) {
     RecordSecurityEvent(SecurityEventKind::kMalformed, to, from, "",
                         s.ToString());
@@ -1124,27 +1133,20 @@ Status Engine::HandleMessage(NodeId to, NodeId from, const Bytes& payload) {
   return s;
 }
 
-Status Engine::HandleTupleMessage(NodeId to, NodeId from, ByteReader& reader) {
-  PROVNET_ASSIGN_OR_RETURN(Bytes content, reader.GetBlob());
-  PROVNET_ASSIGN_OR_RETURN(uint8_t has_says, reader.GetU8());
-
-  std::optional<SaysTag> tag;
-  if (has_says != 0) {
-    PROVNET_ASSIGN_OR_RETURN(SaysTag t, SaysTag::Deserialize(reader));
-    tag = std::move(t);
-  }
-  ByteReader body(content);
-  PROVNET_ASSIGN_OR_RETURN(bool accepted,
-                           VerifyInbound(to, from, tag, content, body,
-                                         "tuple"));
-  if (!accepted) return OkStatus();  // rejected and audited; drop
-  Principal sender_principal = tag.has_value() ? tag->principal : "";
-  // Adopt the sender's causal context: the cascade this delivery triggers —
-  // and every message that cascade sends — descends from the message span.
-  PROVNET_ASSIGN_OR_RETURN(exec().causal, GetCausalIds(body));
-
+Status Engine::HandleTupleMessage(NodeId to, NodeId from, const Envelope& env,
+                                  ByteReader& body) {
+  const Principal sender_principal =
+      env.tag.has_value() ? env.tag->principal : "";
   PROVNET_ASSIGN_OR_RETURN(Tuple tuple, Tuple::Deserialize(body));
+  // A receiver takes only the payload kind its own mode ships: anything
+  // else would bypass its checks (a condensed receiver handed no cubes
+  // skips the framing check below).
   PROVNET_ASSIGN_OR_RETURN(uint8_t prov_kind, body.GetU8());
+  if (prov_kind != ProvPayloadKind(options_.prov_mode)) {
+    return InvalidArgumentError("provenance payload kind does not match " +
+                                std::string(ProvModeName(options_.prov_mode)) +
+                                " mode");
+  }
 
   StoredTuple entry;
   entry.tuple = std::move(tuple);
@@ -1165,8 +1167,8 @@ Status Engine::HandleTupleMessage(NodeId to, NodeId from, ByteReader& reader) {
       // other principals with annotation cubes that omit itself — the
       // traceback that follows a framed cube would blame an innocent.
       if (options_.authenticate &&
-          options_.prov_grain == ProvGrain::kPrincipal && tag.has_value()) {
-        std::optional<ProvVar> sender_var = registry_.Find(tag->principal);
+          options_.prov_grain == ProvGrain::kPrincipal && env.tag.has_value()) {
+        std::optional<ProvVar> sender_var = registry_.Find(sender_principal);
         bool framed = false;
         for (const std::vector<ProvVar>& cube : cubes.cubes) {
           if (!sender_var.has_value() ||
@@ -1180,7 +1182,7 @@ Status Engine::HandleTupleMessage(NodeId to, NodeId from, ByteReader& reader) {
           ++exec().cells[Ctr::kProvFramesRejected]->value;
           RecordSecurityEvent(
               SecurityEventKind::kForeignProvenance, to, from,
-              tag->principal,
+              sender_principal,
               "annotation cube omits sender: " + entry.tuple.ToString());
           return OkStatus();  // rejected and audited; drop
         }
@@ -1189,139 +1191,105 @@ Status Engine::HandleTupleMessage(NodeId to, NodeId from, ByteReader& reader) {
       break;
     }
     case kProvPayloadTree: {
-      if (arena_ != nullptr) {
-        // kFull: the proof tree is the tail of the signed content, and the
-        // send side replays bit-identical bytes per proof (CacheWire), so
-        // the payload bytes key a decode cache — a proof that arrived
-        // before (from any sender) maps straight to its interned root,
-        // skipping deserialization and the per-node digest pass. The key
-        // is the exact bytes, so a forged payload can never alias an
-        // honest proof.
-        const uint8_t* payload = content.data() + body.position();
-        const size_t payload_len = body.remaining();
-        store::DerivId root_id = arena_->CachedDecode(payload, payload_len);
-        if (root_id != 0) {
-          entry.deriv = arena_->Lookup(root_id);
-        } else {
-          PROVNET_ASSIGN_OR_RETURN(entry.deriv,
-                                   DerivationNode::Deserialize(body));
-          // Intern the tree so every shared sub-proof is stored once
-          // process-wide.
-          entry.deriv = arena_->Canonical(entry.deriv, &root_id);
-          arena_->CacheDecode(payload, payload_len, root_id);
-        }
-        // Rebuild the annotation through the arena's annotation cache — a
-        // sub-proof seen at any earlier hop costs O(1), not O(tree).
-        // Principal-grain leaves with no recorded asserter take the
-        // *sender's* variable, so subtrees containing one are
-        // sender-dependent and must not be cached across messages.
-        struct Ann {
-          ProvExpr expr;
-          bool sender_dep = false;
-        };
-        std::unordered_map<const DerivationNode*, Ann> memo;
-        std::function<Ann(const DerivationPtr&)> annotate =
-            [&](const DerivationPtr& n) -> Ann {
-          auto it = memo.find(n.get());
-          if (it != memo.end()) return it->second;
-          store::DerivId id = arena_->IdOfOwned(n.get());
-          if (id == 0) id = arena_->IdOf(n->ContentDigest());
-          if (const ProvExpr* hit = arena_->CachedAnnotation(id)) {
-            Ann out{*hit, false};
-            memo.emplace(n.get(), out);
-            return out;
-          }
-          // Sender-dependent sub-proofs cache per (derivation, sender): the
-          // first delivery from a sender interns its variable, so Find()
-          // succeeding means cached entries may exist.
-          if (id != 0 && options_.prov_grain == ProvGrain::kPrincipal) {
-            std::optional<ProvVar> sv = registry_.Find(sender_principal);
-            if (sv.has_value()) {
-              if (const ProvExpr* hit = arena_->CachedAnnotation(id, *sv)) {
-                Ann out{*hit, true};
-                memo.emplace(n.get(), out);
-                return out;
-              }
-            }
-          }
-          Ann out;
-          if (n->children.empty()) {
-            out.sender_dep = n->asserted_by.empty() &&
-                             options_.prov_grain == ProvGrain::kPrincipal;
-            out.expr = BaseAnnotation(
-                n->asserted_by.empty() ? sender_principal : n->asserted_by,
-                n->tuple);
-          } else if (n->rule == kUnionRule) {
-            out.expr = ProvExpr::Zero();
-            // Canonical children make duplicate alternatives pointer-equal;
-            // dedup so a crafted tree cannot inflate derivation counts
-            // (honest senders already dedup in MergeAlternatives).
-            std::unordered_set<const DerivationNode*> seen;
-            for (const DerivationPtr& c : n->children) {
-              if (!seen.insert(c.get()).second) continue;
-              Ann ca = annotate(c);
-              out.sender_dep |= ca.sender_dep;
-              out.expr = arena_->InternPlus(out.expr, ca.expr);
-            }
-          } else {
-            out.expr = ProvExpr::One();
-            for (const DerivationPtr& c : n->children) {
-              Ann ca = annotate(c);
-              out.sender_dep |= ca.sender_dep;
-              out.expr = arena_->InternTimes(out.expr, ca.expr);
-            }
-          }
-          if (id != 0) {
-            if (!out.sender_dep) {
-              arena_->CacheAnnotation(id, out.expr);
-            } else {
-              // A sender-dependent subtree implies a leaf already interned
-              // the sender's variable, so Find() cannot fail here.
-              std::optional<ProvVar> sv = registry_.Find(sender_principal);
-              if (sv.has_value()) {
-                arena_->CacheAnnotation(id, *sv, out.expr);
-              }
-            }
-          }
+      // kFull: the proof tree is the tail of the signed content, and the
+      // send side replays bit-identical bytes per proof (CacheWire), so
+      // the payload bytes key a decode cache — a proof that arrived
+      // before (from any sender) maps straight to its interned root,
+      // skipping deserialization and the per-node digest pass. The key
+      // is the exact bytes, so a forged payload can never alias an
+      // honest proof.
+      const uint8_t* payload = env.content.data() + body.position();
+      const size_t payload_len = body.remaining();
+      store::DerivId root_id = arena_->CachedDecode(payload, payload_len);
+      if (root_id != 0) {
+        entry.deriv = arena_->Lookup(root_id);
+      } else {
+        PROVNET_ASSIGN_OR_RETURN(entry.deriv,
+                                 DerivationNode::Deserialize(body));
+        // Intern the tree so every shared sub-proof is stored once
+        // process-wide.
+        entry.deriv = arena_->Canonical(entry.deriv, &root_id);
+        arena_->CacheDecode(payload, payload_len, root_id);
+      }
+      // Rebuild the annotation through the arena's annotation cache — a
+      // sub-proof seen at any earlier hop costs O(1), not O(tree).
+      // Principal-grain leaves with no recorded asserter take the
+      // *sender's* variable, so subtrees containing one are
+      // sender-dependent and must not be cached across messages.
+      struct Ann {
+        ProvExpr expr;
+        bool sender_dep = false;
+      };
+      std::unordered_map<const DerivationNode*, Ann> memo;
+      std::function<Ann(const DerivationPtr&)> annotate =
+          [&](const DerivationPtr& n) -> Ann {
+        auto it = memo.find(n.get());
+        if (it != memo.end()) return it->second;
+        store::DerivId id = arena_->IdOfOwned(n.get());
+        if (id == 0) id = arena_->IdOf(n->ContentDigest());
+        if (const ProvExpr* hit = arena_->CachedAnnotation(id)) {
+          Ann out{*hit, false};
           memo.emplace(n.get(), out);
           return out;
-        };
-        entry.prov = annotate(entry.deriv).expr;
-        break;
-      }
-      PROVNET_ASSIGN_OR_RETURN(entry.deriv, DerivationNode::Deserialize(body));
-      // Rebuild the annotation from the tree so local semiring queries keep
-      // working in full mode: leaves are base variables, unions are +,
-      // rule steps are *. Memoized: derivations are DAGs.
-      std::unordered_map<const DerivationNode*, ProvExpr> memo;
-      std::function<ProvExpr(const DerivationNode&)> annotate =
-          [&](const DerivationNode& n) -> ProvExpr {
-        auto it = memo.find(&n);
-        if (it != memo.end()) return it->second;
-        ProvExpr result;
-        if (n.children.empty()) {
-          result = BaseAnnotation(
-              n.asserted_by.empty() ? sender_principal : n.asserted_by,
-              n.tuple);
-        } else if (n.rule == kUnionRule) {
-          result = ProvExpr::Zero();
-          for (const DerivationPtr& c : n.children) {
-            result = ProvExpr::Plus(result, annotate(*c));
-          }
-        } else {
-          result = ProvExpr::One();
-          for (const DerivationPtr& c : n.children) {
-            result = ProvExpr::Times(result, annotate(*c));
+        }
+        // Sender-dependent sub-proofs cache per (derivation, sender): the
+        // first delivery from a sender interns its variable, so Find()
+        // succeeding means cached entries may exist.
+        if (id != 0 && options_.prov_grain == ProvGrain::kPrincipal) {
+          std::optional<ProvVar> sv = registry_.Find(sender_principal);
+          if (sv.has_value()) {
+            if (const ProvExpr* hit = arena_->CachedAnnotation(id, *sv)) {
+              Ann out{*hit, true};
+              memo.emplace(n.get(), out);
+              return out;
+            }
           }
         }
-        memo.emplace(&n, result);
-        return result;
+        Ann out;
+        if (n->children.empty()) {
+          out.sender_dep = n->asserted_by.empty() &&
+                           options_.prov_grain == ProvGrain::kPrincipal;
+          out.expr = BaseAnnotation(
+              n->asserted_by.empty() ? sender_principal : n->asserted_by,
+              n->tuple);
+        } else if (n->rule == kUnionRule) {
+          out.expr = ProvExpr::Zero();
+          // Canonical children make duplicate alternatives pointer-equal;
+          // dedup so a crafted tree cannot inflate derivation counts
+          // (honest senders already dedup in MergeAlternatives).
+          std::unordered_set<const DerivationNode*> seen;
+          for (const DerivationPtr& c : n->children) {
+            if (!seen.insert(c.get()).second) continue;
+            Ann ca = annotate(c);
+            out.sender_dep |= ca.sender_dep;
+            out.expr = arena_->InternPlus(out.expr, ca.expr);
+          }
+        } else {
+          out.expr = ProvExpr::One();
+          for (const DerivationPtr& c : n->children) {
+            Ann ca = annotate(c);
+            out.sender_dep |= ca.sender_dep;
+            out.expr = arena_->InternTimes(out.expr, ca.expr);
+          }
+        }
+        if (id != 0) {
+          if (!out.sender_dep) {
+            arena_->CacheAnnotation(id, out.expr);
+          } else {
+            // A sender-dependent subtree implies a leaf already interned
+            // the sender's variable, so Find() cannot fail here.
+            std::optional<ProvVar> sv = registry_.Find(sender_principal);
+            if (sv.has_value()) {
+              arena_->CacheAnnotation(id, *sv, out.expr);
+            }
+          }
+        }
+        memo.emplace(n.get(), out);
+        return out;
       };
-      entry.prov = annotate(*entry.deriv);
+      entry.prov = annotate(entry.deriv).expr;
       break;
     }
-    default:
-      return InvalidArgumentError("bad provenance payload kind");
   }
   if (tracer_.enabled()) {
     obs::TraceEvent ev;

@@ -33,6 +33,7 @@
 
 #include "adversary/audit.h"
 #include "core/causal.h"
+#include "core/envelope.h"
 #include "core/node_context.h"
 #include "core/plan.h"
 #include "crypto/authenticator.h"
@@ -63,20 +64,18 @@ enum class ProvMode : uint8_t {
 
 const char* ProvModeName(ProvMode mode);
 
-// Wire message tags, shared by every protocol handler (core/engine.cc,
-// query/wire.cc, dynamics/delta.cc) so senders and the dispatcher can
-// never disagree.
-inline constexpr uint8_t kMsgTuple = 1;
-inline constexpr uint8_t kMsgProvRequest = 2;
-inline constexpr uint8_t kMsgProvResponse = 3;
-inline constexpr uint8_t kMsgRetract = 4;
-
-// Provenance payload kinds inside tuple messages. In the header (not
-// engine.cc) because the fault-injection layer (src/adversary/) crafts
+// Provenance payload kinds: the marker byte after the tuple in a kMsgTuple
+// body (core/envelope.h has the envelope around it). Each ProvMode ships
+// exactly one kind (ProvPayloadKind) and accepts only that one. In the
+// header because the fault-injection layer (src/adversary/) crafts
 // wire-faithful forged messages and must agree on the format.
 inline constexpr uint8_t kProvPayloadNone = 0;
 inline constexpr uint8_t kProvPayloadCubes = 1;
 inline constexpr uint8_t kProvPayloadTree = 2;
+
+// The payload kind `mode` ships: none for kNone/kPointers, cubes for
+// kCondensed, the derivation tree for kFull.
+uint8_t ProvPayloadKind(ProvMode mode);
 
 enum class ProvGrain : uint8_t {
   kPrincipal = 0,  // one variable per asserting principal (paper's figures)
@@ -91,7 +90,7 @@ struct EngineOptions {
 
   // --- receive-side verification pipeline (src/adversary/) ---
   // With authentication on, receivers verify every says tag (dropping
-  // failures), and every kMsgTuple/kMsgRetract carries a signed (sequence,
+  // failures), and every message of every kind carries a signed (sequence,
   // destination) header: the destination check defeats cross-receiver
   // replay, the per-sender ReplayGuard defeats re-sent messages.
   //
@@ -485,6 +484,14 @@ class Engine {
                       const std::string& rule_label);
   Status SendTuple(NodeId from, NodeId to, const Tuple& tuple,
                    const ProvExpr& prov, const DerivationPtr& deriv);
+  // The one honest send step for every message kind: seals `body` into a
+  // `type` envelope (core/envelope.h) with a fresh signed prefix and says
+  // tag, charges and traces it, and ships it (buffered on a worker lane).
+  // Tuple and retract bytes split into prov (`prov_bytes` of the body),
+  // auth (header plus tag) and tuple (the rest); query bytes all go to
+  // prov_query_bytes. `pred` names the carried tuple in the trace.
+  Status SealAndShip(NodeId from, NodeId to, uint8_t type, const Bytes& body,
+                     size_t prov_bytes = 0, const std::string& pred = "");
   bool SaysMatches(const SlotSays& says, const StoredTuple& entry,
                    Frame& frame) const;
 
@@ -501,41 +508,48 @@ class Engine {
                         NodeId from_node, const Principal& asserted_by,
                         std::vector<ProvChildRef> children, double expires_at);
 
+  // The one receive-side dispatcher: decodes the envelope, verifies it
+  // (VerifyInbound), adopts the sender's causal context, and hands the
+  // kind's handler the verified body, positioned after the signed prefix.
+  // Authenticated deployments quarantine malformed or truncated input as a
+  // counted kMalformed event instead of failing the run.
   Status HandleMessage(NodeId to, NodeId from, const Bytes& payload);
-  Status HandleTupleMessage(NodeId to, NodeId from, ByteReader& reader);
+  Status HandleTupleMessage(NodeId to, NodeId from, const Envelope& env,
+                            ByteReader& body);
 
   // --- Provenance-query wire path (implemented in src/query/wire.cc) -------
-  // The ProvQuery/ClaimsExchange drivers (src/query/provquery.cc) run as
-  // friends: they install the active session, issue requests, and pump the
-  // network; the handlers below verify and fold responses into it.
+  // The ProvQuery/ClaimsExchange/CompareExchange drivers
+  // (src/query/provquery.cc) run as friends: each builds a session and runs
+  // it through RunQuerySession; the handlers below serve requests and fold
+  // verified responses into it.
   friend class ProvQuery;
   friend class ClaimsExchange;
   friend class CompareExchange;
-  // Wraps `inner` in the authenticated query envelope — the same framing as
-  // kMsgTuple/kMsgRetract: signed (sequence, destination) header + says tag
-  // over the content — and ships it, charging prov_query_bytes.
-  Status SendQueryWire(NodeId from, NodeId to, uint8_t msg_type,
-                       const Bytes& inner);
-  // Issues one signed records request for `digest` to `to`, registering it
-  // in the session's pending set.
-  Status ProvQuerySendRequest(ProvQuerySession& session, NodeId to,
-                              TupleDigest digest);
+  // Issues one signed request of the session's kind to `to` and registers
+  // it in the session's pending set. `args` is the kind's request body
+  // after (kind, query id); `digest` is what a records answer must name.
+  Status SendQueryRequest(ProvQuerySession& session, NodeId to,
+                          const Bytes& args, TupleDigest digest = 0);
+  // The one session runner of the three query exchanges: refuses while
+  // another session pumps the network, installs `session`, lets `issue`
+  // send the first requests, pumps until every request resolved (or
+  // nothing can progress), detaches, notes abandoned ids, and meters the
+  // exchange's messages and bytes into session.stats.
+  Status RunQuerySession(ProvQuerySession& session,
+                         const std::function<Status()>& issue);
+  // Audits every responder the session still awaits as kSilentResponder
+  // (`exchange` names the exchange in the detail) and returns them.
+  std::set<NodeId> AuditSilentResponders(const ProvQuerySession& session,
+                                         const char* exchange);
   // Records a detaching session's unanswered query ids so their late
   // responses are recognized as stale rather than audited as attacks.
   void NoteAbandonedQueries(const ProvQuerySession& session);
   // Folds one accepted request->response round trip into the hop-latency
   // histogram (virtual time) and the trace stream.
   void ObserveQueryHop(NodeId asker, NodeId responder, double sent_at);
-  // Issues one signed claims request for `predicates` to `to`.
-  Status ProvQuerySendClaimsRequest(ProvQuerySession& session, NodeId to,
-                                    const std::set<std::string>& predicates);
-  // Issues one signed digest-comparison request to `to`, carrying
-  // (bucket id, claim digests) pairs — the decentralized equivocation
-  // audit's work assignment for that comparer.
-  Status ProvQuerySendCompareRequest(
-      ProvQuerySession& session, NodeId to,
-      const std::vector<std::pair<uint64_t, std::vector<TupleDigest>>>&
-          buckets);
+  // Resolves the session's asker-local references from the asker's own
+  // stores, without messages.
+  Status DrainQueryFrontier(ProvQuerySession& session);
   // Records of `digest` at `node`: online store preferred, offline archive
   // as fallback (forensics over expired state, Section 4.2).
   std::vector<ProvRecord> ProvRecordsAt(NodeId node, TupleDigest digest,
@@ -559,8 +573,9 @@ class Engine {
   // honoring the session's depth/fanout/record limits.
   Status ProvQueryIngest(ProvQuerySession& session, NodeId at,
                          TupleDigest digest, std::vector<ProvRecord> records);
-  Status HandleProvRequest(NodeId to, NodeId from, ByteReader& reader);
-  Status HandleProvResponse(NodeId to, NodeId from, ByteReader& reader);
+  Status HandleProvRequest(NodeId to, NodeId from, ByteReader& body);
+  Status HandleProvResponse(NodeId to, NodeId from, const Envelope& env,
+                            ByteReader& body);
   // Effective per-hop virtual-time deadline for distributed queries: 10x
   // the transport's initial RTO when the fault-tolerant transport is
   // active, 0 (disabled) otherwise.
@@ -572,24 +587,20 @@ class Engine {
   // claims/compare hops are disarmed and left for the caller's
   // silent-responder audit.
   Status HandleQueryTimeouts(ProvQuerySession& session);
-  // One pump round for a query driver: advances the network by one event or
+  // One pump round of RunQuerySession: advances the network by one event or
   // fires due deadlines, whichever is sooner in virtual time. Returns false
   // when neither can make progress anymore (network idle, nothing armed).
   Result<bool> PumpQueryOnce(ProvQuerySession& session);
 
   // --- Receive-side verification (implemented in src/adversary/verify.cc) --
-  // Appends the signed (sequence, destination) header authenticated senders
-  // prepend to message content.
-  void PutAuthHeader(ByteWriter& content, const Principal& sender,
-                     NodeId dest);
-  // Runs the verification pipeline over an inbound message: signature
-  // present/valid/known principal, then the signed header's destination and
-  // anti-replay checks (consumed from `body`). Returns false when the
-  // message must be dropped — the rejection has been audited and counted.
-  Result<bool> VerifyInbound(NodeId to, NodeId from,
-                             const std::optional<SaysTag>& tag,
-                             const Bytes& content, ByteReader& body,
-                             const char* what);
+  // Runs the verification pipeline over an inbound envelope: signature
+  // present/valid/known principal, then — reading the signed prefix from
+  // `body` — the destination and anti-replay checks. Returns the accepted
+  // message's prefix, or nullopt when it must be dropped (the rejection has
+  // been audited and counted). Called only by HandleMessage.
+  Result<std::optional<SignedPrefix>> VerifyInbound(NodeId to, NodeId from,
+                                                    const Envelope& env,
+                                                    ByteReader& body);
   // True when `claimed` may retract `stored` at `node`: the asserting
   // principal, a recorded co-asserter, an operator capability, or a
   // principal the tuple's (principal-grain) annotation depends on.
@@ -645,7 +656,8 @@ class Engine {
   uint64_t CountDerivId(const CompiledRule& cr, NodeId node, const Tuple& head,
                         const std::vector<const StoredTuple*>& used) const;
   Status SendRetract(NodeId from, NodeId to, const Tuple& tuple);
-  Status HandleRetractMessage(NodeId to, NodeId from, ByteReader& reader);
+  Status HandleRetractMessage(NodeId to, NodeId from, const Envelope& env,
+                              ByteReader& body);
   // DRed phase 2: attempts to restore over-deleted tuples from surviving
   // support (runs once the over-deletion cascade has quiesced).
   Status RunRederivePass();

@@ -326,7 +326,7 @@ Result<bool> Engine::TryParallelWave(uint64_t* steps) {
   // Step() path.
   bool eligible = wave.size() > 1;
   for (const NetMessage& msg : wave) {
-    if (msg.payload.empty() || msg.payload[0] != kMsgTuple) {
+    if (Envelope::TypeOf(msg.payload) != kMsgTuple) {
       eligible = false;
       break;
     }

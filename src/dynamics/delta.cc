@@ -439,81 +439,28 @@ Status Engine::OverDeleteAt(NodeId node_id, const Tuple& tuple,
 }
 
 Status Engine::SendRetract(NodeId from, NodeId to, const Tuple& tuple) {
-  // Content: [seq, dest when authenticated] + tuple + the epoch's killed
-  // variables, so the receiver can restrict its own (merged) annotation.
-  // The says tag covers these bytes — forged retractions from untrusted
-  // senders are dropped on verify, and replayed ones by the anti-replay
-  // header.
-  ByteWriter content;
-  PutAuthHeader(content, contexts_[from]->principal(), to);
-  ExecSlot& ex = exec();
-  // Causal span (core/causal.h): a cross-node retraction is a child span of
+  // Body: tuple + the epoch's killed variables, so the receiver can
+  // restrict its own (merged) annotation. The says tag covers these bytes —
+  // forged retractions from untrusted senders are dropped on verify, and
+  // replayed ones by the anti-replay header. The message is a child span of
   // the cascade that produced it, so distributed deletions stitch into one
-  // trace. Unconditional — bytes are identical with tracing on or off.
-  CausalIds ids;
-  ids.span_id = NewCausalSpan(from);
-  ids.trace_id = ex.causal.trace_id != 0 ? ex.causal.trace_id : ids.span_id;
-  PutCausalIds(content, ids);
-  tuple.Serialize(content);
+  // trace.
+  ByteWriter body;
+  tuple.Serialize(body);
   std::vector<ProvVar> killed(dynamics_->killed.begin(),
                               dynamics_->killed.end());
   std::sort(killed.begin(), killed.end());
-  content.PutVarint(killed.size());
-  for (ProvVar v : killed) content.PutU32(v);
-
-  bool attach_says = options_.authenticate || plan_.sendlog();
-  SaysLevel level =
-      options_.authenticate ? options_.says_level : SaysLevel::kCleartext;
-
-  ByteWriter msg;
-  msg.PutU8(kMsgRetract);
-  msg.PutBlob(content.bytes());
-  msg.PutU8(attach_says ? 1 : 0);
-  size_t pre_auth = msg.size();
-  if (attach_says) {
-    PROVNET_ASSIGN_OR_RETURN(
-        SaysTag tag,
-        auth_.Say(contexts_[from]->principal(), content.bytes(), level));
-    tag.Serialize(msg);
-  }
-  ex.cells[Ctr::kAuthBytes]->value += msg.size() - pre_auth;
-  ex.cells[Ctr::kTupleBytes]->value += pre_auth;
-  ChargeLink(from, to, kMsgRetract, msg.size());
-  if (tracer_.enabled()) {
-    obs::TraceEvent ev;
-    ev.sim_time = net_.now();
-    ev.node = from;
-    ev.kind = "send";
-    ev.trace_id = ids.trace_id;
-    ev.span_id = ids.span_id;
-    ev.parent_span = ex.causal.span_id;
-    ev.attrs = {{"to", PrincipalOf(to)},
-                {"msg", "retract"},
-                {"pred", tuple.predicate()},
-                {"bytes", std::to_string(msg.size())}};
-    TraceSampled(std::move(ev));
-  }
-  return net_.Send(from, to, std::move(msg).Take());
+  body.PutVarint(killed.size());
+  for (ProvVar v : killed) body.PutU32(v);
+  return SealAndShip(from, to, kMsgRetract, body.bytes(), 0,
+                     tuple.predicate());
 }
 
 Status Engine::HandleRetractMessage(NodeId to, NodeId from,
-                                    ByteReader& reader) {
-  PROVNET_ASSIGN_OR_RETURN(Bytes content, reader.GetBlob());
-  PROVNET_ASSIGN_OR_RETURN(uint8_t has_says, reader.GetU8());
-  std::optional<SaysTag> tag;
-  if (has_says != 0) {
-    PROVNET_ASSIGN_OR_RETURN(SaysTag t, SaysTag::Deserialize(reader));
-    tag = std::move(t);
-  }
-  ByteReader body(content);
-  PROVNET_ASSIGN_OR_RETURN(bool accepted,
-                           VerifyInbound(to, from, tag, content, body,
-                                         "retract"));
-  if (!accepted) return OkStatus();  // rejected and audited; drop
-  // Adopt the sender's causal context: the local over-deletion (and any
-  // further kMsgRetract hops) continues the originating trace.
-  PROVNET_ASSIGN_OR_RETURN(exec().causal, GetCausalIds(body));
-
+                                    const Envelope& env, ByteReader& body) {
+  // The dispatcher verified the envelope and adopted the sender's causal
+  // context: the local over-deletion (and any further kMsgRetract hops)
+  // continues the originating trace.
   PROVNET_ASSIGN_OR_RETURN(Tuple tuple, Tuple::Deserialize(body));
   PROVNET_ASSIGN_OR_RETURN(uint64_t killed_count, body.GetVarint());
   if (killed_count > body.remaining()) {
@@ -551,7 +498,8 @@ Status Engine::HandleRetractMessage(NodeId to, NodeId from,
   }
   if (options_.authenticate) {
     if (stored == nullptr) return OkStatus();
-    const Principal& claimed = tag.has_value() ? tag->principal : Principal();
+    const Principal& claimed =
+        env.tag.has_value() ? env.tag->principal : Principal();
     if (!AuthorizedRetractor(to, claimed, *stored)) {
       ++cells_[Ctr::kRetractsRejected]->value;
       RecordSecurityEvent(SecurityEventKind::kUnauthorizedRetract, to, from,

@@ -480,46 +480,6 @@ class DagAssembler {
 
 // --- ProvQuery --------------------------------------------------------------
 
-Status ProvQuery::DrainLocalFrontier(Engine& engine,
-                                     ProvQuerySession& session) {
-  while (!session.local_frontier.empty()) {
-    ProvQuerySession::Key key = session.local_frontier.front();
-    session.local_frontier.pop_front();
-    if (session.collected.count(key) != 0) continue;
-    ++session.stats.local_lookups;
-    bool offline = false;
-    std::vector<ProvRecord> records =
-        engine.ProvRecordsAt(key.first, key.second, &offline);
-    if (offline) {
-      ++session.stats.offline_hits;
-      ++engine.cells_[Engine::Ctr::kQueryOfflineHits]->value;
-    }
-    PROVNET_RETURN_IF_ERROR(
-        engine.ProvQueryIngest(session, key.first, key.second,
-                               std::move(records)));
-  }
-  return OkStatus();
-}
-
-Status ProvQuery::Pump(Engine& engine, ProvQuerySession& session) {
-  PROVNET_RETURN_IF_ERROR(DrainLocalFrontier(engine, session));
-  // Pump the network until every outstanding request resolved (or can no
-  // longer resolve: a rejected response leaves its subtree missing, a
-  // timed-out one degrades to the responder's offline archive or an
-  // unreachable leaf — see Engine::HandleQueryTimeouts).
-  uint64_t guard = 0;
-  while (session.outstanding > 0) {
-    PROVNET_ASSIGN_OR_RETURN(bool progressed, engine.PumpQueryOnce(session));
-    if (!progressed) break;
-    // Responses may have queued asker-local references.
-    PROVNET_RETURN_IF_ERROR(DrainLocalFrontier(engine, session));
-    if (++guard > Engine::kMaxSteps) {
-      return ResourceExhaustedError("provenance query did not converge");
-    }
-  }
-  return OkStatus();
-}
-
 Result<QueryResult> ProvQuery::RunLocal(const StoredTuple* stored) {
   Engine& engine = *engine_;
   QueryResult out;
@@ -544,7 +504,7 @@ Result<QueryResult> ProvQuery::RunLocal(const StoredTuple* stored) {
   TupleDigest root = DigestOf(tuple_);
   session.depth.emplace(ProvQuerySession::Key{node_, root}, 0);
   session.local_frontier.push_back({node_, root});
-  PROVNET_RETURN_IF_ERROR(DrainLocalFrontier(engine, session));
+  PROVNET_RETURN_IF_ERROR(engine.DrainQueryFrontier(session));
   if (session.collected[{node_, root}].empty()) {
     return NotFoundError("no provenance records for " + tuple_.ToString());
   }
@@ -555,38 +515,25 @@ Result<QueryResult> ProvQuery::RunLocal(const StoredTuple* stored) {
 
 Result<QueryResult> ProvQuery::RunDistributed() {
   Engine& engine = *engine_;
-  if (engine.query_session_ != nullptr) {
-    return FailedPreconditionError(
-        "another provenance query is already pumping the network");
-  }
   ProvQuerySession session;
   session.asker = node_;
   session.kind = kQueryRecords;
   session.limits = limits_;
-  session.hop_timeout = engine.QueryTimeoutSeconds();
   TupleDigest root = DigestOf(tuple_);
   session.depth.emplace(ProvQuerySession::Key{node_, root}, 0);
   session.local_frontier.push_back({node_, root});
-  // Root causal span: every request hop of the walk — and the cascades its
-  // responses trigger on other nodes — descends from this id, so the whole
-  // distributed pointer-walk stitches into one trace (core/causal.h).
-  uint64_t root_span = engine.NewCausalSpan(node_);
-  session.causal = CausalIds{root_span, root_span};
-  engine.exec().causal = session.causal;
-
-  Network::Meters meters0 = engine.net_.MeterSnapshot();
+  uint64_t root_span = 0;
   double sim0 = engine.net_.now();
-  engine.query_session_ = &session;
-  Status pumped = Pump(engine, session);
-  engine.query_session_ = nullptr;
-  // Requests that never got their answer (abort, rejection, or error):
-  // their responses may still be in flight and must not be audited as
-  // attacks when a later Run() delivers them.
-  engine.NoteAbandonedQueries(session);
-  PROVNET_RETURN_IF_ERROR(pumped);
-  Network::Meters meters1 = engine.net_.MeterSnapshot();
-  session.stats.bytes = meters1.bytes - meters0.bytes;
-  session.stats.messages = meters1.messages - meters0.messages;
+  PROVNET_RETURN_IF_ERROR(engine.RunQuerySession(session, [&]() {
+    // Root causal span: every request hop of the walk — and the cascades
+    // its responses trigger on other nodes — descends from this id, so the
+    // whole distributed pointer-walk stitches into one trace
+    // (core/causal.h). The first requests leave from the local frontier.
+    root_span = engine.NewCausalSpan(node_);
+    session.causal = CausalIds{root_span, root_span};
+    engine.exec().causal = session.causal;
+    return OkStatus();
+  }));
   ++engine.cells_[Engine::Ctr::kProvQueries]->value;
   // End-to-end walk latency in virtual time: deterministic across runs,
   // unlike QueryStats::wall_seconds.
@@ -659,57 +606,26 @@ Result<std::vector<ClaimsExchange::Claim>> ClaimsExchange::Collect(
   if (auditor_ >= engine.num_nodes()) {
     return InvalidArgumentError("ClaimsExchange: unknown auditor node");
   }
-  if (engine.query_session_ != nullptr) {
-    return FailedPreconditionError(
-        "another provenance query is already pumping the network");
-  }
   auto t0 = std::chrono::steady_clock::now();
   silent_.clear();
   ProvQuerySession session;
   session.asker = auditor_;
   session.kind = kQueryClaims;
-  session.hop_timeout = engine.QueryTimeoutSeconds();
-
-  Network::Meters meters0 = engine.net_.MeterSnapshot();
-  engine.query_session_ = &session;
-  Status status = OkStatus();
-  for (NodeId n = 0; n < engine.num_nodes() && status.ok(); ++n) {
-    if (n == auditor_ || skip_nodes.count(n) != 0) continue;
-    status = engine.ProvQuerySendClaimsRequest(session, n, predicates);
-  }
-  uint64_t guard = 0;
-  while (status.ok() && session.outstanding > 0) {
-    // A partitioned responder's deadline fires here (retry, then give up):
-    // its leftover pending flows into the silent-responder audit below.
-    Result<bool> progressed = engine.PumpQueryOnce(session);
-    if (!progressed.ok()) {
-      status = progressed.status();
-    } else if (!progressed.value()) {
-      break;
+  ByteWriter args;
+  args.PutVarint(predicates.size());
+  for (const std::string& pred : predicates) args.PutString(pred);
+  PROVNET_RETURN_IF_ERROR(engine.RunQuerySession(session, [&]() {
+    for (NodeId n = 0; n < engine.num_nodes(); ++n) {
+      if (n == auditor_ || skip_nodes.count(n) != 0) continue;
+      PROVNET_RETURN_IF_ERROR(
+          engine.SendQueryRequest(session, n, args.bytes()));
     }
-    if (++guard > Engine::kMaxSteps) {
-      status = ResourceExhaustedError("claims exchange did not converge");
-    }
-  }
-  engine.query_session_ = nullptr;
-  engine.NoteAbandonedQueries(session);
-  PROVNET_RETURN_IF_ERROR(status);
-  // A node that never answered (suppressed, rejected, or dropped its
-  // response) is not a transport error to abort on: in an adversarial
-  // deployment, silence *is* evidence. Each silent responder becomes a
-  // kSilentResponder SecurityEvent (counted in the metrics registry) and a
-  // suspect the caller can fold into its findings; the sweep completes over
-  // the answers that did arrive. campaign.h's promise — a failed audit never
-  // reads as a clean one — holds because silent() is never empty when the
-  // exchange was incomplete.
-  for (const auto& [query_id, pending] : session.pending) {
-    if (!silent_.insert(pending.responder).second) continue;
-    engine.RecordSecurityEvent(
-        SecurityEventKind::kSilentResponder, auditor_, pending.responder,
-        engine.PrincipalOf(pending.responder),
-        StrFormat("claims exchange: no answer to query %llu",
-                  static_cast<unsigned long long>(query_id)));
-  }
+    return OkStatus();
+  }));
+  // The sweep completes over the answers that did arrive; campaign.h's
+  // promise — a failed audit never reads as a clean one — holds because
+  // silent() is never empty when the exchange was incomplete.
+  silent_ = engine.AuditSilentResponders(session, "claims exchange");
 
   // The auditor's own claims are read locally, for free — through the same
   // definition of "claim" the responders answered with.
@@ -718,9 +634,6 @@ Result<std::vector<ClaimsExchange::Claim>> ClaimsExchange::Collect(
     session.claims.push_back(Claim{auditor_, e->asserted_by, e->tuple});
   }
 
-  Network::Meters meters1 = engine.net_.MeterSnapshot();
-  session.stats.bytes = meters1.bytes - meters0.bytes;
-  session.stats.messages = meters1.messages - meters0.messages;
   session.stats.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -737,10 +650,6 @@ Result<std::vector<CompareExchange::Conflict>> CompareExchange::Compare(
   Engine& engine = *engine_;
   if (auditor_ >= engine.num_nodes()) {
     return InvalidArgumentError("CompareExchange: unknown auditor node");
-  }
-  if (engine.query_session_ != nullptr) {
-    return FailedPreconditionError(
-        "another provenance query is already pumping the network");
   }
   auto t0 = std::chrono::steady_clock::now();
   silent_.clear();
@@ -762,8 +671,7 @@ Result<std::vector<CompareExchange::Conflict>> CompareExchange::Compare(
   // Deterministic work assignment: the key hashes to its comparer, so every
   // honest auditor hands the same bucket to the same node. Single-entry
   // buckets cannot conflict and are never shipped.
-  std::map<NodeId, std::vector<std::pair<uint64_t, std::vector<TupleDigest>>>>
-      by_comparer;
+  std::map<NodeId, std::vector<uint64_t>> by_comparer;  // bucket ids
   for (size_t i = 0; i < buckets.size(); ++i) {
     if (buckets[i].digests.size() < 2) continue;
     NodeId target =
@@ -774,56 +682,35 @@ Result<std::vector<CompareExchange::Conflict>> CompareExchange::Compare(
       ++stats_.local_lookups;
       compare_locally(i);
     } else {
-      by_comparer[target].emplace_back(i, buckets[i].digests);
+      by_comparer[target].push_back(i);
     }
   }
 
   ProvQuerySession session;
   session.asker = auditor_;
   session.kind = kQueryCompare;
-  session.hop_timeout = engine.QueryTimeoutSeconds();
-
-  Network::Meters meters0 = engine.net_.MeterSnapshot();
-  engine.query_session_ = &session;
-  Status status = OkStatus();
-  for (const auto& [target, assigned] : by_comparer) {
-    if (!status.ok()) break;
-    status = engine.ProvQuerySendCompareRequest(session, target, assigned);
-  }
-  uint64_t guard = 0;
-  while (status.ok() && session.outstanding > 0) {
-    // A partitioned comparer's deadline fires here; after the retry budget
-    // its buckets fall back to local comparison via the silent set below.
-    Result<bool> progressed = engine.PumpQueryOnce(session);
-    if (!progressed.ok()) {
-      status = progressed.status();
-    } else if (!progressed.value()) {
-      break;
+  PROVNET_RETURN_IF_ERROR(engine.RunQuerySession(session, [&]() {
+    for (const auto& [target, assigned] : by_comparer) {
+      ByteWriter args;
+      args.PutVarint(assigned.size());
+      for (uint64_t bucket_id : assigned) {
+        const std::vector<TupleDigest>& digests = buckets[bucket_id].digests;
+        args.PutVarint(bucket_id);
+        args.PutVarint(digests.size());
+        for (TupleDigest d : digests) args.PutU64(d);
+      }
+      PROVNET_RETURN_IF_ERROR(
+          engine.SendQueryRequest(session, target, args.bytes()));
     }
-    if (++guard > Engine::kMaxSteps) {
-      status = ResourceExhaustedError("compare exchange did not converge");
-    }
-  }
-  engine.query_session_ = nullptr;
-  engine.NoteAbandonedQueries(session);
-  PROVNET_RETURN_IF_ERROR(status);
+    return OkStatus();
+  }));
 
   // A silent comparer is audited like a silent claims responder — and its
   // buckets fall back to local comparison (the auditor holds every digest),
   // so suppressing comparison work can hide nothing.
-  for (const auto& [query_id, pending] : session.pending) {
-    if (!silent_.insert(pending.responder).second) continue;
-    engine.RecordSecurityEvent(
-        SecurityEventKind::kSilentResponder, auditor_, pending.responder,
-        engine.PrincipalOf(pending.responder),
-        StrFormat("compare exchange: no answer to query %llu",
-                  static_cast<unsigned long long>(query_id)));
-  }
+  silent_ = engine.AuditSilentResponders(session, "compare exchange");
   for (NodeId mute : silent_) {
-    for (const auto& [bucket_id, digests] : by_comparer[mute]) {
-      (void)digests;
-      compare_locally(bucket_id);
-    }
+    for (uint64_t bucket_id : by_comparer[mute]) compare_locally(bucket_id);
   }
 
   // Spot-check: a comparer's signature proves *who* answered, not that the
@@ -836,8 +723,7 @@ Result<std::vector<CompareExchange::Conflict>> CompareExchange::Compare(
   std::map<uint64_t, NodeId> sampled;  // bucket id -> answering comparer
   for (const auto& [target, assigned] : by_comparer) {
     if (silent_.count(target) != 0) continue;  // already recomputed above
-    for (const auto& [bucket_id, digests] : assigned) {
-      (void)digests;
+    for (uint64_t bucket_id : assigned) {
       if (Fnv1a64(buckets[bucket_id].key) % 4 == 0) {
         sampled.emplace(bucket_id, target);
       }
@@ -893,9 +779,8 @@ Result<std::vector<CompareExchange::Conflict>> CompareExchange::Compare(
                               }),
                   conflicts.end());
 
-  Network::Meters meters1 = engine.net_.MeterSnapshot();
-  stats_.bytes = meters1.bytes - meters0.bytes;
-  stats_.messages = meters1.messages - meters0.messages;
+  stats_.bytes = session.stats.bytes;
+  stats_.messages = session.stats.messages;
   stats_.requests = session.stats.requests;
   stats_.responses = session.stats.responses;
   stats_.responses_rejected = session.stats.responses_rejected;

@@ -191,8 +191,6 @@ struct QueryResult {
   store::ProvArena* arena = nullptr;
 };
 
-struct ProvQuerySession;  // internal wire-walk state (query/session.h)
-
 // An executable provenance query. Build with ProvQueryBuilder; Run() is
 // synchronous (it pumps the network to quiescence for distributed scopes)
 // and may be called repeatedly.
@@ -211,8 +209,6 @@ class ProvQuery {
 
   Result<QueryResult> RunLocal(const StoredTuple* stored);
   Result<QueryResult> RunDistributed();
-  static Status DrainLocalFrontier(Engine& engine, ProvQuerySession& session);
-  static Status Pump(Engine& engine, ProvQuerySession& session);
 
   Engine* engine_;
   NodeId node_ = 0;

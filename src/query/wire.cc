@@ -2,19 +2,20 @@
 // here, next to the session state they feed — the same layout as
 // adversary/verify.cc and dynamics/delta.cc).
 //
-// kMsgProvRequest / kMsgProvResponse use the exact envelope of
-// kMsgTuple/kMsgRetract: [type][blob content][has_says][says tag], with the
-// content carrying the signed (sequence, destination) header when
-// authentication is on. On top of the generic pipeline (signature present /
-// valid / known principal, destination check, per-sender ReplayGuard), a
-// response must answer an *outstanding* query: its (query_id, responder,
-// digest) triple has to match a request this node issued, and with
-// verification on the responder named in the signed content must be the
-// node the speaking principal operates. Anything else — a forged, replayed,
-// misdirected, or unsolicited response — is dropped, counted
-// (RunStats::prov_responses_rejected) and audited in the SecurityLog.
+// kMsgProvRequest / kMsgProvResponse are sealed by Engine::SealAndShip and
+// opened by Engine::HandleMessage like every other kind (the envelope and
+// its signed prefix are in core/envelope.h), so they pass the generic
+// pipeline first: signature present / valid / known principal, destination
+// check, per-sender ReplayGuard. On top of that, a response must answer an
+// *outstanding* query: its (query_id, responder, digest) triple has to
+// match a request this node issued, and with verification on the responder
+// named in the signed content must be the node the speaking principal
+// operates. Anything else — a forged, replayed, misdirected, or unsolicited
+// response — is dropped, counted (RunStats::prov_responses_rejected) and
+// audited in the SecurityLog.
 //
-// Three payload kinds ride the same path:
+// A request body is [kind][query_id][args]; a response body is
+// [kind][query_id][responder][answer]. Three kinds ride the same path:
 //   kQueryRecords - digest -> ProvRecords (the Section 4.1 pointer-walk;
 //     online records preferred, offline archive fallback at the responder);
 //   kQueryClaims  - predicates -> (asserting principal, tuple) claims (the
@@ -30,54 +31,6 @@
 #include "util/strings.h"
 
 namespace provnet {
-
-Status Engine::SendQueryWire(NodeId from, NodeId to, uint8_t msg_type,
-                             const Bytes& inner) {
-  ByteWriter content;
-  PutAuthHeader(content, contexts_[from]->principal(), to);
-  // Causal span (core/causal.h): every query hop is a child span of the
-  // context that issued it, so a distributed pointer-walk (request →
-  // response → follow-up requests) stitches into one trace across nodes.
-  CausalIds ids;
-  ids.span_id = NewCausalSpan(from);
-  ids.trace_id =
-      exec().causal.trace_id != 0 ? exec().causal.trace_id : ids.span_id;
-  PutCausalIds(content, ids);
-  content.PutRaw(inner.data(), inner.size());
-
-  bool attach_says = options_.authenticate || plan_.sendlog();
-  SaysLevel level = options_.authenticate ? options_.says_level
-                                          : SaysLevel::kCleartext;
-  ByteWriter msg;
-  msg.PutU8(msg_type);
-  msg.PutBlob(content.bytes());
-  msg.PutU8(attach_says ? 1 : 0);
-  if (attach_says) {
-    PROVNET_ASSIGN_OR_RETURN(
-        SaysTag tag,
-        auth_.Say(contexts_[from]->principal(), content.bytes(), level));
-    tag.Serialize(msg);
-  }
-  cells_[Ctr::kProvQueryBytes]->value += msg.size();
-  LinkBytesCell(from, to, msg_type)->value += msg.size();
-  if (tracer_.enabled()) {
-    // Sampling decided at emit (TraceSampled), not here: the 1-in-k counter
-    // must only ever be consumed in canonical commit order.
-    obs::TraceEvent ev;
-    ev.sim_time = net_.now();
-    ev.node = from;
-    ev.kind = "send";
-    ev.trace_id = ids.trace_id;
-    ev.span_id = ids.span_id;
-    ev.parent_span = exec().causal.span_id;
-    ev.attrs = {{"to", PrincipalOf(to)},
-                {"msg", msg_type == kMsgProvRequest ? "prov_request"
-                                                    : "prov_response"},
-                {"bytes", StrFormat("%zu", msg.size())}};
-    TraceSampled(std::move(ev));
-  }
-  return net_.Send(from, to, std::move(msg).Take());
-}
 
 void Engine::ObserveQueryHop(NodeId asker, NodeId responder, double sent_at) {
   // One request->response round trip of the pointer walk, in virtual time
@@ -106,13 +59,14 @@ void Engine::NoteAbandonedQueries(const ProvQuerySession& session) {
   }
 }
 
-Status Engine::ProvQuerySendRequest(ProvQuerySession& session, NodeId to,
-                                    TupleDigest digest) {
+Status Engine::SendQueryRequest(ProvQuerySession& session, NodeId to,
+                                const Bytes& args, TupleDigest digest) {
   uint64_t query_id = next_query_id_++;
   ByteWriter inner;
-  inner.PutU8(kQueryRecords);
+  inner.Reserve(9 + args.size());
+  inner.PutU8(session.kind);
   inner.PutU64(query_id);
-  inner.PutU64(digest);
+  inner.PutRaw(args.data(), args.size());
   ProvQuerySession::Pending p;
   p.responder = to;
   p.digest = digest;
@@ -122,52 +76,85 @@ Status Engine::ProvQuerySendRequest(ProvQuerySession& session, NodeId to,
   session.pending.emplace(query_id, std::move(p));
   ++session.outstanding;
   ++session.stats.requests;
-  return SendQueryWire(session.asker, to, kMsgProvRequest, inner.bytes());
+  return SealAndShip(session.asker, to, kMsgProvRequest, inner.bytes());
 }
 
-Status Engine::ProvQuerySendClaimsRequest(
-    ProvQuerySession& session, NodeId to,
-    const std::set<std::string>& predicates) {
-  uint64_t query_id = next_query_id_++;
-  ByteWriter inner;
-  inner.PutU8(kQueryClaims);
-  inner.PutU64(query_id);
-  inner.PutVarint(predicates.size());
-  for (const std::string& pred : predicates) inner.PutString(pred);
-  ProvQuerySession::Pending p;
-  p.responder = to;
-  p.sent_at = net_.now();
-  p.inner = inner.bytes();
-  if (session.hop_timeout > 0) p.deadline = net_.now() + session.hop_timeout;
-  session.pending.emplace(query_id, std::move(p));
-  ++session.outstanding;
-  ++session.stats.requests;
-  return SendQueryWire(session.asker, to, kMsgProvRequest, inner.bytes());
-}
-
-Status Engine::ProvQuerySendCompareRequest(
-    ProvQuerySession& session, NodeId to,
-    const std::vector<std::pair<uint64_t, std::vector<TupleDigest>>>&
-        buckets) {
-  uint64_t query_id = next_query_id_++;
-  ByteWriter inner;
-  inner.PutU8(kQueryCompare);
-  inner.PutU64(query_id);
-  inner.PutVarint(buckets.size());
-  for (const auto& [bucket_id, digests] : buckets) {
-    inner.PutVarint(bucket_id);
-    inner.PutVarint(digests.size());
-    for (TupleDigest d : digests) inner.PutU64(d);
+Status Engine::RunQuerySession(ProvQuerySession& session,
+                               const std::function<Status()>& issue) {
+  if (query_session_ != nullptr) {
+    return FailedPreconditionError(
+        "another provenance query is already pumping the network");
   }
-  ProvQuerySession::Pending p;
-  p.responder = to;
-  p.sent_at = net_.now();
-  p.inner = inner.bytes();
-  if (session.hop_timeout > 0) p.deadline = net_.now() + session.hop_timeout;
-  session.pending.emplace(query_id, std::move(p));
-  ++session.outstanding;
-  ++session.stats.requests;
-  return SendQueryWire(session.asker, to, kMsgProvRequest, inner.bytes());
+  session.hop_timeout = QueryTimeoutSeconds();
+  Network::Meters meters0 = net_.MeterSnapshot();
+  query_session_ = &session;
+  Status status = issue();
+  // Pump the network until every outstanding request resolved (or can no
+  // longer resolve: a rejected response leaves its subtree missing, a
+  // timed-out one degrades to the responder's offline archive, an
+  // unreachable leaf, or the caller's silent-responder audit — see
+  // HandleQueryTimeouts).
+  uint64_t guard = 0;
+  while (status.ok()) {
+    // Responses may have queued asker-local references.
+    status = DrainQueryFrontier(session);
+    if (!status.ok() || session.outstanding == 0) break;
+    Result<bool> progressed = PumpQueryOnce(session);
+    if (!progressed.ok()) {
+      status = progressed.status();
+    } else if (!progressed.value()) {
+      break;
+    } else if (++guard > kMaxSteps) {
+      status = ResourceExhaustedError("provenance query did not converge");
+    }
+  }
+  query_session_ = nullptr;
+  // Requests that never got their answer (abort, rejection, or error):
+  // their responses may still be in flight and must not be audited as
+  // attacks when a later Run() delivers them.
+  NoteAbandonedQueries(session);
+  PROVNET_RETURN_IF_ERROR(status);
+  Network::Meters meters1 = net_.MeterSnapshot();
+  session.stats.bytes = meters1.bytes - meters0.bytes;
+  session.stats.messages = meters1.messages - meters0.messages;
+  return OkStatus();
+}
+
+std::set<NodeId> Engine::AuditSilentResponders(const ProvQuerySession& session,
+                                               const char* exchange) {
+  // A node that never answered (suppressed, rejected, or dropped its
+  // response) is not a transport error to abort on: in an adversarial
+  // deployment, silence *is* evidence. Each silent responder becomes a
+  // kSilentResponder SecurityEvent (counted in the metrics registry) and a
+  // suspect the caller can fold into its findings.
+  std::set<NodeId> silent;
+  for (const auto& [query_id, pending] : session.pending) {
+    if (!silent.insert(pending.responder).second) continue;
+    RecordSecurityEvent(SecurityEventKind::kSilentResponder, session.asker,
+                        pending.responder, PrincipalOf(pending.responder),
+                        StrFormat("%s: no answer to query %llu", exchange,
+                                  static_cast<unsigned long long>(query_id)));
+  }
+  return silent;
+}
+
+Status Engine::DrainQueryFrontier(ProvQuerySession& session) {
+  while (!session.local_frontier.empty()) {
+    ProvQuerySession::Key key = session.local_frontier.front();
+    session.local_frontier.pop_front();
+    if (session.collected.count(key) != 0) continue;
+    ++session.stats.local_lookups;
+    bool offline = false;
+    std::vector<ProvRecord> records =
+        ProvRecordsAt(key.first, key.second, &offline);
+    if (offline) {
+      ++session.stats.offline_hits;
+      ++cells_[Ctr::kQueryOfflineHits]->value;
+    }
+    PROVNET_RETURN_IF_ERROR(
+        ProvQueryIngest(session, key.first, key.second, std::move(records)));
+  }
+  return OkStatus();
 }
 
 double Engine::QueryTimeoutSeconds() const {
@@ -204,7 +191,7 @@ Status Engine::HandleQueryTimeouts(ProvQuerySession& session) {
       p.deadline = now + session.hop_timeout *
                              static_cast<double>(uint64_t{1} << (p.attempts - 1));
       PROVNET_RETURN_IF_ERROR(
-          SendQueryWire(session.asker, p.responder, kMsgProvRequest, p.inner));
+          SealAndShip(session.asker, p.responder, kMsgProvRequest, p.inner));
       continue;
     }
     if (session.kind != kQueryRecords) {
@@ -342,8 +329,10 @@ Status Engine::ProvQueryIngest(ProvQuerySession& session, NodeId at,
       if (ref.node == session.asker) {
         session.local_frontier.push_back(child_key);
       } else {
+        ByteWriter args;
+        args.PutU64(ref.digest);
         PROVNET_RETURN_IF_ERROR(
-            ProvQuerySendRequest(session, ref.node, ref.digest));
+            SendQueryRequest(session, ref.node, args.bytes(), ref.digest));
       }
     }
   }
@@ -359,24 +348,10 @@ Status Engine::ProvQueryIngest(ProvQuerySession& session, NodeId at,
   return OkStatus();
 }
 
-Status Engine::HandleProvRequest(NodeId to, NodeId from, ByteReader& reader) {
+Status Engine::HandleProvRequest(NodeId to, NodeId from, ByteReader& body) {
+  // The dispatcher verified the request and adopted the asker's causal
+  // context: the response span continues the query's trace.
   obs::Profiler::Scope serve_scope(profiler_, obs::Phase::kQueryServe);
-  PROVNET_ASSIGN_OR_RETURN(Bytes content, reader.GetBlob());
-  PROVNET_ASSIGN_OR_RETURN(uint8_t has_says, reader.GetU8());
-  std::optional<SaysTag> tag;
-  if (has_says != 0) {
-    PROVNET_ASSIGN_OR_RETURN(SaysTag t, SaysTag::Deserialize(reader));
-    tag = std::move(t);
-  }
-  ByteReader body(content);
-  PROVNET_ASSIGN_OR_RETURN(bool accepted,
-                           VerifyInbound(to, from, tag, content, body,
-                                         "prov_request"));
-  if (!accepted) return OkStatus();  // rejected and audited; drop
-  // Adopt the asker's causal context: the response span (and anything the
-  // serving touches) continues the query's trace.
-  PROVNET_ASSIGN_OR_RETURN(exec().causal, GetCausalIds(body));
-
   PROVNET_ASSIGN_OR_RETURN(uint8_t kind, body.GetU8());
   PROVNET_ASSIGN_OR_RETURN(uint64_t query_id, body.GetU64());
 
@@ -465,32 +440,17 @@ Status Engine::HandleProvRequest(NodeId to, NodeId from, ByteReader& reader) {
     default:
       return InvalidArgumentError("prov_request: unknown query kind");
   }
-  return SendQueryWire(to, from, kMsgProvResponse, inner.bytes());
+  return SealAndShip(to, from, kMsgProvResponse, inner.bytes());
 }
 
-Status Engine::HandleProvResponse(NodeId to, NodeId from, ByteReader& reader) {
+Status Engine::HandleProvResponse(NodeId to, NodeId from,
+                                  const Envelope& env, ByteReader& body) {
+  // The dispatcher verified the response (counting a rejected one) and
+  // adopted the responder's causal context; follow-up requests this
+  // response triggers become its children, chaining the walk into one
+  // trace.
   obs::Profiler::Scope serve_scope(profiler_, obs::Phase::kQueryServe);
-  PROVNET_ASSIGN_OR_RETURN(Bytes content, reader.GetBlob());
-  PROVNET_ASSIGN_OR_RETURN(uint8_t has_says, reader.GetU8());
-  std::optional<SaysTag> tag;
-  if (has_says != 0) {
-    PROVNET_ASSIGN_OR_RETURN(SaysTag t, SaysTag::Deserialize(reader));
-    tag = std::move(t);
-  }
-  ByteReader body(content);
-  PROVNET_ASSIGN_OR_RETURN(bool accepted,
-                           VerifyInbound(to, from, tag, content, body,
-                                         "prov_response"));
   ProvQuerySession* session = query_session_;
-  if (!accepted) {
-    ++cells_[Ctr::kProvResponsesRejected]->value;
-    if (session != nullptr) ++session->stats.responses_rejected;
-    return OkStatus();  // rejected and audited; drop
-  }
-  // Adopt the responder's causal context; follow-up requests this response
-  // triggers become its children, chaining the walk into one trace.
-  PROVNET_ASSIGN_OR_RETURN(exec().causal, GetCausalIds(body));
-
   PROVNET_ASSIGN_OR_RETURN(uint8_t kind, body.GetU8());
   PROVNET_ASSIGN_OR_RETURN(uint64_t query_id, body.GetU64());
   PROVNET_ASSIGN_OR_RETURN(uint32_t responder, body.GetU32());
@@ -503,7 +463,7 @@ Status Engine::HandleProvResponse(NodeId to, NodeId from, ByteReader& reader) {
     ++cells_[Ctr::kProvResponsesRejected]->value;
     if (session != nullptr) ++session->stats.responses_rejected;
     RecordSecurityEvent(SecurityEventKind::kBogusResponse, to, from,
-                        tag.has_value() ? tag->principal : Principal(),
+                        env.tag.has_value() ? env.tag->principal : Principal(),
                         StrFormat("%s (query %llu)", why,
                                   static_cast<unsigned long long>(query_id)));
     return OkStatus();
@@ -521,92 +481,81 @@ Status Engine::HandleProvResponse(NodeId to, NodeId from, ByteReader& reader) {
     if (abandoned_queries_.erase(query_id) > 0) return OkStatus();
     return bogus("unsolicited response");
   }
-  if (options_.authenticate && tag.has_value()) {
+  if (options_.authenticate && env.tag.has_value()) {
     // The responder named in the signed content must be the node the
     // speaking principal operates: a compromised node cannot answer for
     // another responder's records.
-    Result<NodeId> speaker_node = NodeOf(tag->principal);
+    Result<NodeId> speaker_node = NodeOf(env.tag->principal);
     if (!speaker_node.ok() || speaker_node.value() != responder) {
       return bogus("responder/principal mismatch");
     }
   }
 
-  switch (kind) {
-    case kQueryRecords: {
-      PROVNET_ASSIGN_OR_RETURN(uint64_t digest, body.GetU64());
-      if (digest != it->second.digest) return bogus("digest mismatch");
-      PROVNET_ASSIGN_OR_RETURN(uint8_t offline, body.GetU8());
-      PROVNET_ASSIGN_OR_RETURN(uint64_t count, body.GetVarint());
-      if (count > body.remaining()) {
-        return InvalidArgumentError("prov_response: bad record count");
-      }
-      std::vector<ProvRecord> records;
-      records.reserve(static_cast<size_t>(count));
-      for (uint64_t i = 0; i < count; ++i) {
+  // Parse the whole answer before accepting it: a malformed answer leaves
+  // the request outstanding and the session untouched.
+  uint64_t digest = 0;
+  uint8_t offline = 0;
+  std::vector<ProvRecord> records;
+  std::vector<ClaimsExchange::Claim> claims;
+  std::vector<CompareExchange::Conflict> conflicts;
+  if (kind == kQueryRecords) {
+    PROVNET_ASSIGN_OR_RETURN(digest, body.GetU64());
+    if (digest != it->second.digest) return bogus("digest mismatch");
+    PROVNET_ASSIGN_OR_RETURN(offline, body.GetU8());
+  }
+  PROVNET_ASSIGN_OR_RETURN(uint64_t count, body.GetVarint());
+  if (count > body.remaining()) {
+    return InvalidArgumentError("prov_response: bad entry count");
+  }
+  for (uint64_t i = 0; i < count; ++i) {
+    switch (kind) {
+      case kQueryRecords: {
         PROVNET_ASSIGN_OR_RETURN(ProvRecord rec,
                                  ProvRecord::Deserialize(body));
         records.push_back(std::move(rec));
+        break;
       }
-      if (offline != 0) {
-        ++session->stats.offline_hits;
-        ++cells_[Ctr::kQueryOfflineHits]->value;
-      }
-      ObserveQueryHop(to, from, it->second.sent_at);
-      // If this hop was retried, an earlier attempt's answer may still be in
-      // flight; remember the id so that duplicate drops as stale, not bogus.
-      if (it->second.attempts > 1) abandoned_queries_.insert(query_id);
-      session->pending.erase(it);
-      if (session->outstanding > 0) --session->outstanding;
-      ++session->stats.responses;
-      return ProvQueryIngest(*session, responder, digest, std::move(records));
-    }
-    case kQueryClaims: {
-      PROVNET_ASSIGN_OR_RETURN(uint64_t count, body.GetVarint());
-      if (count > body.remaining()) {
-        return InvalidArgumentError("prov_response: bad claim count");
-      }
-      ObserveQueryHop(to, from, it->second.sent_at);
-      // If this hop was retried, an earlier attempt's answer may still be in
-      // flight; remember the id so that duplicate drops as stale, not bogus.
-      if (it->second.attempts > 1) abandoned_queries_.insert(query_id);
-      session->pending.erase(it);
-      if (session->outstanding > 0) --session->outstanding;
-      ++session->stats.responses;
-      for (uint64_t i = 0; i < count; ++i) {
+      case kQueryClaims: {
         ClaimsExchange::Claim claim;
         claim.node = responder;
         PROVNET_ASSIGN_OR_RETURN(claim.asserted_by, body.GetString());
         PROVNET_ASSIGN_OR_RETURN(claim.tuple, Tuple::Deserialize(body));
-        session->claims.push_back(std::move(claim));
+        claims.push_back(std::move(claim));
+        break;
       }
-      return OkStatus();
-    }
-    case kQueryCompare: {
-      PROVNET_ASSIGN_OR_RETURN(uint64_t count, body.GetVarint());
-      if (count > body.remaining()) {
-        return InvalidArgumentError("prov_response: bad conflict count");
-      }
-      ObserveQueryHop(to, from, it->second.sent_at);
-      // If this hop was retried, an earlier attempt's answer may still be in
-      // flight; remember the id so that duplicate drops as stale, not bogus.
-      if (it->second.attempts > 1) abandoned_queries_.insert(query_id);
-      session->pending.erase(it);
-      if (session->outstanding > 0) --session->outstanding;
-      ++session->stats.responses;
-      for (uint64_t i = 0; i < count; ++i) {
+      default: {  // kQueryCompare; the session match above pins the kind
         CompareExchange::Conflict c;
         PROVNET_ASSIGN_OR_RETURN(c.bucket, body.GetVarint());
         PROVNET_ASSIGN_OR_RETURN(uint64_t a, body.GetVarint());
         PROVNET_ASSIGN_OR_RETURN(uint64_t b, body.GetVarint());
         c.a = static_cast<uint32_t>(a);
         c.b = static_cast<uint32_t>(b);
-        session->conflicts.push_back(c);
+        conflicts.push_back(c);
+        break;
       }
-      return OkStatus();
     }
-    default:
-      return bogus("unknown response kind");
   }
+
+  // Accept: the round trip resolves its pending request.
+  ObserveQueryHop(to, from, it->second.sent_at);
+  // If this hop was retried, an earlier attempt's answer may still be in
+  // flight; remember the id so that duplicate drops as stale, not bogus.
+  if (it->second.attempts > 1) abandoned_queries_.insert(query_id);
+  session->pending.erase(it);
+  if (session->outstanding > 0) --session->outstanding;
+  ++session->stats.responses;
+
+  if (offline != 0) {
+    ++session->stats.offline_hits;
+    ++cells_[Ctr::kQueryOfflineHits]->value;
+  }
+  session->claims.insert(session->claims.end(),
+                         std::make_move_iterator(claims.begin()),
+                         std::make_move_iterator(claims.end()));
+  session->conflicts.insert(session->conflicts.end(), conflicts.begin(),
+                            conflicts.end());
+  if (kind != kQueryRecords) return OkStatus();
+  return ProvQueryIngest(*session, responder, digest, std::move(records));
 }
 
 }  // namespace provnet

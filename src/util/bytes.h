@@ -32,6 +32,7 @@ class ByteWriter {
   void PutString(const std::string& s);
   void PutBlob(const Bytes& b);
   void PutRaw(const uint8_t* data, size_t len);
+  void Reserve(size_t n) { buf_.reserve(n); }
 
   size_t size() const { return buf_.size(); }
   const Bytes& bytes() const { return buf_; }

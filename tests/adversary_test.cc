@@ -22,6 +22,7 @@
 #include "core/engine.h"
 #include "dynamics/churn.h"
 #include "net/topology.h"
+#include "query/provquery.h"
 
 namespace provnet {
 namespace {
@@ -235,6 +236,52 @@ TEST(AdversaryTest, ReplayedMessageRejectedBySequenceWindow) {
 
   ExpectSamePredAt(*engine, *golden, "bestPath");
   ExpectSamePredAt(*engine, *golden, "link");
+}
+
+TEST(AdversaryTest, ReplayRecordNamesTheReplayedTuple) {
+  for (bool authenticate : {true, false}) {
+    SCOPED_TRACE(authenticate ? "authenticated" : "unauthenticated");
+    EngineOptions opts = AuthOptions();
+    opts.authenticate = authenticate;
+    opts.prov_mode = ProvMode::kPointers;
+    std::unique_ptr<Engine> engine =
+        Engine::Create(Ring(6), BestPathSendlogProgram(), opts).value();
+    Adversary adversary(*engine, 7);
+    adversary.Compromise(2);  // captures tuples, retracts and query answers
+    ASSERT_TRUE(engine->InsertLinkFacts().ok());
+    ASSERT_TRUE(engine->Run().ok());
+    // Its retractions travel upstream through node 2.
+    ASSERT_TRUE(engine->DeleteFact(4, Link3(4, 5, 1)).ok());
+    ASSERT_TRUE(engine->Run().ok());
+    std::vector<Tuple> best = engine->TuplesAt(2, "bestPath");
+    ASSERT_FALSE(best.empty());
+    ASSERT_TRUE(ProvQueryBuilder(*engine)
+                    .At(2)
+                    .Of(best.back())
+                    .WithScope(QueryScope::kDistributed)
+                    .Run()
+                    .ok());
+
+    for (uint8_t type : {kMsgTuple, kMsgRetract, kMsgProvResponse}) {
+      SCOPED_TRACE(MsgKindName(type));
+      for (int i = 0; i < 3; ++i) {
+        ASSERT_TRUE(adversary.InjectReplay(2, {}, type).ok());
+        const InjectionRecord& rec = adversary.injections().back();
+        // The says tag's principal: a member of the deployment.
+        EXPECT_TRUE(engine->NodeOf(rec.claimed).ok()) << rec.claimed;
+        if (type == kMsgProvResponse) {
+          EXPECT_EQ(rec.tuple, Tuple());
+          continue;
+        }
+        // The carried tuple. Shipped tuples are located at the node the
+        // captured message was addressed to, the replay's victim.
+        ASSERT_GT(rec.tuple.arity(), 0u) << rec.tuple.ToString();
+        EXPECT_EQ(rec.tuple.arg(0), Value::Address(rec.victim))
+            << rec.tuple.ToString();
+      }
+      ASSERT_TRUE(engine->Run().ok());
+    }
+  }
 }
 
 TEST(AdversaryTest, FaultDuplicationDedupsSilentlyButTrueReplayStillAudits) {
