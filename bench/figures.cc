@@ -15,22 +15,42 @@
 // (per-tuple signing), SeNDLogProv sits above SeNDLog (condensed
 // provenance), and the relative overheads shrink as N grows.
 //
+// Writes BENCH_figures.json: each N's seconds and MB per variant, and at the
+// largest N each Section 6 overhead with the paper's value and whether its
+// shape holds (the variant costs more than its baseline, by at most twice
+// the paper's overhead).
+//
 // Environment knobs:
 //   PROVNET_BENCH_RUNS   repetitions per point (default 3)
 //   PROVNET_BENCH_MAXN   largest N (default 100)
 //   PROVNET_BENCH_STEP   N increment (default 10)
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/bestpath.h"
 #include "net/topology.h"
+#include "obs/export.h"
 #include "util/logging.h"
 
 namespace provnet {
 namespace {
+
+const char* const kVariantNames[3] = {"ndlog", "sendlog", "sendlog_prov"};
+
+// Section 6's in-text overheads (%), averaged over the sweep and at N=100,
+// indexed [figure: 0 time, 1 bandwidth][pair: 0 SeNDLog over NDLog,
+// 1 SeNDLogProv over SeNDLog].
+struct PaperOverhead {
+  double avg;
+  double at_100;
+};
+constexpr PaperOverhead kPaper[2][2] = {{{53, 44}, {41, 6}},
+                                        {{36, 17}, {54, 10}}};
 
 struct SweepPoint {
   size_t n = 0;
@@ -93,13 +113,19 @@ std::vector<SweepPoint> RunSweep(const SweepConfig& cfg) {
   return points;
 }
 
+double Metric(const SweepPoint& p, bool use_time, int v) {
+  return use_time ? p.wall_seconds[v] : p.megabytes[v];
+}
+
+// Overhead of variant pair + 1 over variant pair, as a fraction.
+double Overhead(const SweepPoint& p, bool use_time, int pair) {
+  return Metric(p, use_time, pair + 1) / Metric(p, use_time, pair) - 1.0;
+}
+
 // Prints one figure's table, then the Section 6 in-text summary: average
 // and at-max-N overheads of SeNDLog over NDLog and SeNDLogProv over
 // SeNDLog.
 void PrintFigure(const std::vector<SweepPoint>& points, bool use_time) {
-  auto metric = [use_time](const SweepPoint& p, int v) {
-    return use_time ? p.wall_seconds[v] : p.megabytes[v];
-  };
   const std::string unit = use_time ? "(s)" : "(MB)";
   std::printf("\n=== Figure %d: Best-Path %s %s ===\n", use_time ? 3 : 4,
               use_time ? "query completion time" : "bandwidth utilization",
@@ -107,28 +133,82 @@ void PrintFigure(const std::vector<SweepPoint>& points, bool use_time) {
   std::printf("%8s %14s %14s %16s %10s %10s\n", "N", ("NDLog" + unit).c_str(),
               ("SeNDLog" + unit).c_str(), ("SeNDLogProv" + unit).c_str(),
               "auth_ovh", "prov_ovh");
-  double sum_auth = 0, sum_prov = 0;
+  double sum[2] = {0, 0};
   for (const SweepPoint& p : points) {
-    double auth = metric(p, 1) / metric(p, 0) - 1.0;
-    double prov = metric(p, 2) / metric(p, 1) - 1.0;
-    sum_auth += auth;
-    sum_prov += prov;
+    for (int pair = 0; pair < 2; ++pair) {
+      sum[pair] += Overhead(p, use_time, pair);
+    }
     std::printf("%8zu %14.3f %14.3f %16.3f %9.0f%% %9.0f%%\n", p.n,
-                metric(p, 0), metric(p, 1), metric(p, 2), 100.0 * auth,
-                100.0 * prov);
+                Metric(p, use_time, 0), Metric(p, use_time, 1),
+                Metric(p, use_time, 2), 100.0 * Overhead(p, use_time, 0),
+                100.0 * Overhead(p, use_time, 1));
   }
   const SweepPoint& last = points.back();
+  const PaperOverhead* paper = kPaper[use_time ? 0 : 1];
   std::printf("\nSection 6 summary (%s):\n", use_time ? "time" : "bandwidth");
-  std::printf("  SeNDLog over NDLog:       avg %+.0f%%, at N=%zu %+.0f%%"
-              "   (paper: avg +%s, at N=100 +%s)\n",
-              100.0 * sum_auth / points.size(), last.n,
-              100.0 * (metric(last, 1) / metric(last, 0) - 1.0),
-              use_time ? "53%" : "36%", use_time ? "44%" : "17%");
-  std::printf("  SeNDLogProv over SeNDLog: avg %+.0f%%, at N=%zu %+.0f%%"
-              "   (paper: avg +%s, at N=100 +%s)\n",
-              100.0 * sum_prov / points.size(), last.n,
-              100.0 * (metric(last, 2) / metric(last, 1) - 1.0),
-              use_time ? "41%" : "54%", use_time ? "6%" : "10%");
+  const char* const labels[2] = {"SeNDLog over NDLog:      ",
+                                 "SeNDLogProv over SeNDLog:"};
+  for (int pair = 0; pair < 2; ++pair) {
+    std::printf("  %s avg %+.0f%%, at N=%zu %+.0f%%"
+                "   (paper: avg +%.0f%%, at N=100 +%.0f%%)\n",
+                labels[pair], 100.0 * sum[pair] / points.size(), last.n,
+                100.0 * Overhead(last, use_time, pair), paper[pair].avg,
+                paper[pair].at_100);
+  }
+}
+
+void WriteJson(const SweepConfig& cfg, const std::vector<SweepPoint>& points) {
+  obs::JsonWriter w;
+  w.BeginObject()
+      .Field("bench", "figures")
+      .Field("workload", "bestpath-random")
+      .Field("outdegree", uint64_t{cfg.outdegree})
+      .Field("seed", cfg.seed)
+      .Field("runs", uint64_t{cfg.runs})
+      .Field("hw_threads",
+             uint64_t{std::max(1u, std::thread::hardware_concurrency())});
+  w.Key("points").BeginArray();
+  for (const SweepPoint& p : points) {
+    w.BeginObject().Field("n", uint64_t{p.n});
+    for (bool use_time : {true, false}) {
+      w.Key(use_time ? "seconds" : "megabytes").BeginObject();
+      for (int v = 0; v < 3; ++v) {
+        w.Field(kVariantNames[v], Metric(p, use_time, v), "%.4f");
+      }
+      w.EndObject();
+    }
+    w.EndObject();
+  }
+  w.EndArray();
+
+  const SweepPoint& last = points.back();
+  w.Key("overheads_at_max_n")
+      .BeginObject()
+      .Field("n", uint64_t{last.n})
+      .Field("shape_rule",
+             "measured_pct > 0 and measured_pct <= 2 * paper_pct_at_100");
+  const char* const names[2][2] = {{"auth_time", "prov_time"},
+                                   {"auth_bandwidth", "prov_bandwidth"}};
+  for (int fig = 0; fig < 2; ++fig) {
+    for (int pair = 0; pair < 2; ++pair) {
+      const double measured = 100.0 * Overhead(last, fig == 0, pair);
+      const double paper = kPaper[fig][pair].at_100;
+      w.Key(names[fig][pair])
+          .BeginObject()
+          .Field("measured_pct", measured, "%.1f")
+          .Field("paper_pct_at_100", paper, "%.0f")
+          .Field("shape_holds", measured > 0 && measured <= 2 * paper)
+          .EndObject();
+    }
+  }
+  w.EndObject().EndObject();
+
+  const std::string body = w.Take() + "\n";
+  FILE* f = std::fopen("BENCH_figures.json", "w");
+  PROVNET_CHECK(f != nullptr) << "cannot open BENCH_figures.json";
+  std::fwrite(body.data(), 1, body.size(), f);
+  std::fclose(f);
+  std::printf("\nwrote BENCH_figures.json\n");
 }
 
 }  // namespace
@@ -142,5 +222,6 @@ int main() {
   std::vector<provnet::SweepPoint> points = provnet::RunSweep(cfg);
   provnet::PrintFigure(points, /*use_time=*/true);
   provnet::PrintFigure(points, /*use_time=*/false);
+  provnet::WriteJson(cfg, points);
   return 0;
 }

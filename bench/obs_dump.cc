@@ -20,8 +20,9 @@
 //   --json PATH  write obs::SnapshotJson of the registry to PATH
 //   --trace PATH write the virtual-time trace stream (JSONL) to PATH
 //   --prof       enable the wall-clock profiler + memory accounting and
-//                append the phase/lane/memory profile to the output (plus
-//                the retransmission-timer work when the transport is armed)
+//                append the phase/lane/memory profile to the output, the
+//                Montgomery kernel's work counts, and the retransmission-
+//                timer work when the transport is armed
 //   --trace-tree record causal span ids and print the largest stitched
 //                cross-node span tree (the distributed-walk view)
 //
@@ -39,6 +40,7 @@
 #include <vector>
 
 #include "apps/programs.h"
+#include "bignum/montgomery.h"
 #include "core/engine.h"
 #include "net/topology.h"
 #include "obs/export.h"
@@ -223,6 +225,12 @@ Status RunDump(const Config& cfg) {
                   (unsigned long long)net.total_messages(),
                   (unsigned long long)net.retransmits());
     }
+    // Process totals: RSA key generation at Create plus any RSA says.
+    const MontWork mont = MontWorkTotals();
+    std::printf("== Montgomery kernel ==\n"
+                "exps  %llu  products  %llu\n",
+                (unsigned long long)mont.exps,
+                (unsigned long long)mont.products);
   }
   if (cfg.trace_tree) PrintLargestTraceTree(engine->tracer());
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <ostream>
 
+#include "bignum/montgomery.h"
 #include "util/logging.h"
 
 namespace provnet {
@@ -16,6 +17,17 @@ constexpr uint32_t kSmallPrimes[] = {
     47,  53,  59,  61,  67,  71,  73,  79,  83,  89,  97,  101, 103, 107,
     109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181,
     191, 193, 197, 199, 211, 223, 227, 229, 233, 239, 241, 251};
+
+// The Montgomery kernel's 64-bit limbs from 32-bit ones, zero-extended to
+// `width`; the value must fit in `width` 64-bit limbs.
+void ToLimbs64(const std::vector<uint32_t>& limbs, uint64_t* out,
+               size_t width) {
+  for (size_t i = 0; i < width; ++i) {
+    uint64_t lo = 2 * i < limbs.size() ? limbs[2 * i] : 0;
+    uint64_t hi = 2 * i + 1 < limbs.size() ? limbs[2 * i + 1] : 0;
+    out[i] = lo | (hi << 32);
+  }
+}
 
 }  // namespace
 
@@ -49,6 +61,15 @@ BigInt BigInt::FromLimbs(std::vector<uint32_t> limbs, bool negative) {
   out.negative_ = negative;
   out.Normalize();
   return out;
+}
+
+BigInt BigInt::FromLimbs64(const uint64_t* limbs, size_t width) {
+  std::vector<uint32_t> out(2 * width);
+  for (size_t i = 0; i < width; ++i) {
+    out[2 * i] = static_cast<uint32_t>(limbs[i]);
+    out[2 * i + 1] = static_cast<uint32_t>(limbs[i] >> 32);
+  }
+  return FromLimbs(std::move(out), false);
 }
 
 void BigInt::Normalize() {
@@ -416,89 +437,6 @@ Result<BigInt> BigInt::Mod(const BigInt& modulus) const {
   return r;
 }
 
-namespace {
-
-// Montgomery context for an odd modulus N with R = 2^(32*n_limbs).
-class MontgomeryCtx {
- public:
-  // Requires n odd, nonzero.
-  explicit MontgomeryCtx(const std::vector<uint32_t>& n) : n_(n) {
-    // n' = -n^{-1} mod 2^32, via Newton iteration on 32-bit words.
-    uint32_t n0 = n_[0];
-    uint32_t inv = n0;  // inverse mod 2^4 seed (n0 odd => n0*n0 ≡ 1 mod 8)
-    for (int i = 0; i < 5; ++i) inv *= 2 - n0 * inv;
-    nprime_ = ~inv + 1;  // -inv mod 2^32
-  }
-
-  size_t limbs() const { return n_.size(); }
-
-  // out = a*b*R^{-1} mod n (CIOS). a and b must be < n, length limbs().
-  void MulInto(const std::vector<uint32_t>& a, const std::vector<uint32_t>& b,
-               std::vector<uint32_t>& out) const {
-    size_t s = n_.size();
-    std::vector<uint64_t> t(s + 2, 0);
-    for (size_t i = 0; i < s; ++i) {
-      uint64_t carry = 0;
-      uint64_t ai = a[i];
-      for (size_t j = 0; j < s; ++j) {
-        uint64_t cur = t[j] + ai * b[j] + carry;
-        t[j] = cur & 0xFFFFFFFFU;
-        carry = cur >> 32;
-      }
-      uint64_t cur = t[s] + carry;
-      t[s] = cur & 0xFFFFFFFFU;
-      t[s + 1] = cur >> 32;
-
-      uint32_t m = static_cast<uint32_t>(t[0]) * nprime_;
-      carry = 0;
-      uint64_t first = t[0] + static_cast<uint64_t>(m) * n_[0];
-      carry = first >> 32;
-      for (size_t j = 1; j < s; ++j) {
-        uint64_t cur2 = t[j] + static_cast<uint64_t>(m) * n_[j] + carry;
-        t[j - 1] = cur2 & 0xFFFFFFFFU;
-        carry = cur2 >> 32;
-      }
-      uint64_t cur2 = t[s] + carry;
-      t[s - 1] = cur2 & 0xFFFFFFFFU;
-      t[s] = t[s + 1] + (cur2 >> 32);
-      t[s + 1] = 0;
-    }
-    out.assign(s, 0);
-    for (size_t i = 0; i < s; ++i) out[i] = static_cast<uint32_t>(t[i]);
-    // Conditional subtraction if out >= n (also when the extra limb is set).
-    bool ge = t[s] != 0;
-    if (!ge) {
-      ge = true;
-      for (size_t i = s; i > 0; --i) {
-        if (out[i - 1] != n_[i - 1]) {
-          ge = out[i - 1] > n_[i - 1];
-          break;
-        }
-      }
-    }
-    if (ge) {
-      int64_t borrow = 0;
-      for (size_t i = 0; i < s; ++i) {
-        int64_t diff = static_cast<int64_t>(out[i]) -
-                       static_cast<int64_t>(n_[i]) - borrow;
-        if (diff < 0) {
-          diff += static_cast<int64_t>(kBase);
-          borrow = 1;
-        } else {
-          borrow = 0;
-        }
-        out[i] = static_cast<uint32_t>(diff);
-      }
-    }
-  }
-
- private:
-  std::vector<uint32_t> n_;
-  uint32_t nprime_;
-};
-
-}  // namespace
-
 Result<BigInt> BigInt::ModExp(const BigInt& exponent,
                               const BigInt& modulus) const {
   if (exponent.IsNegative()) {
@@ -511,61 +449,20 @@ Result<BigInt> BigInt::ModExp(const BigInt& exponent,
   PROVNET_ASSIGN_OR_RETURN(BigInt base, Mod(modulus));
   if (exponent.IsZero()) return BigInt(1);
 
-  if (modulus.IsOdd()) {
-    // Montgomery 4-bit fixed-window exponentiation.
-    MontgomeryCtx ctx(modulus.limbs_);
-    size_t s = ctx.limbs();
-    auto widen = [s](const BigInt& v) {
-      std::vector<uint32_t> out = v.limbs_;
-      out.resize(s, 0);
-      return out;
-    };
-    // R mod n and R^2 mod n via shifting.
-    BigInt r = BigInt(1).ShiftLeft(32 * s);
-    PROVNET_ASSIGN_OR_RETURN(BigInt r_mod, r.Mod(modulus));
-    PROVNET_ASSIGN_OR_RETURN(BigInt r2_mod, (r_mod * r_mod).Mod(modulus));
-
-    std::vector<uint32_t> base_m(s), one_m(s), tmp(s);
-    ctx.MulInto(widen(base), widen(r2_mod), base_m);   // base * R mod n
-    one_m = widen(r_mod);                              // 1 * R mod n
-
-    // Precompute odd powers table: base^0..base^15 in Montgomery form.
-    std::vector<std::vector<uint32_t>> table(16);
-    table[0] = one_m;
-    table[1] = base_m;
-    for (int i = 2; i < 16; ++i) {
-      table[i].resize(s);
-      ctx.MulInto(table[i - 1], base_m, table[i]);
-    }
-
-    size_t bits = exponent.BitLength();
-    size_t windows = (bits + 3) / 4;
-    std::vector<uint32_t> acc = one_m;
-    for (size_t w = windows; w > 0; --w) {
-      // Square 4 times.
-      for (int i = 0; i < 4; ++i) {
-        ctx.MulInto(acc, acc, tmp);
-        acc.swap(tmp);
-      }
-      size_t lo = (w - 1) * 4;
-      int digit = 0;
-      for (int i = 3; i >= 0; --i) {
-        digit = (digit << 1) | (exponent.GetBit(lo + i) ? 1 : 0);
-      }
-      if (digit != 0) {
-        ctx.MulInto(acc, table[digit], tmp);
-        acc.swap(tmp);
-      }
-    }
-    // Convert out of Montgomery form: acc * 1 * R^{-1}.
-    std::vector<uint32_t> one(s, 0);
-    one[0] = 1;
-    ctx.MulInto(acc, one, tmp);
-    return FromLimbs(std::move(tmp), false);
+  const size_t width = (modulus.limbs_.size() + 1) / 2;
+  if (modulus.IsOdd() && width <= kMontMaxLimbs) {
+    uint64_t m[kMontMaxLimbs];
+    uint64_t x[kMontMaxLimbs];
+    std::vector<uint64_t> e((exponent.limbs_.size() + 1) / 2);
+    ToLimbs64(modulus.limbs_, m, width);
+    ToLimbs64(base.limbs_, x, width);
+    ToLimbs64(exponent.limbs_, e.data(), e.size());
+    MontModulus(m, width).Exp(x, e.data(), e.size(), x);
+    return FromLimbs64(x, width);
   }
 
-  // Generic square-and-multiply with division-based reduction (even moduli;
-  // rare in practice, used by tests).
+  // Generic square-and-multiply with division-based reduction: even moduli
+  // and moduli wider than the kernel; the tests' reference.
   BigInt acc(1);
   size_t bits = exponent.BitLength();
   for (size_t i = bits; i > 0; --i) {
@@ -645,37 +542,24 @@ bool BigInt::IsProbablePrime(const BigInt& n, int rounds, Rng& rng) {
   if (n.IsNegative() || n.IsZero()) return false;
   if (n == BigInt(1)) return false;
   for (uint32_t p : kSmallPrimes) {
-    BigInt bp(p);
-    if (n == bp) return true;
-    Result<BigInt> rem = n.Mod(bp);
-    PROVNET_CHECK(rem.ok());
-    if (rem.value().IsZero()) return false;
-  }
-  // Write n-1 = d * 2^r.
-  BigInt n_minus_1 = n - BigInt(1);
-  BigInt d = n_minus_1;
-  size_t r = 0;
-  while (d.IsEven()) {
-    d = d.ShiftRight(1);
-    ++r;
-  }
-  for (int round = 0; round < rounds; ++round) {
-    BigInt a = RandomBelow(n - BigInt(3), rng) + BigInt(2);  // [2, n-2]
-    Result<BigInt> x_res = a.ModExp(d, n);
-    PROVNET_CHECK(x_res.ok());
-    BigInt x = std::move(x_res).value();
-    if (x == BigInt(1) || x == n_minus_1) continue;
-    bool witness = true;
-    for (size_t i = 1; i < r; ++i) {
-      Result<BigInt> sq = (x * x).Mod(n);
-      PROVNET_CHECK(sq.ok());
-      x = std::move(sq).value();
-      if (x == n_minus_1) {
-        witness = false;
-        break;
-      }
+    uint64_t rem = 0;
+    for (size_t i = n.limbs_.size(); i > 0; --i) {
+      rem = ((rem << 32) | n.limbs_[i - 1]) % p;
     }
-    if (witness) return false;
+    if (rem == 0) return n.limbs_.size() == 1 && n.limbs_[0] == p;
+  }
+  // One Montgomery context serves every round and squaring.
+  const size_t width = (n.limbs_.size() + 1) / 2;
+  PROVNET_CHECK(width <= kMontMaxLimbs)
+      << "IsProbablePrime takes at most 2048-bit candidates";
+  uint64_t limbs[kMontMaxLimbs];
+  ToLimbs64(n.limbs_, limbs, width);
+  MontModulus ctx(limbs, width);
+  BigInt bound = n - BigInt(3);
+  for (int round = 0; round < rounds; ++round) {
+    BigInt a = RandomBelow(bound, rng) + BigInt(2);  // [2, n-2]
+    ToLimbs64(a.limbs_, limbs, width);
+    if (ctx.IsWitness(limbs)) return false;
   }
   return true;
 }

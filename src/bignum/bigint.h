@@ -5,8 +5,15 @@
 // the sign is stored separately. Zero is canonically (empty limbs, positive).
 //
 // Performance notes: multiplication is schoolbook (sufficient for <=2048-bit
-// RSA), division is Knuth algorithm D, and modular exponentiation uses
-// Montgomery multiplication (CIOS) for odd moduli with a 4-bit fixed window.
+// RSA) and division is Knuth algorithm D. ModExp with an odd modulus of at
+// most 2048 bits runs on the fixed-width Montgomery kernel
+// (bignum/montgomery.h: 64-bit limbs, the limb count a template parameter,
+// operands on the stack, square-and-multiply for exponents up to 32 bits and
+// a 4-bit window above); it derives the modulus's constants per call, while
+// crypto/rsa.* keeps them per key. Even and wider moduli take division-based
+// square-and-multiply, the reference the kernel is tested against.
+// IsProbablePrime trial-divides by single-limb remainders, then runs every
+// Miller-Rabin round in one Montgomery context per candidate.
 #ifndef PROVNET_BIGNUM_BIGINT_H_
 #define PROVNET_BIGNUM_BIGINT_H_
 
@@ -81,7 +88,7 @@ class BigInt {
   BigInt ShiftRight(size_t bits) const;
 
   // (this ^ exponent) mod modulus. Requires exponent >= 0 and modulus > 0.
-  // Uses Montgomery exponentiation when the modulus is odd.
+  // Uses the Montgomery kernel when the modulus is odd and at most 2048 bits.
   Result<BigInt> ModExp(const BigInt& exponent, const BigInt& modulus) const;
 
   // Greatest common divisor of magnitudes.
@@ -96,7 +103,8 @@ class BigInt {
   static BigInt RandomWithBits(size_t bits, Rng& rng);
 
   // Miller-Rabin probabilistic primality test (plus small-prime trial
-  // division). Error probability <= 4^-rounds for composites.
+  // division). Error probability <= 4^-rounds for composites. n must be at
+  // most 2048 bits (the Montgomery kernel's widest modulus).
   static bool IsProbablePrime(const BigInt& n, int rounds, Rng& rng);
   // Deterministic search: next probable prime with exactly `bits` bits.
   static BigInt GeneratePrime(size_t bits, Rng& rng);
@@ -110,6 +118,8 @@ class BigInt {
 
  private:
   static BigInt FromLimbs(std::vector<uint32_t> limbs, bool negative);
+  // From the Montgomery kernel's 64-bit little-endian limbs.
+  static BigInt FromLimbs64(const uint64_t* limbs, size_t width);
   void Normalize();
 
   // Magnitude helpers; ignore signs.

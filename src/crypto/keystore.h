@@ -23,7 +23,8 @@ using Principal = std::string;
 
 class KeyStore {
  public:
-  // `rsa_bits` controls the modulus size of derived keys (even, >= 128).
+  // `rsa_bits` controls the modulus size of derived keys (even, 146 to
+  // 2048; see RsaGenerateKeyPair).
   explicit KeyStore(uint64_t seed, size_t rsa_bits = 512);
 
   size_t rsa_bits() const { return rsa_bits_; }

@@ -185,24 +185,54 @@ TEST(BigIntTest, ModExpFermat) {
   }
 }
 
+// Division-based square-and-multiply: the reference the Montgomery kernel
+// must match.
+BigInt ReferenceModExp(const BigInt& base, const BigInt& exp,
+                       const BigInt& modulus) {
+  BigInt b = base.Mod(modulus).value();
+  BigInt acc = BigInt(1).Mod(modulus).value();
+  for (size_t bit = exp.BitLength(); bit > 0; --bit) {
+    acc = (acc * acc).Mod(modulus).value();
+    if (exp.GetBit(bit - 1)) acc = (acc * b).Mod(modulus).value();
+  }
+  return acc;
+}
+
 TEST(BigIntTest, ModExpMontgomeryMatchesGeneric) {
-  // Cross-check the Montgomery path (odd modulus) against the generic path
-  // (even modulus) via n and 2n.
+  // Odd moduli run on the fixed-width kernel: cover every width from 1 to
+  // 32 limbs with a full top limb, widths that end mid-limb, and a modulus
+  // whose top limb is all ones.
   Rng rng(7);
-  for (int i = 0; i < 30; ++i) {
-    BigInt base = BigInt::RandomWithBits(96, rng);
-    BigInt exp = BigInt::RandomWithBits(32, rng);
-    BigInt modulus = BigInt::RandomWithBits(64, rng);
-    if (modulus.IsEven()) modulus = modulus + BigInt(1);
-    BigInt via_mont = base.ModExp(exp, modulus).value();
-    // Compute the same thing with repeated multiplication mod modulus.
-    BigInt acc(1);
-    BigInt b = base.Mod(modulus).value();
-    for (size_t bit = exp.BitLength(); bit > 0; --bit) {
-      acc = (acc * acc).Mod(modulus).value();
-      if (exp.GetBit(bit - 1)) acc = (acc * b).Mod(modulus).value();
+  std::vector<BigInt> moduli;
+  for (size_t limbs = 1; limbs <= 32; ++limbs) {
+    moduli.push_back(BigInt::RandomWithBits(64 * limbs, rng));
+  }
+  moduli.push_back(BigInt::RandomWithBits(96, rng));
+  moduli.push_back(BigInt::RandomWithBits(160, rng));
+  moduli.push_back(BigInt(1).ShiftLeft(192) - BigInt(1) -
+                   BigInt::RandomWithBits(40, rng).ShiftLeft(1));
+  for (BigInt& m : moduli) {
+    if (m.IsEven()) m = m + BigInt(1);
+  }
+  for (const BigInt& m : moduli) {
+    SCOPED_TRACE(m.ToHex());
+    const BigInt random_base = BigInt::RandomBelow(m, rng);
+    const BigInt bases[] = {BigInt(0), m - BigInt(1), m,
+                            m * BigInt(3) + BigInt(7), random_base};
+    const BigInt exps[] = {BigInt(0), BigInt(1), BigInt(65537),
+                           BigInt::RandomWithBits(m.BitLength(), rng)};
+    for (const BigInt& base : bases) {
+      for (const BigInt& exp : exps) {
+        // Full-width exponents only on two bases: the reference is slow.
+        if (exp.BitLength() > 32 && base != random_base &&
+            base != m - BigInt(1)) {
+          continue;
+        }
+        EXPECT_EQ(base.ModExp(exp, m).value(),
+                  ReferenceModExp(base, exp, m))
+            << "base " << base.ToHex() << " exp " << exp.ToHex();
+      }
     }
-    EXPECT_EQ(via_mont.ToDecimal(), acc.ToDecimal());
   }
 }
 

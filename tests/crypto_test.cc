@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include "apps/bestpath.h"
+#include "bignum/montgomery.h"
 #include "crypto/authenticator.h"
 #include "crypto/hmac.h"
 #include "crypto/keystore.h"
 #include "crypto/rsa.h"
 #include "crypto/sha256.h"
+#include "net/topology.h"
 #include "util/random.h"
 
 namespace provnet {
@@ -183,8 +186,122 @@ TEST_F(RsaTest, LargerKeyEmbedsFullDigest) {
 
 TEST_F(RsaTest, RejectsBadKeySizes) {
   Rng rng(10);
-  EXPECT_FALSE(RsaGenerateKeyPair(100, rng).ok());  // not >=128
+  EXPECT_FALSE(RsaGenerateKeyPair(100, rng).ok());  // below the floor
   EXPECT_FALSE(RsaGenerateKeyPair(129, rng).ok());  // odd
+  // An 18-byte block cannot hold the padding plus an 8-byte digest, so a
+  // 144-bit key could never sign; 146 bits gives 19 bytes.
+  EXPECT_FALSE(RsaGenerateKeyPair(144, rng).ok());
+  EXPECT_FALSE(RsaGenerateKeyPair(2050, rng).ok());  // wider than the kernel
+  RsaKeyPair kp = MakeKeys(146, 11);
+  Bytes msg = ToBytes("smallest signing key");
+  Bytes sig = RsaSign(kp.priv, msg).value();
+  EXPECT_EQ(sig.size(), 19u);
+  EXPECT_TRUE(RsaVerify(kp.pub, msg, sig).ok());
+  EXPECT_FALSE(RsaVerify(kp.pub, ToBytes("another message"), sig).ok());
+
+  // An engine with says on fails at Engine::Create (key generation),
+  // before Run() signs anything.
+  Rng topo_rng(12);
+  EngineOptions opts;
+  opts.rsa_bits = 144;
+  Result<BestPathRun> run = RunBestPath(
+      Topology::RingPlusRandom(5, 3, topo_rng), Variant::kSendlog, opts);
+  ASSERT_FALSE(run.ok());
+  EXPECT_NE(run.status().message().find("RSA key size"), std::string::npos)
+      << run.status();
+}
+
+// Keygen and signing pinned at the widths the engine goldens miss (those
+// cover RSA-256 only). Values from the division-based bignum, before the
+// Montgomery kernel; every one must stay byte-identical.
+TEST_F(RsaTest, PinnedKnownAnswersAndHostileSignatures) {
+  struct KnownAnswer {
+    size_t bits;
+    const char* n_hex;
+    const char* sig_hex;
+  };
+  const KnownAnswer answers[] = {
+      {192, "8779173b5156e0564de76bc6da6479685f3911d985fdd5f1",
+       "66740acca3bcc476051d202072bdd261a72d4d34382638d6"},
+      {256,
+       "b2ed01132c38760569341d6b54971042258557f935908b1dd6d6a84e4d53780b",
+       "0b1e061e1a3463b24a9ca7f01aed8f74475f35acca34aef72e576e9425b6ef72"},
+      {384,
+       "fd57dec84dcff45473d816cfeff888c19f487c9200844062dd619c1dfa93fd00c190f5"
+       "a4f34cbdb0520d5d7bd98642b1",
+       "cc5ebd74443f3fd270f4a3a26fdcc0edfe06c099b6226143f892e8f9564638723cb959"
+       "e7231367f3eb073eca81eb4947"},
+      {512,
+       "c7887e642cf33de17ea798d1cc92dc7cb1b4e70ef6eeaa006436804390c0bfa06917b0"
+       "d8f9cbfab46171d7fc0d819c40e636421c7f6f55b1e3f97742d7ead10f",
+       "8a8f906c0fa7566a44ed54d630e4d609ba5390613656d508ddcf4d406b71543939df67"
+       "78e61aebba65c7f54276487805e087354bc2869a7e7104ba8f0212af49"},
+  };
+  const Bytes msg = ToBytes("bestPath(@a,@d,[@a,@b,@d],5)");
+  for (const KnownAnswer& answer : answers) {
+    SCOPED_TRACE(answer.bits);
+    RsaKeyPair kp = MakeKeys(answer.bits, 2008);
+    EXPECT_EQ(kp.pub.n.ToHex(), answer.n_hex);
+    Bytes sig = RsaSign(kp.priv, msg).value();
+    EXPECT_EQ(BytesToHex(sig), answer.sig_hex);
+    EXPECT_TRUE(RsaVerify(kp.pub, msg, sig).ok());
+
+    // Hostile k-byte signatures: equal to n, above n, and zero.
+    size_t k = kp.pub.ByteLength();
+    Bytes equal_n = kp.pub.n.ToBytesPadded(k).value();
+    EXPECT_EQ(RsaVerify(kp.pub, msg, equal_n).code(),
+              StatusCode::kUnauthenticated);
+    EXPECT_EQ(RsaVerify(kp.pub, msg, Bytes(k, 0xFF)).code(),
+              StatusCode::kUnauthenticated);
+    EXPECT_EQ(RsaVerify(kp.pub, msg, Bytes(k, 0x00)).code(),
+              StatusCode::kUnauthenticated);
+    // The valid signature plus n has the same e-th power mod n; only the
+    // range check refuses it (it fits in k bytes at 192 and 256 bits).
+    BigInt shifted = BigInt::FromBytes(sig) + kp.pub.n;
+    if (shifted.BitLength() <= 8 * k) {
+      EXPECT_EQ(
+          RsaVerify(kp.pub, msg, shifted.ToBytesPadded(k).value()).code(),
+          StatusCode::kUnauthenticated);
+    }
+  }
+}
+
+// Kernel work is deterministic: the Montgomery products of one RSA-256
+// verify and one sign are pinned for a fixed key, and a SeNDLog fixpoint
+// (keygen at Create, then every sign and verify) does the same work at 1
+// and 4 threads.
+TEST_F(RsaTest, MontgomeryWorkIsPinned) {
+  RsaKeyPair kp = MakeKeys(256, 3);
+  Bytes msg = ToBytes("reachable(a,c) from a");
+  MontWork start = MontWorkTotals();
+  Bytes sig = RsaSign(kp.priv, msg).value();
+  MontWork signed_work = MontWorkTotals();
+  ASSERT_TRUE(RsaVerify(kp.pub, msg, sig).ok());
+  MontWork verified_work = MontWorkTotals();
+  // Two 128-bit CRT halves, 4-bit windows; the count follows dp and dq.
+  EXPECT_EQ(signed_work.exps - start.exps, 2u);
+  EXPECT_EQ(signed_work.products - start.products, 339u);
+  // e = 65537 by square-and-multiply: into Montgomery form, 16 squarings,
+  // 1 multiply, back out. A window table would cost 14 products more.
+  EXPECT_EQ(verified_work.exps - signed_work.exps, 1u);
+  EXPECT_EQ(verified_work.products - signed_work.products, 19u);
+
+  auto fixpoint_work = [](size_t threads) {
+    Rng rng(16);
+    Topology topo = Topology::RingPlusRandom(20, 3, rng);
+    EngineOptions base;
+    base.threads = threads;
+    MontWork before = MontWorkTotals();
+    Result<BestPathRun> run = RunBestPath(topo, Variant::kSendlog, base);
+    EXPECT_TRUE(run.ok()) << run.status();
+    MontWork after = MontWorkTotals();
+    return std::pair(after.exps - before.exps,
+                     after.products - before.products);
+  };
+  std::pair<uint64_t, uint64_t> one = fixpoint_work(1);
+  std::pair<uint64_t, uint64_t> four = fixpoint_work(4);
+  EXPECT_GT(one.first, 0u);
+  EXPECT_EQ(one, four);
 }
 
 class RsaKeySizeSweep : public ::testing::TestWithParam<size_t> {};

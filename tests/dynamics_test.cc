@@ -347,7 +347,7 @@ TEST(RetractPrincipalTest, RevocationWithRsaSaysTags) {
   Topology topo = Diamond();
   EngineOptions opts;
   opts.authenticate = true;
-  opts.rsa_bits = 256;  // smallest modulus the signer accepts
+  opts.rsa_bits = 256;  // the engine's default modulus
   opts.prov_mode = ProvMode::kCondensed;
   opts.prov_grain = ProvGrain::kPrincipal;
   std::unique_ptr<Engine> e =
