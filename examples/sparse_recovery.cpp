@@ -72,13 +72,9 @@ int main() {
   base.record_offline = true;
 
   // --- Fault-free baseline --------------------------------------------------
-  // The baseline runs the same ack/retransmit transport (just without any
-  // faults): with the transport on, provenance records the *first*
-  // derivation of each tuple and dedups content-identical refreshes, so an
-  // apples-to-apples proof comparison needs both runs on the same
-  // recording discipline.
+  // The plain lossless FIFO, transport unarmed: provenance records every
+  // derivation the same way whether or not the transport is on.
   EngineOptions golden_opts = base;
-  golden_opts.reliable_transport = true;
   golden_opts.archive_dir = dir + "/golden";
   auto golden_or = RunReachable(topo, golden_opts);
   if (!golden_or.ok()) {

@@ -208,15 +208,11 @@ Status Engine::Init(Program program) {
   });
 
   // Fault-tolerant transport (src/net/faults.*), armed before any fact
-  // flows so every wire message of the run is acked/retransmitted.
+  // flows so every wire message of the run is acked/retransmitted. Lost
+  // frames are resent and duplicates dropped below the engine, so the
+  // handler sees each message exactly once, as on the lossless FIFO.
   net_.SetObsRegistry(&obs_);
-  if (TransportActive()) {
-    net_.EnableTransport();
-    // Loss recovery re-derives upstream and re-sends, so receivers see
-    // content-identical refreshes; dedup keeps them from reshaping stored
-    // annotations, which must match the fault-free fixpoint bytes.
-    for (auto& ctx : contexts_) ctx->SetDedupRefresh(true);
-  }
+  if (TransportActive()) net_.EnableTransport();
   if (!options_.fault_plan.Empty()) {
     net_.InstallFaultPlan(options_.fault_plan);
   }
@@ -398,9 +394,10 @@ Status Engine::InsertFact(NodeId node_id, const Tuple& tuple, double ttl) {
   if (node_id >= contexts_.size()) {
     return InvalidArgumentError("InsertFact: unknown node");
   }
-  // Journal external base facts (digest-deduped): RestartNode replays this
-  // per-node log, the crash model's stand-in for an operator's fact file
-  // surviving on stable storage. DeleteFact un-journals.
+  // Journal external base facts (digest-deduped): crash recovery
+  // (ReplayJournal) replays this per-node log, the crash model's stand-in
+  // for an operator's fact file surviving on stable storage. DeleteFact
+  // un-journals.
   if (node_id < journal_digests_.size() &&
       journal_digests_[node_id].insert(tuple.Hash()).second) {
     base_fact_journal_[node_id].emplace_back(tuple, ttl);
@@ -490,15 +487,9 @@ Status Engine::DeliverLocal(NodeId node_id, StoredTuple entry,
     case InsertOutcome::kRefreshed: {
       // Alternative derivation of an existing tuple: record it, and keep the
       // merged local annotation compact (re-condense when it outgrows the
-      // threshold). A content-duplicate refresh (dedup_refresh: loss
-      // recovery re-deriving what the node already holds) recorded nothing
-      // new, so the provenance stores skip it too — archives stay
-      // byte-identical to the fault-free run.
-      if (!result.duplicate) {
-        RecordProvenance(node_id, result.stored, rule_label, origin,
-                         from_node, asserted_by, std::move(children),
-                         expires_at);
-      }
+      // threshold).
+      RecordProvenance(node_id, result.stored, rule_label, origin, from_node,
+                       asserted_by, std::move(children), expires_at);
       // A refresh under a different principal is an additional assertion of
       // the same tuple; retraction authorization honors every asserter.
       const StoredTuple* merged_entry = table.Find(result.stored);
@@ -673,7 +664,7 @@ Status Engine::RestartNode(NodeId node) {
     return InvalidArgumentError("RestartNode: node is not down");
   }
   // Transport back first: the node's links restart on a fresh frame
-  // generation, so peers reset their dedup windows instead of discarding
+  // generation, so peers reset their receive records instead of discarding
   // the reborn node's traffic as stale.
   net_.SetCrashed(node, false);
   if (options_.record_offline && !options_.archive_dir.empty()) {
@@ -685,34 +676,9 @@ Status Engine::RestartNode(NodeId node) {
         options_.archive_page_bytes, options_.archive_cache_pages));
     RecordArchiveIo(node);
   }
-  // Recovery is a network-wide bounce of every base fact, in two phases.
-  // Phase 1 (here): delete each live node's base facts from the journal
-  // ("stable storage"). The retraction cascade scrubs derivations and
-  // their online provenance records everywhere — including derivation
-  // records at live nodes whose heads were shipped to the wiped store.
-  // Phase 2 (the run loop, once the over-deletion drains to quiescence):
-  // reinsert everything and re-derive the fixpoint from stable inputs, so
-  // peers re-send the reborn node the remote state it lost. Bouncing only
-  // facts that *mention* the node is not enough — content-duplicate
-  // refreshes at unaffected peers would be deduped and never propagate
-  // downstream — and interleaving delete with reinsert livelocks on
-  // cyclic topologies (see recovery_reinserts_).
-  const std::vector<std::pair<Tuple, double>> replay =
-      base_fact_journal_[node];  // copy: DeleteFact below mutates journals
-  for (const auto& [tuple, ttl] : replay) {
-    recovery_reinserts_.push_back(RecoveryReinsert{node, tuple, ttl});
-  }
-  for (NodeId m = 0; m < contexts_.size(); ++m) {
-    if (m == node || net_.IsCrashed(m)) continue;
-    const std::vector<std::pair<Tuple, double>> bounce =
-        base_fact_journal_[m];
-    for (const auto& [tuple, ttl] : bounce) {
-      Status s = DeleteFact(m, tuple);
-      // Tolerate a fact already gone (TTL expiry or churn beat us to it).
-      if (!s.ok() && s.code() != StatusCode::kNotFound) return s;
-      recovery_reinserts_.push_back(RecoveryReinsert{m, tuple, ttl});
-    }
-  }
+  // The node's in-memory state comes back by re-derivation, once the
+  // network drains (Run() then calls ReplayJournal).
+  replay_pending_ = true;
   if (faults_restarts_ == nullptr) {
     faults_restarts_ = obs_.GetCounter("faults.restarts");
   }
@@ -723,6 +689,24 @@ Status Engine::RestartNode(NodeId node) {
     ev.node = node;
     ev.kind = "restart";
     tracer_.Emit(std::move(ev));
+  }
+  return OkStatus();
+}
+
+Status Engine::ReplayJournal() {
+  replay_pending_ = false;
+  // Every live node forgets its tables and online records, then its
+  // journaled base facts go back in: the fixpoint, and each record, is
+  // re-derived from stable inputs alone, as in a fault-free run (the queued
+  // events run only after every node is replayed). Append-only archives
+  // keep their pre-crash copies; the query walk skips repeats.
+  for (NodeId m = 0; m < contexts_.size(); ++m) {
+    if (net_.IsCrashed(m)) continue;
+    contexts_[m]->ClearTables();
+    // InsertFact re-journals nothing: every digest is already in.
+    for (const auto& [tuple, ttl] : base_fact_journal_[m]) {
+      PROVNET_RETURN_IF_ERROR(InsertFact(m, tuple, ttl));
+    }
   }
   return OkStatus();
 }
@@ -1383,21 +1367,15 @@ Result<RunStats> Engine::Run() {
           cells_[Ctr::kDeliveries]->value += net_.deliveries() - delivered;
         }
       }
-    } else if (!recovery_reinserts_.empty()) {
-      // Phase 2 of crash recovery (RestartNode): the network-wide
-      // over-deletion has drained — no deltas, nothing in flight — so the
-      // base facts can come back from stable storage and the fixpoint
-      // re-derives from scratch without racing in-flight retracts.
-      std::vector<RecoveryReinsert> batch;
-      batch.swap(recovery_reinserts_);
-      for (const RecoveryReinsert& r : batch) {
-        PROVNET_RETURN_IF_ERROR(InsertFact(r.node, r.tuple, r.ttl));
-      }
     } else if (!dynamics_->rederive.empty()) {
       obs::Profiler::Scope scope(profiler_, obs::Phase::kRederive);
       // Quiescent (no deltas, nothing in flight): the over-deletion cascade
       // is complete, so DRed's re-derivation phase may restore survivors.
       PROVNET_RETURN_IF_ERROR(RunRederivePass());
+    } else if (replay_pending_) {
+      // Crash recovery (RestartNode), at full quiescence: nothing in flight
+      // can race the cleared tables.
+      PROVNET_RETURN_IF_ERROR(ReplayJournal());
     } else if (next_fault_event_ < fault_events_.size()) {
       // Quiescent with scripted events still pending (e.g. a restart after
       // the crashed network reached fixpoint): jump the clock to the next.

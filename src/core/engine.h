@@ -248,10 +248,10 @@ class Engine {
   // Run() drives scripted CrashSpec events through these automatically.
   Status CrashNode(NodeId node);
   // Restarts a crashed node: re-opens its archive_dir log (replaying every
-  // intact frame; a torn tail is truncated away), re-inserts the node's
-  // base facts from the engine's journal, and bounces each neighbor's link
-  // fact toward the node so the next Run() re-derives — and re-advertises —
-  // everything the node held, converging back to the fault-free fixpoint.
+  // intact frame; a torn tail is truncated away). Once the network drains,
+  // Run() clears every live node's tables and online records and re-inserts
+  // every journaled base fact, so the fixpoint — and each online record —
+  // is re-derived exactly as in the fault-free run.
   Status RestartNode(NodeId node);
 
   // Processes events and messages to the distributed fixpoint.
@@ -854,22 +854,15 @@ class Engine {
   std::vector<FaultEvent> fault_events_;
   size_t next_fault_event_ = 0;
   // Externally inserted base facts per node — (tuple, ttl), digest-deduped.
-  // This is the engine-side "stable storage" RestartNode replays: the
+  // This is the engine-side "stable storage" ReplayJournal replays: the
   // simulation's stand-in for an operator's fact file surviving the crash.
   std::vector<std::vector<std::pair<Tuple, double>>> base_fact_journal_;
   std::vector<std::unordered_set<uint64_t>> journal_digests_;
-  // Phase 2 of crash recovery. RestartNode deletes every live node's base
-  // facts (phase 1) and stages the reinserts here; the run loop applies
-  // them only once the global over-deletion has drained to quiescence.
-  // Interleaving delete and reinsert synchronously livelocks on cyclic
-  // topologies: in-flight cross-node retracts race the re-derivation
-  // refreshes around the cycle, each lap re-triggering the other.
-  struct RecoveryReinsert {
-    NodeId node = 0;
-    Tuple tuple;
-    double ttl = -1.0;
-  };
-  std::vector<RecoveryReinsert> recovery_reinserts_;
+  // Set by RestartNode; Run() calls ReplayJournal once the network drains.
+  bool replay_pending_ = false;
+  // Crash recovery's clear-and-replay: clears every live node's tables and
+  // online records, then re-inserts every journaled base fact.
+  Status ReplayJournal();
   obs::Counter* faults_crashes_ = nullptr;
   obs::Counter* faults_restarts_ = nullptr;
 

@@ -9,19 +9,17 @@ Table& NodeContext::TableFor(const std::string& pred) {
              .emplace(pred,
                       std::make_unique<Table>(pred, plan_->OptionsFor(pred)))
              .first;
-    it->second->set_dedup_refresh(dedup_refresh_);
   }
   return *it->second;
 }
 
-void NodeContext::SetDedupRefresh(bool on) {
-  dedup_refresh_ = on;
-  for (auto& [name, table] : tables_) table->set_dedup_refresh(on);
+void NodeContext::ClearTables() {
+  tables_.clear();
+  online_.Clear();
 }
 
 void NodeContext::ResetForCrash() {
-  tables_.clear();
-  online_.Clear();
+  ClearTables();
   offline_.Crash();
   replay_guards_.clear();
   co_asserters_.clear();

@@ -49,10 +49,11 @@ class NodeContext {
   size_t ExpireTablesBefore(double now,
                             std::vector<StoredTuple>* expired = nullptr);
 
-  // Content-idempotent refreshes for every table (current and future); see
-  // Table::set_dedup_refresh. The engine turns this on with the reliable
-  // transport so retransmitted advertisements stay byte-invisible.
-  void SetDedupRefresh(bool on);
+  // Drops the tables and the online provenance records, keeping the offline
+  // archive, anti-replay windows and co-asserter notes. Crash recovery
+  // (Engine::ReplayJournal) clears every live node this way, then
+  // re-derives the fixpoint from the journaled base facts.
+  void ClearTables();
 
   // Fail-stop crash: drops everything this node kept in memory — tables,
   // online provenance, anti-replay windows, co-asserter notes. The offline
@@ -80,7 +81,6 @@ class NodeContext {
   NodeId id_;
   Principal principal_;
   const Plan* plan_;
-  bool dedup_refresh_ = false;
   std::unordered_map<std::string, std::unique_ptr<Table>> tables_;
   OnlineProvStore online_;
   OfflineProvStore offline_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
 
 #include "obs/mem.h"
 #include "util/hash.h"
@@ -29,6 +28,14 @@ bool MaskHash(const Tuple& tuple, uint64_t mask, uint64_t* out) {
   }
   *out = h;
   return true;
+}
+
+// True when `alt` is one of the alternatives on `stored`'s Plus spine.
+bool HasAlternative(const ProvExpr& stored, const ProvExpr& alt) {
+  if (stored.Equals(alt)) return true;
+  return stored.kind() == ProvExprKind::kPlus &&
+         (HasAlternative(stored.left(), alt) ||
+          HasAlternative(stored.right(), alt));
 }
 }  // namespace
 
@@ -252,35 +259,18 @@ void Table::EvictOver(const StoredTuple* just_inserted) {
   }
 }
 
-bool Table::MergeRefresh(StoredTuple& row, StoredTuple& entry) {
-  if (dedup_refresh_) {
-    if (row.deriv != nullptr || entry.deriv != nullptr) {
-      DerivationPtr merged = MergeAlternatives(row.deriv, entry.deriv);
-      if (row.deriv != nullptr && merged != nullptr &&
-          merged->ContentDigest() == row.deriv->ContentDigest()) {
-        return true;  // every incoming alternative was already stored
-      }
-      row.prov = ProvExpr::Plus(row.prov, entry.prov);
-      row.deriv = std::move(merged);
-      return false;
+void Table::MergeRefresh(StoredTuple& row, StoredTuple& entry) {
+  if (row.deriv != nullptr || entry.deriv != nullptr) {
+    DerivationPtr merged = MergeAlternatives(row.deriv, entry.deriv);
+    if (row.deriv != nullptr && merged != nullptr &&
+        merged->ContentDigest() == row.deriv->ContentDigest()) {
+      return;  // every incoming alternative was already stored
     }
-    // No trees (condensed/none): duplicate iff the incoming annotation is
-    // already one of the stored Plus alternatives.
-    std::function<bool(const ProvExpr&)> contains =
-        [&](const ProvExpr& stored) {
-          if (stored.Equals(entry.prov)) return true;
-          if (stored.kind() == ProvExprKind::kPlus) {
-            return contains(stored.left()) || contains(stored.right());
-          }
-          return false;
-        };
-    if (contains(row.prov)) return true;
-    row.prov = ProvExpr::Plus(row.prov, entry.prov);
-    return false;
+    row.deriv = std::move(merged);
+  } else if (HasAlternative(row.prov, entry.prov)) {
+    return;  // no trees (condensed/none): the annotation is the content
   }
   row.prov = ProvExpr::Plus(row.prov, entry.prov);
-  row.deriv = MergeAlternatives(row.deriv, entry.deriv);
-  return false;
 }
 
 InsertResult Table::Insert(StoredTuple entry, double now) {
@@ -316,8 +306,8 @@ InsertResult Table::Insert(StoredTuple entry, double now) {
       Tuple stored(entry.tuple.predicate(), std::move(args));
       if (!fresh && it != rows_.end()) {
         // Duplicate witness: merge provenance only.
-        bool dup = MergeRefresh(it->second, entry);
-        return {InsertOutcome::kRefreshed, it->second.tuple, dup};
+        MergeRefresh(it->second, entry);
+        return {InsertOutcome::kRefreshed, it->second.tuple};
       }
       StoredTuple agg_entry = std::move(entry);
       agg_entry.tuple = stored;
@@ -348,10 +338,10 @@ InsertResult Table::Insert(StoredTuple entry, double now) {
       if (!improves) {
         if (cmp == 0 && entry.tuple == it->second.tuple) {
           // Same extremum re-derived: merge provenance, refresh TTL.
-          bool dup = MergeRefresh(it->second, entry);
+          MergeRefresh(it->second, entry);
           it->second.expires_at =
               std::max(it->second.expires_at, entry.expires_at);
-          return {InsertOutcome::kRefreshed, it->second.tuple, dup};
+          return {InsertOutcome::kRefreshed, it->second.tuple};
         }
         return {InsertOutcome::kRejected, it->second.tuple};
       }
@@ -372,10 +362,10 @@ InsertResult Table::Insert(StoredTuple entry, double now) {
   // --- Plain tables -------------------------------------------------------
   if (it != rows_.end()) {
     if (it->second.tuple == entry.tuple) {
-      bool dup = MergeRefresh(it->second, entry);
+      MergeRefresh(it->second, entry);
       it->second.expires_at = std::max(it->second.expires_at,
                                        entry.expires_at);
-      return {InsertOutcome::kRefreshed, it->second.tuple, dup};
+      return {InsertOutcome::kRefreshed, it->second.tuple};
     }
     // Same primary key, different value: replace (P2 update semantics).
     IndexErase(&it->second);

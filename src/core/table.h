@@ -82,11 +82,6 @@ struct InsertResult {
   // The tuple now stored for the affected key (for aggregates this differs
   // from the candidate: the aggregate column holds the aggregated value).
   Tuple stored;
-  // kRefreshed only, and only with dedup_refresh enabled: the refresh
-  // carried no derivation content that was not already stored (a
-  // retransmission or crash-recovery re-advertisement). The row's
-  // provenance was left untouched and callers may skip re-recording.
-  bool duplicate = false;
 };
 
 struct TableOptions {
@@ -221,24 +216,15 @@ class Table {
 
   std::string ToString() const;
 
-  // Content-idempotent refreshes: when on, a kRefreshed insert whose
-  // derivation content is already among the stored alternatives leaves the
-  // row's provenance untouched (and is flagged InsertResult::duplicate)
-  // instead of growing the Plus spine. ProvExpr::Plus is only idempotent on
-  // physical node identity, so without this a retransmitted advertisement
-  // accretes a content-equal alternative on every arrival; the reliable
-  // transport enables it so lossy runs converge to the byte-identical
-  // annotations of the fault-free run. Off by default: historical
-  // annotation bytes stay exactly as they were.
-  void set_dedup_refresh(bool on) { dedup_refresh_ = on; }
-
  private:
   using RowMap = std::unordered_multimap<uint64_t, StoredTuple>;
 
-  // Merges `entry`'s provenance into `row` (Plus + MergeAlternatives).
-  // True when dedup_refresh_ detected a pure content duplicate and left
-  // the row untouched.
-  bool MergeRefresh(StoredTuple& row, StoredTuple& entry);
+  // Merges `entry`'s provenance into `row` (Plus + MergeAlternatives),
+  // idempotently by content: a refresh whose derivation is already among
+  // the stored alternatives leaves the row untouched. ProvExpr::Plus is
+  // only idempotent on physical node identity, so without this every
+  // content-equal re-derivation would grow the Plus spine.
+  void MergeRefresh(StoredTuple& row, StoredTuple& entry);
 
   // Key of a tuple under this table's key columns.
   uint64_t KeyHash(const Tuple& tuple) const;
@@ -265,7 +251,6 @@ class Table {
 
   std::string name_;
   TableOptions options_;
-  bool dedup_refresh_ = false;
   // Primary store: key hash -> collision chain of entries. Node-based, so
   // entry pointers are stable until the entry itself is removed.
   RowMap rows_;

@@ -48,24 +48,13 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
 
 bool Network::LinkRx::Accept(uint64_t seq) {
-  if (!any) {
-    any = true;
-    high = seq;
-    mask = 0;
-    return true;
+  if (seq < floor) return false;
+  if (seq > floor) return above.insert(seq).second;
+  ++floor;
+  while (!above.empty() && *above.begin() == floor) {
+    above.erase(above.begin());
+    ++floor;
   }
-  if (seq == high) return false;
-  if (seq > high) {
-    uint64_t shift = seq - high;
-    mask = shift >= 64 ? 0 : ((mask << shift) | (1ull << (shift - 1)));
-    high = seq;
-    return true;
-  }
-  uint64_t behind = high - seq;
-  if (behind > 64) return false;  // beyond the window: assume duplicate
-  uint64_t bit = 1ull << (behind - 1);
-  if (mask & bit) return false;
-  mask |= bit;
   return true;
 }
 
@@ -402,7 +391,7 @@ void Network::HandleFrame(const NetMessage& msg) {
     return;
   }
   if (generation.value() > rx.generation) {
-    rx = LinkRx{};  // the sender restarted: fresh window
+    rx = LinkRx{};  // the sender restarted: fresh record
     rx.generation = generation.value();
   }
   if (!rx.Accept(frame_seq.value())) {
@@ -513,7 +502,7 @@ void Network::SetCrashed(NodeId node, bool crashed) {
     for (auto& [key, tx] : tx_links_) {
       if (static_cast<NodeId>(key >> 32) == node) ClearUnacked(key, tx);
     }
-    // The node's receive windows were in memory.
+    // The node's receive records were in memory.
     for (auto it = rx_links_.begin(); it != rx_links_.end();) {
       if (static_cast<NodeId>(it->first & 0xFFFFFFFFu) == node) {
         it = rx_links_.erase(it);
@@ -527,8 +516,8 @@ void Network::SetCrashed(NodeId node, bool crashed) {
       NodeId from = static_cast<NodeId>(key >> 32);
       NodeId to = static_cast<NodeId>(key & 0xFFFFFFFFu);
       if (from == node) {
-        // Fresh outbound sessions: peers reset their dedup windows on the
-        // higher generation.
+        // Fresh outbound sessions: peers reset their receive records on
+        // the higher generation.
         ++tx.generation;
         tx.next_seq = 1;
         tx.dead = false;

@@ -12,9 +12,10 @@
 //
 // Reliable transport (opt-in, EnableTransport): engine payloads are wrapped
 // in checksummed data frames carrying a per-link (generation, seq) pair;
-// receivers ack every frame and dedup duplicates in a sliding window, and
-// senders retransmit unacked frames with exponential backoff in virtual
-// time until a bounded retry budget declares the link dead. Every unacked
+// receivers ack every frame and dedup duplicates against an exact record
+// of the sequences each link delivered, and senders retransmit unacked
+// frames with exponential backoff in virtual time until a bounded retry
+// budget declares the link dead. Every unacked
 // frame owns exactly one entry in an ordered timer index keyed by
 // (next_retry, link, frame seq), kept in step on send, ack, retransmit,
 // link death, crash and restart: the next timer is the index's first
@@ -106,10 +107,10 @@ class Network {
 
   // Fail-stop crash state. While crashed, every delivery to (and queued
   // message from) the node is discarded. Crashing purges the node's
-  // outbound retransmit state and its receive windows (in-memory loss);
+  // outbound retransmit state and its receive records (in-memory loss);
   // un-crashing (restart) bumps the node's outbound link generations so
-  // peers reset their dedup windows, and revives links peers had declared
-  // dead while the node was down.
+  // peers reset their receive records, and revives links peers had
+  // declared dead while the node was down.
   void SetCrashed(NodeId node, bool crashed);
   bool IsCrashed(NodeId node) const { return crashed_[node] != 0; }
 
@@ -233,14 +234,18 @@ class Network {
     friend auto operator<=>(const Timer&, const Timer&) = default;
   };
 
-  // Receiver-side dedup window of one directed link (ReplayGuard-shaped:
-  // high-water mark plus a 64-deep bitmap; frames older than the window
-  // are treated as duplicates).
+  // Receiver-side record of one directed link: every sequence below
+  // `floor` was delivered, and `above` holds exactly the delivered
+  // sequences past it. In-order frames only advance the floor, so the set
+  // holds just the frames that overtook a lost one, and a frame is
+  // rejected only if it really was delivered before. (A receiver reborn
+  // from a crash starts at floor 1; frames acked before the crash are never
+  // resent, so on such a link the set keeps every later frame.)
   struct LinkRx {
     uint64_t generation = 0;
-    bool any = false;
-    uint64_t high = 0;
-    uint64_t mask = 0;
+    uint64_t floor = 1;  // LinkTx numbers frames from 1
+    std::set<uint64_t> above;
+    // True, recording `seq`, when the frame was not delivered before.
     bool Accept(uint64_t seq);
   };
 

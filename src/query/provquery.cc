@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <compare>
 #include <functional>
 #include <map>
+#include <tuple>
 
 #include "provenance/semiring.h"
 #include "query/session.h"
@@ -339,6 +341,29 @@ bool IsRecvHop(const ProvRecord& rec, TupleDigest digest) {
          !rec.children[0].is_base && rec.children[0].digest == digest;
 }
 
+// The order the walk visits a tuple's records in: by content, never by
+// arrival. Own derivations come before received copies (as in an initial
+// fixpoint, and so in a local full tree), then rule, location, asserter and
+// each child's (node, digest). A child ref's asserter is left out: it names
+// whichever copy of the child arrived first, and proof nodes omit it. A
+// derivation logged twice (an archive across crash recovery) thus sits
+// next to its twin.
+std::strong_ordering CompareContent(const ProvRecord& a, const ProvRecord& b) {
+  auto head = [](const ProvRecord& r) {
+    return std::tuple<bool, const std::string&, NodeId, const Principal&>(
+        r.rule == "recv", r.rule, r.location, r.asserted_by);
+  };
+  if (auto c = head(a) <=> head(b); c != 0) return c;
+  auto child = [](const ProvChildRef& c) {
+    return std::tie(c.node, c.digest, c.is_base);
+  };
+  return std::lexicographical_compare_three_way(
+      a.children.begin(), a.children.end(), b.children.begin(),
+      b.children.end(), [&](const ProvChildRef& x, const ProvChildRef& y) {
+        return child(x) <=> child(y);
+      });
+}
+
 class DagAssembler {
  public:
   explicit DagAssembler(
@@ -411,8 +436,27 @@ class DagAssembler {
     }
     visiting_.insert(key);
 
+    std::vector<const ProvRecord*> records;
+    records.reserve(it->second.size());
+    for (const ProvRecord& rec : it->second) records.push_back(&rec);
+    if (records.size() > 1) {
+      // Content order; a record equal to its predecessor is the same
+      // derivation logged twice (MergeAlternatives drops such duplicates
+      // from local trees too).
+      auto less = [](const ProvRecord* a, const ProvRecord* b) {
+        return CompareContent(*a, *b) < 0;
+      };
+      auto same = [](const ProvRecord* a, const ProvRecord* b) {
+        return CompareContent(*a, *b) == 0;
+      };
+      std::stable_sort(records.begin(), records.end(), less);
+      records.erase(std::unique(records.begin(), records.end(), same),
+                    records.end());
+    }
+
     std::vector<uint32_t> alternatives;
-    for (const ProvRecord& rec : it->second) {
+    for (const ProvRecord* record : records) {
+      const ProvRecord& rec = *record;
       if (IsRecvHop(rec, digest)) {
         alternatives.push_back(
             Build(rec.children[0].node, digest, &rec.tuple));

@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/bestpath.h"
 #include "apps/programs.h"
 #include "core/engine.h"
 #include "net/faults.h"
@@ -308,6 +309,28 @@ TEST(FaultTransportTest, TimerWorkIsLinearInFrames) {
   }
 }
 
+TEST(FaultTransportTest, LossyBestPathMatchesTheShortestPathOracle) {
+  // A frame lost once and overtaken by more than 64 newer frames on its link
+  // must still be delivered when its retransmit lands. With a 64-deep
+  // receive window it was acked and dropped, losing the advertisement for
+  // good; the first topology here then ended above the oracle cost at both
+  // loss rates.
+  for (double loss : {0.01, 0.05}) {
+    for (uint64_t s = 0; s < 2; ++s) {
+      SCOPED_TRACE("loss=" + std::to_string(loss) + " seed=" +
+                   std::to_string(s));
+      Rng rng(1000 + s);
+      Topology topo = Topology::RingPlusRandom(35, 3, rng);
+      EngineOptions opts;
+      opts.fault_plan = FaultPlan::UniformLoss(loss, 500 + s);
+      Result<BestPathRun> run = RunBestPath(topo, Variant::kNdlog, opts);
+      ASSERT_TRUE(run.ok()) << run.status();
+      EXPECT_TRUE(VerifyBestPaths(*run.value().engine, topo).ok());
+      EXPECT_GT(run.value().engine->network().retransmits(), 0u);
+    }
+  }
+}
+
 // --- Crash-restart recovery -------------------------------------------------
 
 TEST(CrashRestartTest, ScriptedCrashRestartRederivesTheFaultFreeFixpoint) {
@@ -419,6 +442,60 @@ TEST(CrashRestartTest, MidRunArchiveCrashKeepsDistributedProofsByteIdentical) {
         << "proof diverged for " << t.ToString();
     EXPECT_EQ(got.value().stats.unreachable, 0u);
   }
+}
+
+TEST(CrashRestartTest, ArchiveAnsweredProofsAfterRecoveryMatchTheFaultFreeRun) {
+  // Recovery logs every re-derived record into the live nodes' append-only
+  // archives a second time. With online provenance aged out, every hop of a
+  // distributed walk is answered from those archives, and each twin must
+  // count once: the proofs equal the fault-free run's.
+  Topology topo = Topology::Line(4);
+  EngineOptions base = AuthOptions();
+  base.prov_mode = ProvMode::kPointers;
+  base.record_online = true;
+  base.record_offline = true;
+
+  TempDir golden_dir("archive_golden");
+  EngineOptions golden_opts = base;
+  golden_opts.archive_dir = golden_dir.str();
+  std::unique_ptr<Engine> golden = RunReach(topo, golden_opts);
+
+  TempDir crash_dir("archive_crash");
+  EngineOptions crash_opts = base;
+  crash_opts.archive_dir = crash_dir.str();
+  crash_opts.fault_plan.crashes.push_back(CrashSpec{0.05, 0.5, 1});
+  std::unique_ptr<Engine> crashed = RunReach(topo, crash_opts);
+  EXPECT_GT(crashed->node(0).offline_store().size(),
+            golden->node(0).offline_store().size());
+
+  for (Engine* engine : {golden.get(), crashed.get()}) {
+    for (NodeId n = 0; n < engine->num_nodes(); ++n) {
+      engine->node(n).online_store().Clear();
+    }
+  }
+  size_t proofs = 0;
+  for (NodeId n = 0; n < topo.num_nodes; ++n) {
+    for (const Tuple& t : golden->TuplesAt(n, "reachable")) {
+      Result<QueryResult> got = ProvQueryBuilder(*crashed)
+                                    .At(n)
+                                    .Of(t)
+                                    .WithScope(QueryScope::kDistributed)
+                                    .Run();
+      Result<QueryResult> want = ProvQueryBuilder(*golden)
+                                     .At(n)
+                                     .Of(t)
+                                     .WithScope(QueryScope::kDistributed)
+                                     .Run();
+      ASSERT_TRUE(got.ok()) << t.ToString() << ": " << got.status();
+      ASSERT_TRUE(want.ok()) << t.ToString() << ": " << want.status();
+      EXPECT_GT(got.value().stats.offline_hits, 0u);
+      EXPECT_EQ(got.value().dag.CanonicalBytes(),
+                want.value().dag.CanonicalBytes())
+          << "archive-answered proof diverged for " << t.ToString();
+      ++proofs;
+    }
+  }
+  EXPECT_EQ(proofs, 6u);
 }
 
 // --- Graceful ProvQuery degradation -----------------------------------------

@@ -184,6 +184,40 @@ TEST(NetworkTest, RestartRearmsAPendingFrameOnce) {
   EXPECT_TRUE(net.Idle());
 }
 
+// A frame lost once, whose retransmit arrives after 70 newer frames on its
+// link, is still delivered — and every frame exactly once, though each copy
+// on the wire is duplicated. A 64-deep receive window would have acked the
+// late retransmit and then dropped it as a duplicate.
+TEST(NetworkTest, LateRetransmitBehindManyNewerFramesIsDeliveredOnce) {
+  Network net(2, 0.01);
+  net.EnableTransport();
+  FaultPlan plan;
+  plan.seed = 1;
+  plan.partitions.push_back(PartitionSpec{/*start=*/0.0, /*end=*/0.001,
+                                          /*a=*/0, /*b=*/1});
+  LinkFaultSpec dup;
+  dup.from = 0;
+  dup.to = 1;
+  dup.duplication = 1.0;
+  plan.links.push_back(dup);
+  net.InstallFaultPlan(plan);
+  std::vector<int> delivered(71, 0);
+  net.SetHandler([&](NodeId, NodeId, const Bytes& payload) {
+    ++delivered[payload[0]];
+  });
+
+  ASSERT_TRUE(net.Send(0, 1, {0}).ok());  // lost to the partition
+  net.AdvanceTime(0.002);
+  for (uint8_t i = 1; i <= 70; ++i) ASSERT_TRUE(net.Send(0, 1, {i}).ok());
+  net.Run();
+
+  EXPECT_EQ(net.retransmits(), 1u);
+  EXPECT_EQ(delivered, std::vector<int>(71, 1));
+  EXPECT_EQ(net.deliveries(), 71u);
+  EXPECT_EQ(net.duplicates_deduped(), 71u);  // one per duplicated copy
+  EXPECT_TRUE(net.Idle());
+}
+
 // --- Topology -------------------------------------------------------------------
 
 TEST(TopologyTest, FigureAbcShape) {
