@@ -6,7 +6,10 @@
 // networks grow).
 //
 // Writes a JSON report (default ./BENCH_fixpoint.json, i.e. the repo root
-// when run from there) so CI can archive per-PR numbers.
+// when run from there) so CI can archive per-PR numbers. Every point and
+// fault-axis row records the mean wall time of its runs and their spread
+// (`wall_seconds_min`/`_max`); each run draws its own topology, so the
+// spread is topology variance plus timing noise.
 //
 // Thread-count axis (the parallel sharded executor, ISSUE 7): none and
 // condensed points repeat at threads in {1, 2, 4, hw} (deduped after
@@ -82,6 +85,8 @@ struct Point {
   uint64_t archive_disk_bytes = 0; // page-log bytes summed over nodes
   size_t runs = 1;                 // runs averaged into this point
   double wall_seconds = 0.0;       // mean over runs
+  double wall_min_s = 0.0;         // run-to-run spread of wall_seconds
+  double wall_max_s = 0.0;
   double speedup_vs_1t = 1.0;      // wall(1 thread) / wall, same (n, mode)
   double derivations = 0.0;        // mean over runs
   double derivations_per_sec = 0.0;
@@ -104,6 +109,8 @@ struct FaultPoint {
   double loss = 0.0;
   size_t runs = 1;
   double wall_seconds = 0.0;      // mean over runs
+  double wall_min_s = 0.0;        // run-to-run spread of wall_seconds
+  double wall_max_s = 0.0;
   double vt_converge_s = 0.0;     // virtual-time quiescence instant (mean)
   double derivations = 0.0;
   double messages = 0.0;          // data frames delivered
@@ -132,6 +139,7 @@ Result<Point> RunPoint(size_t n, ProvMode mode, size_t threads, bool archive,
   point.mode = mode;
   point.threads = threads;
   point.archive = archive;
+  point.runs = runs;
   const std::string archive_dir =
       archive ? "/tmp/provnet_bench_fixpoint_archive" : "";
   obs::MemAccounting& mem = obs::MemAccounting::Global();
@@ -162,6 +170,8 @@ Result<Point> RunPoint(size_t n, ProvMode mode, size_t threads, bool archive,
     auto t1 = std::chrono::steady_clock::now();
     double secs = std::chrono::duration<double>(t1 - t0).count();
     point.wall_seconds += secs;
+    point.wall_min_s = run == 0 ? secs : std::min(point.wall_min_s, secs);
+    point.wall_max_s = std::max(point.wall_max_s, secs);
     point.derivations += static_cast<double>(stats.derivations);
     point.join_candidates += static_cast<double>(stats.join_candidates);
     point.events += static_cast<double>(stats.events);
@@ -223,7 +233,10 @@ Result<FaultPoint> RunFaultPoint(size_t n, double loss, size_t runs,
     auto t0 = std::chrono::steady_clock::now();
     PROVNET_ASSIGN_OR_RETURN(RunStats stats, engine->Run());
     auto t1 = std::chrono::steady_clock::now();
-    point.wall_seconds += std::chrono::duration<double>(t1 - t0).count();
+    double secs = std::chrono::duration<double>(t1 - t0).count();
+    point.wall_seconds += secs;
+    point.wall_min_s = run == 0 ? secs : std::min(point.wall_min_s, secs);
+    point.wall_max_s = std::max(point.wall_max_s, secs);
     point.vt_converge_s += engine->network().now();
     point.derivations += static_cast<double>(stats.derivations);
     point.messages += static_cast<double>(stats.messages);
@@ -279,6 +292,8 @@ void WriteJson(const Config& cfg, const std::vector<Point>& points,
         .Field("archive_disk_bytes", p.archive_disk_bytes)
         .Field("runs", uint64_t{p.runs})
         .Field("wall_seconds", p.wall_seconds, "%.6f")
+        .Field("wall_seconds_min", p.wall_min_s, "%.6f")
+        .Field("wall_seconds_max", p.wall_max_s, "%.6f")
         .Field("speedup_vs_1t", p.speedup_vs_1t, "%.3f")
         .Field("derivations", p.derivations, "%.0f")
         .Field("derivations_per_sec", p.derivations_per_sec, "%.0f")
@@ -304,6 +319,8 @@ void WriteJson(const Config& cfg, const std::vector<Point>& points,
         .Field("loss", p.loss, "%.3f")
         .Field("runs", uint64_t{p.runs})
         .Field("wall_seconds", p.wall_seconds, "%.6f")
+        .Field("wall_seconds_min", p.wall_min_s, "%.6f")
+        .Field("wall_seconds_max", p.wall_max_s, "%.6f")
         .Field("vt_converge_s", p.vt_converge_s, "%.4f")
         .Field("derivations", p.derivations, "%.0f")
         .Field("messages", p.messages, "%.0f")

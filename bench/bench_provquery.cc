@@ -1,23 +1,29 @@
-// ProvQuery benchmark: the "expensive query" side of the Section 4.1
-// trade-off, measured per query across network sizes and recording modes.
+// ProvQuery benchmark: the Section 4.1 and 5 provenance trade-offs,
+// measured per query across network sizes.
 //
-// A Best-Path deployment with distributed (pointer) provenance answers
-// on-demand provenance queries through the signed ProvQuery wire path.
-// Three recording configurations bound the design space:
+// A Best-Path deployment (SeNDlog, HMAC says) answers on-demand bestPath
+// provenance queries. Five modes answer three questions:
 //
-//   online    records kept in the online stores (live soft state) — the
-//             steady-state forensic configuration;
-//   offline   archive-only recording: every hop of the walk falls back to
-//             the OfflineProvStore (forensics over aged-out state);
+//   online    pointer provenance, records in the online stores (live soft
+//             state) — the steady-state forensic configuration;
+//   offline   archive-only answering: every hop of the walk falls back to
+//             the offline archive (forensics over aged-out state);
 //   reactive  recording enabled only after an anomaly (Section 5): the
-//             pre-anomaly portion of the proof is unreconstructible, so
-//             queries come back fast, cheap, and partial — the price of
-//             not paying for provenance up front.
+//             pre-anomaly portion of the proof is unreconstructible —
+//             proactive against reactive recording;
+//   full      local provenance (ProvMode::kFull): every shipped tuple
+//             carries its derivation tree, and queries (QueryScope::kAuto)
+//             read the stored tree without a message — local against
+//             distributed provenance;
+//   sampled   pointer provenance recording 1 in `sample_k` derivations —
+//             sampling against completeness.
 //
-// Reported per (n, mode): queries issued, mean/max query latency, mean
-// messages and bytes per query, mean records folded, and the fraction of
-// queries that reconstructed a complete proof (no missing leaves). Writes
-// BENCH_provquery.json (CI uploads it per PR).
+// Reported per (n, mode): queries answered, mean/max query latency, mean
+// messages, bytes and records per query, the fraction of proofs with no
+// missing leaves, and the fixpoint's cost — its wire bytes, the provenance
+// bytes among them, and the online records it stored before any anomaly.
+// Writes BENCH_provquery.json (CI uploads it per PR) and exits 1 unless
+// each mode has its expected shape (see CheckShapes).
 //
 // Usage:
 //   bench_provquery [--quick] [--out PATH]
@@ -33,7 +39,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/programs.h"
@@ -46,6 +54,10 @@ using namespace provnet;
 
 namespace {
 
+const char* const kModes[] = {"online", "offline", "reactive", "full",
+                              "sampled"};
+constexpr uint32_t kSampleK = 4;  // the sampled mode's 1-in-k rate
+
 struct Config {
   std::vector<size_t> node_counts = {10, 20, 40};
   size_t queries = 25;
@@ -56,6 +68,7 @@ struct Config {
 struct Point {
   size_t n = 0;
   std::string mode;
+  uint32_t sample_k = 1;
   size_t queries = 0;
   double mean_latency_s = 0.0;
   double max_latency_s = 0.0;
@@ -64,6 +77,8 @@ struct Point {
   double mean_records = 0.0;
   double complete_fraction = 0.0;  // proofs with no missing leaves
   uint64_t run_bytes = 0;          // fixpoint traffic (the "cheap shipping")
+  uint64_t prov_bytes = 0;         // provenance shipped within run_bytes
+  uint64_t online_records = 0;     // stored by the fixpoint, pre-anomaly
 };
 
 Result<Point> RunMode(const Config& cfg, size_t n, const std::string& mode) {
@@ -72,8 +87,8 @@ Result<Point> RunMode(const Config& cfg, size_t n, const std::string& mode) {
 
   EngineOptions opts;
   opts.authenticate = true;
-  opts.says_level = SaysLevel::kHmac;  // isolate query costs from RSA
-  opts.prov_mode = ProvMode::kPointers;
+  opts.says_level = SaysLevel::kHmac;  // isolate provenance costs from RSA
+  opts.prov_mode = mode == "full" ? ProvMode::kFull : ProvMode::kPointers;
   if (mode == "offline") {
     // Archive-only answering: record to both stores during the run, then
     // clear the online stores before querying (pointer mode always records
@@ -81,6 +96,8 @@ Result<Point> RunMode(const Config& cfg, size_t n, const std::string& mode) {
     opts.record_offline = true;
   } else if (mode == "reactive") {
     opts.recording_enabled = false;
+  } else if (mode == "sampled") {
+    opts.sample_k = kSampleK;
   }
 
   PROVNET_ASSIGN_OR_RETURN(
@@ -88,6 +105,16 @@ Result<Point> RunMode(const Config& cfg, size_t n, const std::string& mode) {
       Engine::Create(topo, BestPathSendlogProgram(), opts));
   PROVNET_RETURN_IF_ERROR(engine->InsertLinkFacts());
   PROVNET_ASSIGN_OR_RETURN(RunStats run_stats, engine->Run());
+
+  Point point;
+  point.n = n;
+  point.mode = mode;
+  point.sample_k = opts.sample_k;
+  point.run_bytes = run_stats.bytes;
+  point.prov_bytes = run_stats.prov_bytes;
+  for (NodeId node = 0; node < engine->num_nodes(); ++node) {
+    point.online_records += engine->node(node).online_store().size();
+  }
 
   if (mode == "offline") {
     // Every online record is gone; each hop of every walk must fall back
@@ -111,23 +138,19 @@ Result<Point> RunMode(const Config& cfg, size_t n, const std::string& mode) {
     PROVNET_RETURN_IF_ERROR(engine->Run().status());
   }
 
-  Point point;
-  point.n = n;
-  point.mode = mode;
-  point.run_bytes = run_stats.bytes;
-
+  // Local provenance answers from the stored tree; every other mode walks
+  // the pointers.
+  const QueryScope scope =
+      mode == "full" ? QueryScope::kAuto : QueryScope::kDistributed;
   double latency_sum = 0.0;
   double msg_sum = 0.0, byte_sum = 0.0, record_sum = 0.0;
   size_t complete = 0;
   for (NodeId node = 0; node < engine->num_nodes(); ++node) {
     for (const Tuple& t : engine->TuplesAt(node, "bestPath")) {
       if (point.queries >= cfg.queries) break;
-      Result<QueryResult> query = ProvQueryBuilder(*engine)
-                                      .At(node)
-                                      .Of(t)
-                                      .WithScope(QueryScope::kDistributed)
-                                      .Run();
-      if (!query.ok()) continue;  // reactive mode: some proofs are gone
+      Result<QueryResult> query =
+          ProvQueryBuilder(*engine).At(node).Of(t).WithScope(scope).Run();
+      if (!query.ok()) continue;  // reactive/sampled: some proofs are gone
       const QueryResult& result = query.value();
       ++point.queries;
       latency_sum += result.stats.wall_seconds;
@@ -158,15 +181,18 @@ void WriteJson(const Config& cfg, const std::vector<Point>& points) {
   obs::JsonWriter w;
   w.BeginObject()
       .Field("bench", "provquery")
-      .Field("workload", "bestpath-sendlog-pointers")
+      .Field("workload", "bestpath-sendlog-hmac")
       .Field("outdegree", 3)
       .Field("seed", cfg.seed)
-      .Field("queries_per_point", uint64_t{cfg.queries});
+      .Field("queries_per_point", uint64_t{cfg.queries})
+      .Field("hw_threads",
+             uint64_t{std::max(1u, std::thread::hardware_concurrency())});
   w.Key("points").BeginArray();
   for (const Point& p : points) {
     w.BeginObject()
         .Field("n", uint64_t{p.n})
-        .Field("recording", p.mode)
+        .Field("mode", p.mode)
+        .Field("sample_k", uint64_t{p.sample_k})
         .Field("queries", uint64_t{p.queries})
         .Field("mean_latency_s", p.mean_latency_s, "%.6f")
         .Field("max_latency_s", p.max_latency_s, "%.6f")
@@ -175,6 +201,8 @@ void WriteJson(const Config& cfg, const std::vector<Point>& points) {
         .Field("mean_records", p.mean_records, "%.1f")
         .Field("complete_fraction", p.complete_fraction, "%.3f")
         .Field("run_bytes", p.run_bytes)
+        .Field("prov_bytes", p.prov_bytes)
+        .Field("online_records", p.online_records)
         .EndObject();
   }
   w.EndArray().EndObject();
@@ -189,6 +217,62 @@ void WriteJson(const Config& cfg, const std::vector<Point>& points) {
   std::fwrite(body.data(), 1, body.size(), f);
   std::fclose(f);
   std::printf("\nwrote %s\n", cfg.out_path.c_str());
+}
+
+// Each mode's expected shape; returns the number of violations (each one
+// printed). `by_mode` holds one n's points.
+int CheckShapes(size_t n, const std::map<std::string, Point>& by_mode) {
+  int failures = 0;
+  auto fail = [&](const char* what) {
+    std::fprintf(stderr, "FAIL (n=%zu): %s\n", n, what);
+    ++failures;
+  };
+  const Point& online = by_mode.at("online");
+  const Point& full = by_mode.at("full");
+  if (online.queries == 0 || online.complete_fraction < 1.0) {
+    fail("online recording returned incomplete proofs");
+  }
+  for (const char* mode : {"online", "offline", "reactive", "sampled"}) {
+    if (by_mode.at(mode).prov_bytes != 0) {
+      fail("a pointer mode shipped provenance bytes");
+    }
+  }
+  if (by_mode.at("reactive").online_records != 0) {
+    fail("reactive stored records before the anomaly");
+  }
+  if (2 * by_mode.at("sampled").online_records > online.online_records) {
+    fail("sampled kept more than half of online's records");
+  }
+  if (full.queries == 0 || full.mean_messages != 0.0 ||
+      full.complete_fraction < 1.0) {
+    fail("full did not answer every query locally and completely");
+  }
+  if (full.run_bytes <= online.run_bytes) {
+    fail("full cost no more fixpoint bytes than online");
+  }
+  return failures;
+}
+
+// The three trade-offs as measured at one n.
+void PrintShapes(size_t n, const std::map<std::string, Point>& by_mode) {
+  const Point& online = by_mode.at("online");
+  const Point& full = by_mode.at("full");
+  const Point& reactive = by_mode.at("reactive");
+  const Point& sampled = by_mode.at("sampled");
+  auto ratio = [](double a, double b) { return b > 0 ? a / b : 0.0; };
+  std::printf("n=%zu: full ships %llu provenance bytes (fixpoint %.2fx "
+              "online's) and answers with %.1f messages; online pays %.1f "
+              "messages per query\n",
+              n, static_cast<unsigned long long>(full.prov_bytes),
+              ratio(full.run_bytes, online.run_bytes), full.mean_messages,
+              online.mean_messages);
+  std::printf("      reactive stores %llu records before the anomaly, "
+              "completes %.0f%% of proofs; sampled (k=%u) keeps %.0f%% of "
+              "online's records, completes %.0f%%\n",
+              static_cast<unsigned long long>(reactive.online_records),
+              reactive.complete_fraction * 100.0, sampled.sample_k,
+              100.0 * ratio(sampled.online_records, online.online_records),
+              sampled.complete_fraction * 100.0);
 }
 
 }  // namespace
@@ -210,15 +294,16 @@ int main(int argc, char** argv) {
     cfg.seed = static_cast<uint64_t>(std::atoll(v));
   }
 
-  std::printf("bench_provquery: Best-Path (SeNDlog, pointer provenance), "
-              "%zu queries per point\n\n", cfg.queries);
-  std::printf("%4s %-9s %8s %12s %12s %10s %10s %9s\n", "n", "recording",
-              "queries", "mean_lat_ms", "max_lat_ms", "mean_msgs",
-              "mean_bytes", "complete");
+  std::printf("bench_provquery: Best-Path (SeNDlog, HMAC says), %zu queries "
+              "per point\n\n", cfg.queries);
+  std::printf("%4s %-9s %8s %12s %10s %10s %9s %10s %10s %9s\n", "n", "mode",
+              "queries", "mean_lat_ms", "mean_msgs", "mean_bytes", "complete",
+              "run_bytes", "prov_bytes", "records");
 
   std::vector<Point> points;
+  std::map<size_t, std::map<std::string, Point>> by_n;
   for (size_t n : cfg.node_counts) {
-    for (const char* mode : {"online", "offline", "reactive"}) {
+    for (const char* mode : kModes) {
       Result<Point> point = RunMode(cfg, n, mode);
       if (!point.ok()) {
         std::fprintf(stderr, "FAILED (%zu, %s): %s\n", n, mode,
@@ -226,29 +311,25 @@ int main(int argc, char** argv) {
         return 1;
       }
       const Point& p = point.value();
-      std::printf("%4zu %-9s %8zu %12.3f %12.3f %10.1f %10.1f %8.0f%%\n",
+      std::printf("%4zu %-9s %8zu %12.3f %10.1f %10.1f %8.0f%% %10llu "
+                  "%10llu %9llu\n",
                   p.n, p.mode.c_str(), p.queries, p.mean_latency_s * 1e3,
-                  p.max_latency_s * 1e3, p.mean_messages, p.mean_bytes,
-                  p.complete_fraction * 100.0);
+                  p.mean_messages, p.mean_bytes, p.complete_fraction * 100.0,
+                  static_cast<unsigned long long>(p.run_bytes),
+                  static_cast<unsigned long long>(p.prov_bytes),
+                  static_cast<unsigned long long>(p.online_records));
       points.push_back(p);
+      by_n[n].emplace(mode, p);
     }
     std::printf("\n");
   }
   WriteJson(cfg, points);
 
-  // Sanity: online recording must answer every probe completely; the
-  // reactive mode is *supposed* to be partial — if it reconstructs
-  // everything, recording was never actually off.
-  for (const Point& p : points) {
-    if (p.mode == "online" &&
-        (p.queries == 0 || p.complete_fraction < 1.0)) {
-      std::fprintf(stderr,
-                   "FAIL: online recording returned incomplete proofs\n");
-      return 1;
-    }
+  std::printf("\nmeasured shape:\n");
+  int failures = 0;
+  for (const auto& [n, by_mode] : by_n) {
+    PrintShapes(n, by_mode);
+    failures += CheckShapes(n, by_mode);
   }
-  std::printf("expected shape: query cost grows with n (deeper proofs, more "
-              "hops);\noffline matches online on traffic but pays archive "
-              "scans;\nreactive answers only post-anomaly state.\n");
-  return 0;
+  return failures == 0 ? 0 : 1;
 }

@@ -15,10 +15,10 @@
 // (per-tuple signing), SeNDLogProv sits above SeNDLog (condensed
 // provenance), and the relative overheads shrink as N grows.
 //
-// Writes BENCH_figures.json: each N's seconds and MB per variant, and at the
-// largest N each Section 6 overhead with the paper's value and whether its
-// shape holds (the variant costs more than its baseline, by at most twice
-// the paper's overhead).
+// Writes BENCH_figures.json: each N's seconds (mean, min and max over the
+// runs) and MB per variant, and at the largest N each Section 6 overhead
+// with the paper's value and whether its shape holds (the variant costs
+// more than its baseline, by at most twice the paper's overhead).
 //
 // Environment knobs:
 //   PROVNET_BENCH_RUNS   repetitions per point (default 3)
@@ -54,7 +54,9 @@ constexpr PaperOverhead kPaper[2][2] = {{{53, 44}, {41, 6}},
 
 struct SweepPoint {
   size_t n = 0;
-  double wall_seconds[3] = {0, 0, 0};  // indexed by Variant
+  double wall_seconds[3] = {0, 0, 0};  // indexed by Variant; mean over runs
+  double wall_min[3] = {0, 0, 0};      // run-to-run spread of wall_seconds
+  double wall_max[3] = {0, 0, 0};
   double megabytes[3] = {0, 0, 0};
 };
 
@@ -98,7 +100,10 @@ std::vector<SweepPoint> RunSweep(const SweepConfig& cfg) {
         Result<BestPathRun> result =
             RunBestPath(topo, static_cast<Variant>(v), base);
         PROVNET_CHECK(result.ok()) << result.status();
-        point.wall_seconds[v] += result.value().stats.wall_seconds;
+        const double secs = result.value().stats.wall_seconds;
+        point.wall_seconds[v] += secs;
+        point.wall_min[v] = run == 0 ? secs : std::min(point.wall_min[v], secs);
+        point.wall_max[v] = std::max(point.wall_max[v], secs);
         point.megabytes[v] +=
             static_cast<double>(result.value().stats.bytes) / (1024.0 * 1024.0);
       }
@@ -175,6 +180,12 @@ void WriteJson(const SweepConfig& cfg, const std::vector<SweepPoint>& points) {
       for (int v = 0; v < 3; ++v) {
         w.Field(kVariantNames[v], Metric(p, use_time, v), "%.4f");
       }
+      w.EndObject();
+    }
+    for (const auto& [key, spread] :
+         {std::pair{"seconds_min", p.wall_min}, {"seconds_max", p.wall_max}}) {
+      w.Key(key).BeginObject();
+      for (int v = 0; v < 3; ++v) w.Field(kVariantNames[v], spread[v], "%.4f");
       w.EndObject();
     }
     w.EndObject();

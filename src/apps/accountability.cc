@@ -8,7 +8,7 @@ namespace provnet {
 
 FlowAuditor::FlowAuditor(Engine& engine, double from, double to) {
   for (NodeId n = 0; n < engine.num_nodes(); ++n) {
-    const OfflineProvStore& offline = engine.node(n).offline_store();
+    const store::ProvArchive& offline = engine.node(n).offline_store();
     for (const ProvRecord& rec : offline.FindInWindow(from, to)) {
       if (rec.asserted_by.empty()) continue;
       UsageRecord& usage = ledger_[rec.asserted_by];

@@ -81,7 +81,7 @@ DigestTraceback::DigestTraceback(Engine& engine, double window_seconds,
   for (NodeId n = 0; n < engine.num_nodes(); ++n) {
     stores_.emplace_back(window_seconds, bits, hashes, /*max_windows=*/0);
     // Ingest everything the node archived, in creation order.
-    const OfflineProvStore& offline = engine.node(n).offline_store();
+    const store::ProvArchive& offline = engine.node(n).offline_store();
     for (const ProvRecord& rec : offline.FindInWindow(0.0, 1e18)) {
       stores_.back().Record(DigestOf(rec.tuple), rec.created_at);
     }

@@ -179,10 +179,7 @@ Status Engine::Init(Program program) {
   }
   if (options_.record_offline && !options_.archive_dir.empty()) {
     for (const auto& ctx : contexts_) {
-      PROVNET_RETURN_IF_ERROR(ctx->offline_store().Open(
-          options_.archive_dir + "/node" + std::to_string(ctx->id()) +
-              ".prov",
-          options_.archive_page_bytes, options_.archive_cache_pages));
+      PROVNET_RETURN_IF_ERROR(OpenArchive(ctx->id()));
     }
   }
 
@@ -592,6 +589,15 @@ void Engine::RecordArchiveIo(NodeId node) const {
   cells[Ctr::kArchiveCompactions]->value += io.compactions;
 }
 
+Status Engine::OpenArchive(NodeId node) {
+  store::ArchiveOptions archive;
+  archive.page.page_bytes = options_.archive_page_bytes;
+  archive.page.cache_pages = options_.archive_cache_pages;
+  return contexts_[node]->OpenArchive(
+      options_.archive_dir + "/node" + std::to_string(node) + ".prov",
+      archive);
+}
+
 Status Engine::FlushDurableStores() {
   if (arena_ != nullptr && cells_[Ctr::kStoreInternedNodes] != nullptr) {
     store::ProvArena::Stats s = arena_->TakeStats();
@@ -671,9 +677,7 @@ Status Engine::RestartNode(NodeId node) {
     // Replay the on-disk log: every intact frame survives; a torn tail
     // (records buffered past the last flush when the crash hit) is
     // truncated away.
-    PROVNET_RETURN_IF_ERROR(contexts_[node]->offline_store().Open(
-        options_.archive_dir + "/node" + std::to_string(node) + ".prov",
-        options_.archive_page_bytes, options_.archive_cache_pages));
+    PROVNET_RETURN_IF_ERROR(OpenArchive(node));
     RecordArchiveIo(node);
   }
   // The node's in-memory state comes back by re-derivation, once the

@@ -103,7 +103,7 @@ struct EngineOptions {
   ProvMode prov_mode = ProvMode::kNone;
   ProvGrain prov_grain = ProvGrain::kPrincipal;
   bool record_online = false;   // populate OnlineProvStore
-  bool record_offline = false;  // populate OfflineProvStore
+  bool record_offline = false;  // populate the offline archive
   bool recording_enabled = true;  // false = reactive mode (Section 5)
   uint32_t sample_k = 1;          // 1-in-k provenance sampling (Section 5)
 
@@ -127,8 +127,8 @@ struct EngineOptions {
   // Ack/retransmit framing even without a fault plan (loss-free reliable
   // delivery costs only the frame bytes). Off and with an empty plan, the
   // wire format, meters, and telemetry key set are byte-identical to the
-  // lossless FIFO. Its timing is fixed (Network::kRtoInitialS and
-  // friends).
+  // lossless FIFO. Its timing is fixed (Network::kRtoInitialS and its
+  // neighbours).
   bool reliable_transport = false;
 
   // --- execution ---
@@ -272,6 +272,9 @@ class Engine {
   // destination, unauthorized retraction, malformed content) lands here.
   const SecurityLog& security_log() const { return security_log_; }
   SecurityLog& security_log() { return security_log_; }
+  // Logs, counts and traces one security event (buffered on worker lanes).
+  void RecordSecurityEvent(SecurityEventKind kind, NodeId node, NodeId from,
+                           const Principal& claimed, std::string detail);
   // Issues the next authenticated-message sequence number for `principal`.
   // Public because key compromise includes counter compromise: an adversary
   // holding a principal's key continues its sequence (src/adversary/).
@@ -313,6 +316,32 @@ class Engine {
   // through it. Queries and tests reach it for memoized exact derivation
   // counts over stable arena ids.
   store::ProvArena* arena() const { return arena_.get(); }
+
+  // --- Query sessions (src/query/wire.cc) -----------------------------------
+  // ProvQuery and the audit exchanges (query/provquery.h) build a
+  // ProvQuerySession (query/session.h) and run it here: refuses while
+  // another session pumps the network, lets `issue` send the first requests
+  // (then adopts a set session.causal as the lane's context), pumps until
+  // every request resolved or nothing can progress, and meters messages
+  // and bytes into session.stats. A records walk counts one query, samples
+  // provquery.latency_s and emits its `provquery` span; a claims collection
+  // counts one query; both audit exchanges record each responder still
+  // awaited as kSilentResponder into session.silent.
+  Status RunQuerySession(ProvQuerySession& session,
+                         const std::function<Status()>& issue);
+  // Issues one signed request of the session's kind to `to` and registers
+  // it in the session's pending set. `args` is the kind's request body
+  // after (kind, query id); `digest` is what a records answer must name.
+  Status SendQueryRequest(ProvQuerySession& session, NodeId to,
+                          const Bytes& args, TupleDigest digest = 0);
+  // Resolves the session's asker-local references from the asker's own
+  // stores, without messages: the whole of a kLocal walk.
+  Status DrainQueryFrontier(ProvQuerySession& session);
+  // Attributable claims `node` stores of the given predicates — what a
+  // claims request answers and what the auditor reads locally.
+  std::vector<const StoredTuple*> ClaimTuplesAt(
+      NodeId node, const std::set<std::string>& predicates) const;
+
   // Cumulative engine counters (RunStats returns per-Run() windows; this is
   // the running total). Meter-style fields — wall/sim seconds, messages,
   // bytes — are computed per window and stay zero here; the tuple/auth/prov
@@ -518,38 +547,12 @@ class Engine {
                             ByteReader& body);
 
   // --- Provenance-query wire path (implemented in src/query/wire.cc) -------
-  // The ProvQuery/ClaimsExchange/CompareExchange drivers
-  // (src/query/provquery.cc) run as friends: each builds a session and runs
-  // it through RunQuerySession; the handlers below serve requests and fold
-  // verified responses into it.
-  friend class ProvQuery;
-  friend class ClaimsExchange;
-  friend class CompareExchange;
-  // Issues one signed request of the session's kind to `to` and registers
-  // it in the session's pending set. `args` is the kind's request body
-  // after (kind, query id); `digest` is what a records answer must name.
-  Status SendQueryRequest(ProvQuerySession& session, NodeId to,
-                          const Bytes& args, TupleDigest digest = 0);
-  // The one session runner of the three query exchanges: refuses while
-  // another session pumps the network, installs `session`, lets `issue`
-  // send the first requests, pumps until every request resolved (or
-  // nothing can progress), detaches, notes abandoned ids, and meters the
-  // exchange's messages and bytes into session.stats.
-  Status RunQuerySession(ProvQuerySession& session,
-                         const std::function<Status()>& issue);
-  // Audits every responder the session still awaits as kSilentResponder
-  // (`exchange` names the exchange in the detail) and returns them.
-  std::set<NodeId> AuditSilentResponders(const ProvQuerySession& session,
-                                         const char* exchange);
   // Records a detaching session's unanswered query ids so their late
   // responses are recognized as stale rather than audited as attacks.
   void NoteAbandonedQueries(const ProvQuerySession& session);
   // Folds one accepted request->response round trip into the hop-latency
   // histogram (virtual time) and the trace stream.
   void ObserveQueryHop(NodeId asker, NodeId responder, double sent_at);
-  // Resolves the session's asker-local references from the asker's own
-  // stores, without messages.
-  Status DrainQueryFrontier(ProvQuerySession& session);
   // Records of `digest` at `node`: online store preferred, offline archive
   // as fallback (forensics over expired state, Section 4.2).
   std::vector<ProvRecord> ProvRecordsAt(NodeId node, TupleDigest digest,
@@ -559,15 +562,13 @@ class Engine {
   // counters were registered (record_offline). Const because the read-side
   // query path is const; the counters live behind stable pointers.
   void RecordArchiveIo(NodeId node) const;
+  // Opens `node`'s offline archive at <archive_dir>/node<i>.prov with the
+  // engine's page options, replaying any existing log.
+  Status OpenArchive(NodeId node);
   // End-of-Run() barrier for the durable store: folds the arena's dedup
   // counters into the registry cells and flushes every node's archive tail
   // page to disk (crash durability at fixpoint), charging the I/O.
   Status FlushDurableStores();
-  // Attributable claims `node` stores of the given predicates — what a
-  // claims request answers and what the auditor reads locally; one
-  // definition so responders and the auditor can never diverge.
-  std::vector<const StoredTuple*> ClaimTuplesAt(
-      NodeId node, const std::set<std::string>& predicates) const;
   // Folds a batch of records for (at, digest) into the session: stores them
   // and expands unseen child references (local frontier or signed requests),
   // honoring the session's depth/fanout/record limits.
@@ -606,8 +607,6 @@ class Engine {
   // principal the tuple's (principal-grain) annotation depends on.
   bool AuthorizedRetractor(NodeId node, const Principal& claimed,
                            const StoredTuple& stored) const;
-  void RecordSecurityEvent(SecurityEventKind kind, NodeId node, NodeId from,
-                           const Principal& claimed, std::string detail);
 
   // --- Incremental deletion (implemented in src/dynamics/delta.cc) ---------
   // True when stored annotations enumerate every derivation (condensed/full

@@ -18,9 +18,23 @@ void NodeContext::ClearTables() {
   online_.Clear();
 }
 
+void NodeContext::OpenMemoryArchive() {
+  offline_ = std::make_unique<store::ProvArchive>();
+  (void)offline_->Open("", store::ArchiveOptions{});  // cannot fail in memory
+}
+
+Status NodeContext::OpenArchive(const std::string& path,
+                                const store::ArchiveOptions& options) {
+  auto fresh = std::make_unique<store::ProvArchive>();
+  PROVNET_RETURN_IF_ERROR(fresh->Open(path, options));
+  offline_ = std::move(fresh);
+  return OkStatus();
+}
+
 void NodeContext::ResetForCrash() {
   ClearTables();
-  offline_.Crash();
+  offline_->Abandon();
+  OpenMemoryArchive();
   replay_guards_.clear();
   co_asserters_.clear();
 }

@@ -13,13 +13,17 @@
 #include "core/plan.h"
 #include "core/table.h"
 #include "provenance/store.h"
+#include "store/archive.h"
 
 namespace provnet {
 
 class NodeContext {
  public:
+  // The offline archive starts memory-resident.
   NodeContext(NodeId id, Principal principal, const Plan* plan)
-      : id_(id), principal_(std::move(principal)), plan_(plan) {}
+      : id_(id), principal_(std::move(principal)), plan_(plan) {
+    OpenMemoryArchive();
+  }
 
   NodeId id() const { return id_; }
   const Principal& principal() const { return principal_; }
@@ -33,8 +37,14 @@ class NodeContext {
 
   OnlineProvStore& online_store() { return online_; }
   const OnlineProvStore& online_store() const { return online_; }
-  OfflineProvStore& offline_store() { return offline_; }
-  const OfflineProvStore& offline_store() const { return offline_; }
+  store::ProvArchive& offline_store() { return *offline_; }
+  const store::ProvArchive& offline_store() const { return *offline_; }
+  // Re-binds the offline archive to the log at `path`, replaying any
+  // existing log (a torn final frame is truncated away). Records held by
+  // the previous archive are not carried over: the engine opens archives
+  // at Init, before any fact flows, and at restart.
+  Status OpenArchive(const std::string& path,
+                     const store::ArchiveOptions& options);
 
   // Total stored tuples across tables (diagnostics).
   size_t TupleCount() const;
@@ -57,9 +67,9 @@ class NodeContext {
 
   // Fail-stop crash: drops everything this node kept in memory — tables,
   // online provenance, anti-replay windows, co-asserter notes. The offline
-  // archive facade is re-bound to a fresh memory-resident store; a restart
-  // re-opens the durable archive_dir log (whose unflushed tail is exactly
-  // what the crash tore off). Engine::CrashNode drives this.
+  // archive is abandoned unflushed for a fresh memory-resident one; a
+  // restart re-opens the durable archive_dir log (whose unflushed tail is
+  // exactly what the crash tore off). Engine::CrashNode drives this.
   void ResetForCrash();
 
   // --- Receive-side verification state (src/adversary/) --------------------
@@ -78,12 +88,14 @@ class NodeContext {
   bool IsCoAsserter(uint64_t digest, const Principal& principal) const;
 
  private:
+  void OpenMemoryArchive();
+
   NodeId id_;
   Principal principal_;
   const Plan* plan_;
   std::unordered_map<std::string, std::unique_ptr<Table>> tables_;
   OnlineProvStore online_;
-  OfflineProvStore offline_;
+  std::unique_ptr<store::ProvArchive> offline_;
   std::unordered_map<Principal, ReplayGuard> replay_guards_;
   std::unordered_map<uint64_t, std::vector<Principal>> co_asserters_;
 };

@@ -1,6 +1,6 @@
 // Provenance-aware incremental deletion (see delta.h for the algorithm).
 // Engine member functions live here, next to the state they drive, the same
-// way core/distquery.cc hosts the distributed-provenance query path.
+// way query/wire.cc hosts the distributed-provenance query path.
 
 #include "dynamics/delta.h"
 

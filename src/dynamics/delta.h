@@ -44,7 +44,7 @@
 // the two mechanisms consistent.
 //
 // The Engine member functions implementing all of this live in delta.cc
-// (the same layout as core/distquery.cc); this header only defines the
+// (the same layout as query/wire.cc); this header only defines the
 // per-epoch state the engine carries.
 #ifndef PROVNET_DYNAMICS_DELTA_H_
 #define PROVNET_DYNAMICS_DELTA_H_

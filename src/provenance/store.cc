@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "store/archive.h"
 #include "util/strings.h"
 
 namespace provnet {
@@ -144,69 +143,5 @@ std::vector<TupleDigest> OnlineProvStore::DependentsOf(
   std::sort(out.begin(), out.end());
   return out;
 }
-
-OfflineProvStore::OfflineProvStore()
-    : archive_(std::make_unique<store::ProvArchive>()) {
-  // Memory-resident archive; cannot fail with the defaults.
-  (void)archive_->Open("", store::ArchiveOptions{});
-}
-
-OfflineProvStore::~OfflineProvStore() = default;
-
-Status OfflineProvStore::Open(const std::string& path, size_t page_bytes,
-                              size_t cache_pages) {
-  auto fresh = std::make_unique<store::ProvArchive>();
-  store::ArchiveOptions options;
-  options.page.page_bytes = page_bytes;
-  options.page.cache_pages = cache_pages;
-  PROVNET_RETURN_IF_ERROR(fresh->Open(path, options));
-  archive_ = std::move(fresh);
-  return OkStatus();
-}
-
-void OfflineProvStore::Crash() {
-  archive_->Abandon();
-  archive_ = std::make_unique<store::ProvArchive>();
-  (void)archive_->Open("", store::ArchiveOptions{});
-}
-
-void OfflineProvStore::Add(const ProvRecord& record) {
-  archive_->Add(record);
-}
-
-size_t OfflineProvStore::EvictOlderThan(double cutoff) {
-  return archive_->EvictOlderThan(cutoff);
-}
-
-size_t OfflineProvStore::MarkPersistent(TupleDigest digest) {
-  return archive_->MarkPersistent(digest);
-}
-
-std::vector<ProvRecord> OfflineProvStore::FindByDigest(
-    TupleDigest digest) const {
-  return archive_->FindByDigest(digest);
-}
-
-std::vector<ProvRecord> OfflineProvStore::FindByPredicate(
-    const std::string& predicate) const {
-  return archive_->FindByPredicate(predicate);
-}
-
-std::vector<ProvRecord> OfflineProvStore::FindInWindow(double from,
-                                                       double to) const {
-  return archive_->FindInWindow(from, to);
-}
-
-size_t OfflineProvStore::size() const { return archive_->size(); }
-
-size_t OfflineProvStore::ApproxBytes() const { return archive_->ApproxBytes(); }
-
-Status OfflineProvStore::Flush() { return archive_->Flush(); }
-
-uint64_t OfflineProvStore::DiskBytes() const { return archive_->DiskBytes(); }
-
-bool OfflineProvStore::on_disk() const { return archive_->on_disk(); }
-
-store::ArchiveIo OfflineProvStore::TakeIo() const { return archive_->TakeIo(); }
 
 }  // namespace provnet

@@ -1,21 +1,23 @@
-// Provenance stores realizing the Section 4.1 / 4.2 taxonomy axes:
+// Provenance records and the online store, realizing the Section 4.1 / 4.2
+// taxonomy axes:
 //
-//  * OnlineProvStore  - provenance of *live* soft-state tuples, expiring with
+//  * OnlineProvStore - provenance of *live* soft-state tuples, expiring with
 //    them; supports the "react at runtime" use case (delete all routes that
 //    depend on a malicious node).
-//  * OfflineProvStore - an archive that outlives tuple expiry, with an aging
-//    policy plus per-record persist marks (Section 5's reactive retention:
-//    age everything out unless flagged during an anomaly).
+//  * The offline archive (store::ProvArchive, store/archive.h) outlives
+//    tuple expiry, with an aging policy plus per-record persist marks
+//    (Section 5's reactive retention: age everything out unless flagged
+//    during an anomaly).
 //  * Distributed provenance - records store *references* to their immediate
 //    children; a child is either local (same node) or remote (node id +
 //    content digest). Reconstruction walks these pointers with network
-//    queries (core/distquery.*), the paper's IP-traceback analogy.
+//    queries (the ProvQuery API, query/provquery.h), the paper's
+//    IP-traceback analogy.
 #ifndef PROVNET_PROVENANCE_STORE_H_
 #define PROVNET_PROVENANCE_STORE_H_
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -23,14 +25,9 @@
 
 #include "crypto/keystore.h"
 #include "datalog/tuple.h"
-#include "store/pagefile.h"
 #include "util/status.h"
 
 namespace provnet {
-
-namespace store {
-class ProvArchive;  // store/archive.h (depends back on ProvRecord)
-}  // namespace store
 
 // Stable identifier of a tuple instance for cross-node pointers: the hash of
 // its content. (Distinct tuples colliding is harmless for the simulation;
@@ -57,7 +54,7 @@ struct ProvRecord {
   Principal asserted_by;
   double created_at = 0.0;
   double expires_at = -1.0;  // -1 = never
-  bool persist = false;      // survives OfflineProvStore aging
+  bool persist = false;      // survives offline-archive aging
   std::vector<ProvChildRef> children;
 
   void Serialize(ByteWriter& out) const;
@@ -99,61 +96,6 @@ class OnlineProvStore {
  private:
   std::unordered_map<TupleDigest, std::vector<ProvRecord>> records_;
   size_t count_ = 0;
-};
-
-// Offline archive with aging. Since ISSUE 9 this is a thin facade over the
-// durable paged archive (store/archive.*): records live in varint-encoded
-// page frames — memory-resident by default, on disk when Open() is given a
-// path — and queries decode them on demand through the page cache. The
-// facade exists so provenance/ does not depend on store/archive.h (which
-// depends back on ProvRecord) and so pre-archive callers keep compiling:
-// the Find* family now returns decoded records by value.
-class OfflineProvStore {
- public:
-  OfflineProvStore();  // memory-resident archive
-  ~OfflineProvStore();
-
-  // Re-binds the store to an on-disk archive at `path`, replaying any
-  // existing log (crash recovery: a torn final record is truncated away).
-  // Records added before Open() are not carried over — the engine opens
-  // archives at Init, before any fact flows.
-  Status Open(const std::string& path, size_t page_bytes, size_t cache_pages);
-
-  void Add(const ProvRecord& record);
-
-  // Ages out records created before `cutoff` unless persist-marked.
-  // Returns the number evicted.
-  size_t EvictOlderThan(double cutoff);
-
-  // Marks all records of `digest` persistent (called when an anomaly makes
-  // them forensically interesting). Returns how many were marked.
-  size_t MarkPersistent(TupleDigest digest);
-
-  // Query interface for forensics: decoded records in append order.
-  std::vector<ProvRecord> FindByDigest(TupleDigest digest) const;
-  std::vector<ProvRecord> FindByPredicate(const std::string& predicate) const;
-  std::vector<ProvRecord> FindInWindow(double from, double to) const;
-
-  size_t size() const;
-  // Approximate storage footprint in bytes (for the storage-overhead bench):
-  // live record payload bytes in the archive.
-  size_t ApproxBytes() const;
-
-  // Fail-stop crash: abandons the backing file without flushing (tearing
-  // off records buffered since the last Flush) and re-binds to an empty
-  // memory-resident archive. Open() the same path again to recover.
-  void Crash();
-
-  // Durability surface (no-ops / zeros for the memory-resident default).
-  Status Flush();
-  uint64_t DiskBytes() const;
-  bool on_disk() const;
-
-  // Page read/write/compaction deltas since the last call.
-  store::ArchiveIo TakeIo() const;
-
- private:
-  std::unique_ptr<store::ProvArchive> archive_;
 };
 
 }  // namespace provnet

@@ -566,35 +566,13 @@ Result<QueryResult> ProvQuery::RunDistributed() {
   TupleDigest root = DigestOf(tuple_);
   session.depth.emplace(ProvQuerySession::Key{node_, root}, 0);
   session.local_frontier.push_back({node_, root});
-  uint64_t root_span = 0;
-  double sim0 = engine.net_.now();
   PROVNET_RETURN_IF_ERROR(engine.RunQuerySession(session, [&]() {
-    // Root causal span: every request hop of the walk — and the cascades
-    // its responses trigger on other nodes — descends from this id, so the
-    // whole distributed pointer-walk stitches into one trace
-    // (core/causal.h). The first requests leave from the local frontier.
-    root_span = engine.NewCausalSpan(node_);
+    // Mint the walk's root span; the first requests leave from the local
+    // frontier under it.
+    uint64_t root_span = engine.NewCausalSpan(node_);
     session.causal = CausalIds{root_span, root_span};
-    engine.exec().causal = session.causal;
     return OkStatus();
   }));
-  ++engine.cells_[Engine::Ctr::kProvQueries]->value;
-  // End-to-end walk latency in virtual time: deterministic across runs,
-  // unlike QueryStats::wall_seconds.
-  double sim_latency = engine.net_.now() - sim0;
-  engine.cells_.query_latency->Observe(sim_latency);
-  if (engine.tracer_.enabled()) {
-    obs::TraceEvent ev;
-    ev.sim_time = engine.net_.now();
-    ev.dur = sim_latency;
-    ev.node = node_;
-    ev.kind = "provquery";
-    ev.trace_id = root_span;
-    ev.span_id = root_span;
-    ev.attrs = {{"records", StrFormat("%zu", session.stats.records)},
-                {"requests", StrFormat("%zu", session.stats.requests)}};
-    engine.tracer_.Emit(std::move(ev));
-  }
 
   // A tuple nobody recorded is not reconstructible at all.
   if (session.collected[{node_, root}].empty()) {
@@ -669,7 +647,7 @@ Result<std::vector<ClaimsExchange::Claim>> ClaimsExchange::Collect(
   // The sweep completes over the answers that did arrive; campaign.h's
   // promise — a failed audit never reads as a clean one — holds because
   // silent() is never empty when the exchange was incomplete.
-  silent_ = engine.AuditSilentResponders(session, "claims exchange");
+  silent_ = std::move(session.silent);
 
   // The auditor's own claims are read locally, for free — through the same
   // definition of "claim" the responders answered with.
@@ -681,7 +659,6 @@ Result<std::vector<ClaimsExchange::Claim>> ClaimsExchange::Collect(
   session.stats.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  ++engine.cells_[Engine::Ctr::kProvQueries]->value;
   stats_ = session.stats;
   return std::move(session.claims);
 }
@@ -752,7 +729,7 @@ Result<std::vector<CompareExchange::Conflict>> CompareExchange::Compare(
   // A silent comparer is audited like a silent claims responder — and its
   // buckets fall back to local comparison (the auditor holds every digest),
   // so suppressing comparison work can hide nothing.
-  silent_ = engine.AuditSilentResponders(session, "compare exchange");
+  silent_ = std::move(session.silent);
   for (NodeId mute : silent_) {
     for (uint64_t bucket_id : by_comparer[mute]) compare_locally(bucket_id);
   }

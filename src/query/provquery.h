@@ -1,10 +1,9 @@
 // ProvQuery — the first-class, authenticated provenance-query API
 // (Section 5: reconstructing and evaluating derivations on demand).
 //
-// One typed entry point subsumes the historical query paths (the engine's
-// local-derivation accessor, the raw digest-walk that lived in
-// core/distquery.cc, the forensic traceback, and the campaign audit
-// sweeps): a ProvQueryBuilder selects
+// One typed entry point serves every provenance query (the forensic
+// traceback and the campaign audit sweeps included): a ProvQueryBuilder
+// selects
 //
 //   * scope  - kLocal (the stored full derivation tree, else a walk over
 //     this node's own records with no network traffic), kDistributed (the
@@ -317,9 +316,9 @@ class ClaimsExchange {
 // never answers is audited (kSilentResponder) with its buckets falling
 // back to local comparison: the auditor holds every digest anyway, so a
 // suppressed comparison degrades to the centralized path rather than
-// reading as clean. (A comparer that *lies* — answers "no conflict" for a
-// conflicting bucket — is the next decentralization step: spot-check
-// re-comparison; today one step of comparison work is delegated.)
+// reading as clean. A comparer that *lies* — answers "no conflict" for a
+// conflicting bucket — is caught by the auditor's deterministic spot-check
+// of 1 in 4 of its buckets (kLyingComparer).
 class CompareExchange {
  public:
   // One equivocation-key bucket: the claims' tuple digests in collected

@@ -30,7 +30,8 @@ struct ProvQuerySession {
   QueryLimits limits;
   QueryStats stats;
   // Root causal context of the walk (core/causal.h): the span every request
-  // hop of this session ultimately descends from.
+  // hop of this session ultimately descends from. A records walk mints it
+  // in its issue callback; RunQuerySession adopts it when set.
   CausalIds causal;
 
   // Approximate bytes of collected walk state, charged against
@@ -89,6 +90,10 @@ struct ProvQuerySession {
   // archive had nothing: the assembler plants kUnreachableRule (instead of
   // kMissingRule) leaves for these.
   std::set<Key> unreachable;
+
+  // Responders still awaited when a claims or compare exchange ended, each
+  // audited as kSilentResponder by RunQuerySession.
+  std::set<NodeId> silent;
 
   // --- Claims exchange (kQueryClaims) --------------------------------------
   std::vector<ClaimsExchange::Claim> claims;

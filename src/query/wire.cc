@@ -86,9 +86,14 @@ Status Engine::RunQuerySession(ProvQuerySession& session,
         "another provenance query is already pumping the network");
   }
   session.hop_timeout = QueryTimeoutSeconds();
+  const double started = net_.now();
   Network::Meters meters0 = net_.MeterSnapshot();
   query_session_ = &session;
   Status status = issue();
+  // A records walk's root span: every request hop of the walk — and the
+  // cascades its responses trigger on other nodes — descends from it, so
+  // the whole pointer-walk stitches into one trace (core/causal.h).
+  if (session.causal.span_id != 0) exec().causal = session.causal;
   // Pump the network until every outstanding request resolved (or can no
   // longer resolve: a rejected response leaves its subtree missing, a
   // timed-out one degrades to the responder's offline archive, an
@@ -117,25 +122,44 @@ Status Engine::RunQuerySession(ProvQuerySession& session,
   Network::Meters meters1 = net_.MeterSnapshot();
   session.stats.bytes = meters1.bytes - meters0.bytes;
   session.stats.messages = meters1.messages - meters0.messages;
-  return OkStatus();
-}
 
-std::set<NodeId> Engine::AuditSilentResponders(const ProvQuerySession& session,
-                                               const char* exchange) {
-  // A node that never answered (suppressed, rejected, or dropped its
-  // response) is not a transport error to abort on: in an adversarial
-  // deployment, silence *is* evidence. Each silent responder becomes a
-  // kSilentResponder SecurityEvent (counted in the metrics registry) and a
-  // suspect the caller can fold into its findings.
-  std::set<NodeId> silent;
+  if (session.kind == kQueryRecords) {
+    // One walk: its end-to-end latency in virtual time (deterministic
+    // across runs, unlike QueryStats::wall_seconds) and its root span.
+    ++cells_[Ctr::kProvQueries]->value;
+    const double latency = net_.now() - started;
+    cells_.query_latency->Observe(latency);
+    if (tracer_.enabled()) {
+      obs::TraceEvent ev;
+      ev.sim_time = net_.now();
+      ev.dur = latency;
+      ev.node = session.asker;
+      ev.kind = "provquery";
+      ev.trace_id = session.causal.trace_id;
+      ev.span_id = session.causal.span_id;
+      ev.attrs = {{"records", StrFormat("%zu", session.stats.records)},
+                  {"requests", StrFormat("%zu", session.stats.requests)}};
+      tracer_.Emit(std::move(ev));
+    }
+    return OkStatus();
+  }
+  // An audit counts once, at its claims collection; the compare exchange
+  // is its second phase. In both, a node that never answered (suppressed,
+  // rejected, or dropped its response) is not a transport error to abort
+  // on: in an adversarial deployment, silence *is* evidence. Each silent
+  // responder becomes a kSilentResponder SecurityEvent and a suspect the
+  // caller can fold into its findings.
+  if (session.kind == kQueryClaims) ++cells_[Ctr::kProvQueries]->value;
+  const char* exchange = session.kind == kQueryClaims ? "claims exchange"
+                                                      : "compare exchange";
   for (const auto& [query_id, pending] : session.pending) {
-    if (!silent.insert(pending.responder).second) continue;
+    if (!session.silent.insert(pending.responder).second) continue;
     RecordSecurityEvent(SecurityEventKind::kSilentResponder, session.asker,
                         pending.responder, PrincipalOf(pending.responder),
                         StrFormat("%s: no answer to query %llu", exchange,
                                   static_cast<unsigned long long>(query_id)));
   }
-  return silent;
+  return OkStatus();
 }
 
 Status Engine::DrainQueryFrontier(ProvQuerySession& session) {

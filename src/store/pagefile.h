@@ -6,8 +6,8 @@
 // the backing file as they fill (plus the partial tail on Flush), readers go
 // through an LRU cache of decoded pages keyed by page index. With an empty
 // path the "file" is a resident page vector — the same code path the tests
-// and the default in-process OfflineProvStore use — so disk is an option,
-// not a requirement.
+// and every node's default memory-resident archive use — so disk is an
+// option, not a requirement.
 //
 // Durability contract: everything up to the last Flush() survives a crash;
 // a torn tail (partial final record from a mid-write kill) is the archive

@@ -7,6 +7,7 @@
 #include "provenance/prov_expr.h"
 #include "provenance/semiring.h"
 #include "provenance/store.h"
+#include "store/archive.h"
 
 namespace provnet {
 namespace {
@@ -400,7 +401,8 @@ TEST(OnlineStoreTest, DependentsOfTracksTransitiveTaint) {
 }
 
 TEST(OfflineStoreTest, AgingRespectsPersistMarks) {
-  OfflineProvStore store;
+  store::ProvArchive store;
+  ASSERT_TRUE(store.Open("", {}).ok());
   Tuple t1("x", {Value::Int(1)});
   Tuple t2("x", {Value::Int(2)});
   store.Add(MakeRecord(t1, "r", 0, "a", 1.0));
@@ -412,7 +414,8 @@ TEST(OfflineStoreTest, AgingRespectsPersistMarks) {
 }
 
 TEST(OfflineStoreTest, QueriesByPredicateAndWindow) {
-  OfflineProvStore store;
+  store::ProvArchive store;
+  ASSERT_TRUE(store.Open("", {}).ok());
   store.Add(MakeRecord(Tuple("a", {Value::Int(1)}), "r", 0, "p", 1.0));
   store.Add(MakeRecord(Tuple("b", {Value::Int(2)}), "r", 0, "p", 5.0));
   store.Add(MakeRecord(Tuple("a", {Value::Int(3)}), "r", 0, "p", 9.0));

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 
 #include "adversary/adversary.h"
 #include "adversary/campaign.h"
@@ -553,6 +554,100 @@ TEST(CompareExchangeTest, ComparisonWorkIsSpreadAndFindingsAreStable) {
     EXPECT_EQ(again[i].claim_a, findings[i].claim_a);
     EXPECT_EQ(again[i].claim_b, findings[i].claim_b);
   }
+}
+
+// --- Query metering ---------------------------------------------------------
+
+// RunQuerySession meters each session kind once: a distributed walk is one
+// query, one virtual-time latency sample and one `provquery` span; a kLocal
+// walk sends nothing and counts nothing; an audit counts one query at its
+// claims collection, and its compare exchange (phase two of the same audit)
+// adds only hop samples.
+TEST(QueryMeteringTest, EachSessionKindIsMeteredOnce) {
+  Rng rng(7);
+  Topology topo = Topology::RingPlusRandom(10, 3, rng);
+  auto engine =
+      Engine::Create(topo, BestPathSendlogProgram(), PointerAuthOptions())
+          .value();
+  ASSERT_TRUE(engine->InsertLinkFacts().ok());
+  ASSERT_TRUE(engine->Run().ok());
+  engine->tracer().Enable(1 << 16);
+  const obs::Histogram* latency =
+      engine->metrics().GetHistogram("provquery.latency_s");
+  const obs::Histogram* hops =
+      engine->metrics().GetHistogram("provquery.hop_latency_s");
+  auto queries = [&] { return engine->cumulative_stats().prov_queries; };
+  auto spans = [&] {
+    size_t count = 0;
+    for (const obs::TraceEvent* ev : engine->tracer().Events()) {
+      if (ev->kind == "provquery") ++count;
+    }
+    return count;
+  };
+
+  // A route of three or more hops: its proof spans several nodes.
+  Tuple route;
+  for (const Tuple& t : engine->TuplesAt(0, "bestPath")) {
+    if (t.arg(2).AsList().size() >= 3) {
+      route = t;
+      break;
+    }
+  }
+  ASSERT_FALSE(route.predicate().empty());
+
+  QueryResult walk = ProvQueryBuilder(*engine)
+                         .At(0)
+                         .Of(route)
+                         .WithScope(QueryScope::kDistributed)
+                         .Run()
+                         .value();
+  ASSERT_GT(walk.stats.responses, 0u);
+  EXPECT_EQ(queries(), 1u);
+  EXPECT_EQ(latency->count(), 1u);
+  EXPECT_EQ(spans(), 1u);
+  EXPECT_EQ(hops->count(), walk.stats.responses);
+
+  QueryResult local = ProvQueryBuilder(*engine)
+                          .At(0)
+                          .Of(route)
+                          .WithScope(QueryScope::kLocal)
+                          .Run()
+                          .value();
+  EXPECT_EQ(local.stats.messages, 0u);
+  EXPECT_EQ(queries(), 1u);
+  EXPECT_EQ(latency->count(), 1u);
+  EXPECT_EQ(spans(), 1u);
+  EXPECT_EQ(hops->count(), walk.stats.responses);
+
+  ClaimsExchange claims(*engine, /*auditor=*/0);
+  std::vector<ClaimsExchange::Claim> collected =
+      claims.Collect({"link"}, /*skip_nodes=*/{}).value();
+  ASSERT_GT(claims.stats().responses, 0u);
+  EXPECT_EQ(queries(), 2u);
+  EXPECT_EQ(latency->count(), 1u);
+  EXPECT_EQ(spans(), 1u);
+
+  // One bucket per asserting principal: several digests each, so every
+  // bucket ships to its comparer.
+  std::map<Principal, size_t> bucket_of;
+  std::vector<CompareExchange::Bucket> buckets;
+  for (const ClaimsExchange::Claim& claim : collected) {
+    auto [it, fresh] = bucket_of.emplace(claim.asserted_by, buckets.size());
+    if (fresh) buckets.push_back(CompareExchange::Bucket{claim.asserted_by, {}});
+    buckets[it->second].digests.push_back(DigestOf(claim.tuple));
+  }
+  std::vector<NodeId> comparers;
+  for (NodeId n = 0; n < engine->num_nodes(); ++n) comparers.push_back(n);
+  CompareExchange compare(*engine, /*auditor=*/0);
+  ASSERT_TRUE(compare.Compare(buckets, comparers).ok());
+  ASSERT_GT(compare.stats().responses, 0u);
+  EXPECT_EQ(queries(), 2u);
+  EXPECT_EQ(latency->count(), 1u);
+  EXPECT_EQ(spans(), 1u);
+  EXPECT_EQ(hops->count(), walk.stats.responses + claims.stats().responses +
+                               compare.stats().responses);
+  EXPECT_TRUE(claims.silent().empty());
+  EXPECT_TRUE(compare.silent().empty());
 }
 
 }  // namespace
