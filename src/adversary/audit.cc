@@ -26,8 +26,6 @@ const char* SecurityEventKindName(SecurityEventKind kind) {
       return "foreign_provenance";
     case SecurityEventKind::kSilentResponder:
       return "silent_responder";
-    case SecurityEventKind::kLyingComparer:
-      return "lying_comparer";
   }
   return "?";
 }

@@ -38,15 +38,12 @@ enum class SecurityEventKind : uint8_t {
                             // sender's own variable (framing attempt)
   kSilentResponder = 9,     // claims-exchange responder that never answered
                             // the auditor (suppression is itself evidence)
-  kLyingComparer = 10,      // compare-exchange responder whose reported
-                            // conflicts disagree with the auditor's local
-                            // re-comparison of a spot-checked bucket
 };
 
 // Number of SecurityEventKind values; the engine pre-registers one
 // rejection counter per kind so every snapshot has the full schema even
 // when a run sees no attacks.
-inline constexpr size_t kNumSecurityEventKinds = 11;
+inline constexpr size_t kNumSecurityEventKinds = 10;
 
 const char* SecurityEventKindName(SecurityEventKind kind);
 

@@ -5,7 +5,6 @@
 #include <map>
 
 #include "apps/forensics.h"
-#include "provenance/store.h"
 #include "query/provquery.h"
 #include "util/strings.h"
 
@@ -217,7 +216,7 @@ Result<std::vector<EquivocationFinding>> EquivocationAudit(
     return FailedPreconditionError("equivocation audit: no honest auditor");
   }
 
-  // Phase one — the digest exchange: every honest node ships its claims of
+  // Phase one — the claims exchange: every honest node ships its claims of
   // the audited predicates to the auditor over the signed query wire path.
   ClaimsExchange exchange(engine, audit_node);
   PROVNET_ASSIGN_OR_RETURN(std::vector<ClaimsExchange::Claim> collected,
@@ -230,16 +229,13 @@ Result<std::vector<EquivocationFinding>> EquivocationAudit(
     keys_of.emplace(pred, engine.plan().OptionsFor(pred).key_columns);
   }
 
-  // Bucket claims by equivocation key (predicate | principal | key columns)
-  // in collected order, so each bucket's entry 0 is the key's first claim —
-  // the baseline the centralized sweep compared everything against. 64-bit
-  // FNV tuple digests stand in for the tuples themselves: equal tuples
-  // always match, and a colliding pair of *different* claims is the usual
-  // negligible-digest-collision caveat (the full claims stay at the auditor
-  // for confirmation).
-  std::map<std::string, size_t> bucket_of;
-  std::vector<CompareExchange::Bucket> buckets;
-  std::vector<std::vector<size_t>> members;  // bucket -> collected indices
+  // Phase two, at the auditor: walk the claims in collected order under
+  // their equivocation key (predicate | principal | key columns), compare
+  // each tuple with the key's first claim, and report a key once, at its
+  // first claim that disagrees. Findings thus come out by the collected
+  // position of the disagreeing claim.
+  std::map<std::string, std::pair<size_t, bool>> seen;  // first, reported
+  std::vector<EquivocationFinding> findings;
   for (size_t i = 0; i < collected.size(); ++i) {
     const ClaimsExchange::Claim& claim = collected[i];
     const std::string& pred = claim.tuple.predicate();
@@ -254,46 +250,18 @@ Result<std::vector<EquivocationFinding>> EquivocationAudit(
         }
       }
     }
-    auto [it, fresh] = bucket_of.emplace(key, buckets.size());
-    if (fresh) {
-      buckets.push_back(CompareExchange::Bucket{key, {}});
-      members.emplace_back();
-    }
-    buckets[it->second].digests.push_back(DigestOf(claim.tuple));
-    members[it->second].push_back(i);
-  }
-
-  // Phase two — the pairwise comparison, spread across the eligible
-  // comparers (every non-skipped node that answered phase one; a responder
-  // that suppressed its claims is a suspect, not a delegate).
-  std::vector<NodeId> comparers;
-  for (NodeId n = 0; n < engine.num_nodes(); ++n) {
-    if (skip_nodes.count(n) != 0) continue;
-    if (exchange.silent().count(n) != 0) continue;
-    comparers.push_back(n);
-  }
-  CompareExchange compare(engine, audit_node);
-  PROVNET_ASSIGN_OR_RETURN(std::vector<CompareExchange::Conflict> conflicts,
-                           compare.Compare(buckets, comparers));
-
-  // Map conflict indices back to full claims. Centralized order was "by the
-  // conflicting claim's position in the collected stream"; sorting by the
-  // global index of entry `b` restores exactly that.
-  std::sort(conflicts.begin(), conflicts.end(),
-            [&](const CompareExchange::Conflict& x,
-                const CompareExchange::Conflict& y) {
-              return members[x.bucket][x.b] < members[y.bucket][y.b];
-            });
-  std::vector<EquivocationFinding> findings;
-  for (const CompareExchange::Conflict& c : conflicts) {
-    const ClaimsExchange::Claim& first = collected[members[c.bucket][c.a]];
-    const ClaimsExchange::Claim& other = collected[members[c.bucket][c.b]];
+    auto [it, fresh] = seen.emplace(key, std::make_pair(i, false));
+    auto& [first_index, reported] = it->second;
+    if (fresh || reported) continue;
+    const ClaimsExchange::Claim& first = collected[first_index];
+    if (claim.tuple == first.tuple) continue;
+    reported = true;
     EquivocationFinding f;
-    f.principal = other.asserted_by;
+    f.principal = claim.asserted_by;
     f.node_a = first.node;
-    f.node_b = other.node;
+    f.node_b = claim.node;
     f.claim_a = first.tuple;
-    f.claim_b = other.tuple;
+    f.claim_b = claim.tuple;
     findings.push_back(std::move(f));
   }
   return findings;
@@ -365,11 +333,10 @@ void AttackCampaignDriver::MatchSecurityEvents(CampaignReport& report) {
           return false;
         case SecurityEventKind::kBogusResponse:
         case SecurityEventKind::kSilentResponder:
-        case SecurityEventKind::kLyingComparer:
-          // Query-path evidence is not matched to injection records:
-          // silent and lying responders become suspects in the audit sweep
-          // itself, and a bogus response is evidence about the query wire,
-          // not about the tuples injected at the node.
+          // Query-path evidence is not matched to injection records: a
+          // silent responder becomes a suspect in the audit sweep itself,
+          // and a bogus response is evidence about the query wire, not
+          // about the tuples injected at the node.
           return false;
       }
       return ev.node == inj.victim;

@@ -110,19 +110,18 @@ struct EquivocationFinding {
 
 // Cross-node equivocation audit over `predicates` (claims a principal makes
 // about keyed facts): one principal, same primary key, different tuples at
-// different honest nodes. Distributed twice over: the auditor collects
-// every honest node's claims through the authenticated query wire path (a
-// ClaimsExchange of src/query/), then spreads the pairwise digest
-// comparison itself across the responding nodes (a CompareExchange — each
-// equivocation key hashes to one comparer, which answers with the
-// conflicting entry indices), so both the audit's bandwidth *and* its
-// comparison work are real metered traffic charged to
-// RunStats::prov_query_bytes. The findings are identical to the old
-// auditor-centralized comparison. `auditor` defaults to the first
-// non-skipped node. A responder that never answers does not abort the
-// audit: it is recorded as a kSilentResponder SecurityEvent and, when
-// `silent` is non-null, reported there so the caller can treat suppression
-// as incriminating — a failed audit still never reads as a clean one.
+// different honest nodes. The auditor collects every honest node's claims
+// through the authenticated query wire path (a ClaimsExchange of
+// src/query/, real metered traffic charged to RunStats::prov_query_bytes)
+// and compares them itself: per equivocation key, each claim against the
+// key's first, one finding per key, in the collected order of the
+// disagreeing claim. No other node takes part in the comparison, so no
+// compromised node can hide a conflict the auditor collected. `auditor`
+// defaults to the first non-skipped node. A responder that never answers
+// does not abort the audit: it is recorded as a kSilentResponder
+// SecurityEvent and, when `silent` is non-null, reported there so the
+// caller can treat suppression as incriminating — a failed audit still
+// never reads as a clean one.
 Result<std::vector<EquivocationFinding>> EquivocationAudit(
     Engine& engine, const std::set<std::string>& predicates,
     const std::set<NodeId>& skip_nodes,

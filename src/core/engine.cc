@@ -1203,7 +1203,8 @@ Status Engine::HandleTupleMessage(NodeId to, NodeId from, const Envelope& env,
       // sub-proof seen at any earlier hop costs O(1), not O(tree).
       // Principal-grain leaves with no recorded asserter take the
       // *sender's* variable, so subtrees containing one are
-      // sender-dependent and must not be cached across messages.
+      // sender-dependent and never enter the cache. (Honest senders always
+      // name the asserter; the fallback serves trees that do not.)
       struct Ann {
         ProvExpr expr;
         bool sender_dep = false;
@@ -1219,19 +1220,6 @@ Status Engine::HandleTupleMessage(NodeId to, NodeId from, const Envelope& env,
           Ann out{*hit, false};
           memo.emplace(n.get(), out);
           return out;
-        }
-        // Sender-dependent sub-proofs cache per (derivation, sender): the
-        // first delivery from a sender interns its variable, so Find()
-        // succeeding means cached entries may exist.
-        if (id != 0 && options_.prov_grain == ProvGrain::kPrincipal) {
-          std::optional<ProvVar> sv = registry_.Find(sender_principal);
-          if (sv.has_value()) {
-            if (const ProvExpr* hit = arena_->CachedAnnotation(id, *sv)) {
-              Ann out{*hit, true};
-              memo.emplace(n.get(), out);
-              return out;
-            }
-          }
         }
         Ann out;
         if (n->children.empty()) {
@@ -1260,18 +1248,7 @@ Status Engine::HandleTupleMessage(NodeId to, NodeId from, const Envelope& env,
             out.expr = arena_->InternTimes(out.expr, ca.expr);
           }
         }
-        if (id != 0) {
-          if (!out.sender_dep) {
-            arena_->CacheAnnotation(id, out.expr);
-          } else {
-            // A sender-dependent subtree implies a leaf already interned
-            // the sender's variable, so Find() cannot fail here.
-            std::optional<ProvVar> sv = registry_.Find(sender_principal);
-            if (sv.has_value()) {
-              arena_->CacheAnnotation(id, *sv, out.expr);
-            }
-          }
-        }
+        if (id != 0 && !out.sender_dep) arena_->CacheAnnotation(id, out.expr);
         memo.emplace(n.get(), out);
         return out;
       };

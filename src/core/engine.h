@@ -318,15 +318,15 @@ class Engine {
   store::ProvArena* arena() const { return arena_.get(); }
 
   // --- Query sessions (src/query/wire.cc) -----------------------------------
-  // ProvQuery and the audit exchanges (query/provquery.h) build a
+  // ProvQuery and the audit's ClaimsExchange (query/provquery.h) build a
   // ProvQuerySession (query/session.h) and run it here: refuses while
   // another session pumps the network, lets `issue` send the first requests
   // (then adopts a set session.causal as the lane's context), pumps until
   // every request resolved or nothing can progress, and meters messages
   // and bytes into session.stats. A records walk counts one query, samples
   // provquery.latency_s and emits its `provquery` span; a claims collection
-  // counts one query; both audit exchanges record each responder still
-  // awaited as kSilentResponder into session.silent.
+  // counts one query and records each responder still awaited as
+  // kSilentResponder into session.silent.
   Status RunQuerySession(ProvQuerySession& session,
                          const std::function<Status()>& issue);
   // Issues one signed request of the session's kind to `to` and registers
@@ -377,19 +377,6 @@ class Engine {
   // key includes the victim's causal stream.
   uint64_t NewCausalSpan(NodeId node) {
     return PackSpanId(node, ++causal_seqs_[node]);
-  }
-
-  // Fault-injection seam (src/adversary/): a lying comparer suppresses
-  // every conflict it finds when answering kQueryCompare requests, so
-  // equivocation it was assigned to check goes unreported. The
-  // CompareExchange auditor's deterministic spot-check re-comparison is
-  // what detects it (kLyingComparer).
-  void SetLyingComparer(NodeId node, bool lying) {
-    if (lying) {
-      lying_comparers_.insert(node);
-    } else {
-      lying_comparers_.erase(node);
-    }
   }
 
   // Reactive provenance control (Section 5).
@@ -585,7 +572,7 @@ class Engine {
   // are re-sent under the same query id with exponential backoff until the
   // session's attempt budget runs out, then degrade — records hops fall back
   // to the responder's offline archive (or an `unreachable` proof leaf),
-  // claims/compare hops are disarmed and left for the caller's
+  // claims hops are disarmed and left for RunQuerySession's
   // silent-responder audit.
   Status HandleQueryTimeouts(ProvQuerySession& session);
   // One pump round of RunQuerySession: advances the network by one event or
@@ -829,8 +816,6 @@ class Engine {
   // order, so minted ids are identical at every thread count (the
   // NextSendSeq argument).
   std::vector<uint64_t> causal_seqs_;
-  // Nodes flagged by SetLyingComparer (fault injection).
-  std::set<NodeId> lying_comparers_;
 
   // --- Fault-plan driving (src/net/faults.*) --------------------------------
   // True when the ack/retransmit transport is armed: reliable_transport, or

@@ -10,7 +10,6 @@
 #include "provenance/semiring.h"
 #include "query/session.h"
 #include "store/arena.h"
-#include "util/hash.h"
 #include "util/strings.h"
 
 namespace provnet {
@@ -175,33 +174,6 @@ DerivationPtr ProofDag::ToDerivation() const {
   return build(root);
 }
 
-ProofDag ProofDag::FromDerivation(const DerivationPtr& root_deriv) {
-  ProofDag dag;
-  if (root_deriv == nullptr) return dag;
-  std::map<const DerivationNode*, uint32_t> memo;
-  std::function<uint32_t(const DerivationNode&)> build =
-      [&](const DerivationNode& d) -> uint32_t {
-    auto it = memo.find(&d);
-    if (it != memo.end()) return it->second;
-    std::vector<uint32_t> children;
-    children.reserve(d.children.size());
-    for (const DerivationPtr& c : d.children) children.push_back(build(*c));
-    ProofNode node;
-    node.tuple = d.tuple;
-    node.rule = d.rule;
-    node.location = d.location;
-    node.asserted_by = d.asserted_by;
-    node.created_at = d.created_at;
-    node.children = std::move(children);
-    uint32_t idx = static_cast<uint32_t>(dag.nodes.size());
-    dag.nodes.push_back(std::move(node));
-    memo.emplace(&d, idx);
-    return idx;
-  };
-  dag.root = build(*root_deriv);
-  return dag;
-}
-
 std::string ProofDag::ToString() const {
   DerivationPtr deriv = ToDerivation();
   return deriv == nullptr ? std::string("<empty proof>") : deriv->ToString();
@@ -235,20 +207,17 @@ CondensedProv QueryResult::Condensed() const { return Condense(annotation); }
 
 namespace {
 
-bool AnyLimitSet(const QueryLimits& limits) {
-  return limits.max_depth != 0 || limits.max_fanout != 0 ||
-         limits.max_records != 0;
-}
-
-// Depth/fanout/record-limited import of a stored derivation tree, mirroring
-// the distributed walk's semantics: base leaves are exempt (they ride inside
-// their parent's record on the wire), union alternatives share their key's
-// depth, and cut children become kMissingRule leaves counted into
-// stats.truncated. Memoized per (node, depth): truncation is
-// depth-dependent, so sharing across depths cannot be reused.
-class LimitedTreeImporter {
+// Import of a stored derivation tree under the distributed walk's
+// semantics, so a local answer reports the same records and depth as a walk
+// and a limit that cuts nothing changes nothing: base leaves are exempt
+// (they ride inside their parent's record on the wire), union alternatives
+// share their key's depth, and cut children become kMissingRule leaves
+// counted into stats.truncated. Each derivation node is imported once, at
+// the depth it is first seen — the walk's rule (ProvQuerySession::depth) —
+// so a shared sub-proof stays one DAG node.
+class StoredTreeImporter {
  public:
-  LimitedTreeImporter(const QueryLimits& limits, QueryStats& stats)
+  StoredTreeImporter(const QueryLimits& limits, QueryStats& stats)
       : limits_(limits), stats_(stats) {}
 
   ProofDag Import(const DerivationNode& root) {
@@ -272,8 +241,7 @@ class LimitedTreeImporter {
   }
 
   uint32_t Build(const DerivationNode& d, size_t depth) {
-    auto key = std::make_pair(&d, depth);
-    auto it = memo_.find(key);
+    auto it = memo_.find(&d);
     if (it != memo_.end()) return it->second;
 
     bool is_base = d.children.empty() && d.rule == kBaseRule;
@@ -322,14 +290,14 @@ class LimitedTreeImporter {
     node.created_at = d.created_at;
     node.children = std::move(children);
     uint32_t idx = AddNode(std::move(node));
-    memo_.emplace(key, idx);
+    memo_.emplace(&d, idx);
     return idx;
   }
 
   const QueryLimits& limits_;
   QueryStats& stats_;
   ProofDag dag_;
-  std::map<std::pair<const DerivationNode*, size_t>, uint32_t> memo_;
+  std::unordered_map<const DerivationNode*, uint32_t> memo_;
 };
 
 // A pass-through transport hop: the receive-side record a shipped tuple
@@ -531,11 +499,7 @@ Result<QueryResult> ProvQuery::RunLocal(const StoredTuple* stored) {
   if (stored != nullptr && stored->deriv != nullptr) {
     // The stored full-provenance tree (ProvMode::kFull) is the proof;
     // limits truncate it exactly as they bound the distributed walk.
-    if (AnyLimitSet(limits_)) {
-      out.dag = LimitedTreeImporter(limits_, out.stats).Import(*stored->deriv);
-    } else {
-      out.dag = ProofDag::FromDerivation(stored->deriv);
-    }
+    out.dag = StoredTreeImporter(limits_, out.stats).Import(*stored->deriv);
     return out;
   }
   // Walk this node's own records; references held by other nodes are cut
@@ -661,156 +625,6 @@ Result<std::vector<ClaimsExchange::Claim>> ClaimsExchange::Collect(
           .count();
   stats_ = session.stats;
   return std::move(session.claims);
-}
-
-// --- CompareExchange --------------------------------------------------------
-
-Result<std::vector<CompareExchange::Conflict>> CompareExchange::Compare(
-    const std::vector<Bucket>& buckets,
-    const std::vector<NodeId>& comparers) {
-  Engine& engine = *engine_;
-  if (auditor_ >= engine.num_nodes()) {
-    return InvalidArgumentError("CompareExchange: unknown auditor node");
-  }
-  auto t0 = std::chrono::steady_clock::now();
-  silent_.clear();
-  stats_ = QueryStats{};
-  std::vector<Conflict> conflicts;
-
-  // The centralized comparison, applied to one bucket: flag the first entry
-  // whose digest disagrees with the bucket's first claim.
-  auto compare_locally = [&](uint64_t id) {
-    const std::vector<TupleDigest>& digests = buckets[id].digests;
-    for (size_t j = 1; j < digests.size(); ++j) {
-      if (digests[j] != digests[0]) {
-        conflicts.push_back(Conflict{id, 0, static_cast<uint32_t>(j)});
-        return;
-      }
-    }
-  };
-
-  // Deterministic work assignment: the key hashes to its comparer, so every
-  // honest auditor hands the same bucket to the same node. Single-entry
-  // buckets cannot conflict and are never shipped.
-  std::map<NodeId, std::vector<uint64_t>> by_comparer;  // bucket ids
-  for (size_t i = 0; i < buckets.size(); ++i) {
-    if (buckets[i].digests.size() < 2) continue;
-    NodeId target =
-        comparers.empty()
-            ? auditor_
-            : comparers[Fnv1a64(buckets[i].key) % comparers.size()];
-    if (target == auditor_) {
-      ++stats_.local_lookups;
-      compare_locally(i);
-    } else {
-      by_comparer[target].push_back(i);
-    }
-  }
-
-  ProvQuerySession session;
-  session.asker = auditor_;
-  session.kind = kQueryCompare;
-  PROVNET_RETURN_IF_ERROR(engine.RunQuerySession(session, [&]() {
-    for (const auto& [target, assigned] : by_comparer) {
-      ByteWriter args;
-      args.PutVarint(assigned.size());
-      for (uint64_t bucket_id : assigned) {
-        const std::vector<TupleDigest>& digests = buckets[bucket_id].digests;
-        args.PutVarint(bucket_id);
-        args.PutVarint(digests.size());
-        for (TupleDigest d : digests) args.PutU64(d);
-      }
-      PROVNET_RETURN_IF_ERROR(
-          engine.SendQueryRequest(session, target, args.bytes()));
-    }
-    return OkStatus();
-  }));
-
-  // A silent comparer is audited like a silent claims responder — and its
-  // buckets fall back to local comparison (the auditor holds every digest),
-  // so suppressing comparison work can hide nothing.
-  silent_ = std::move(session.silent);
-  for (NodeId mute : silent_) {
-    for (uint64_t bucket_id : by_comparer[mute]) compare_locally(bucket_id);
-  }
-
-  // Spot-check: a comparer's signature proves *who* answered, not that the
-  // answer is honest — a compromised comparer can suppress (or fabricate)
-  // conflicts it was asked to find. The auditor still holds every digest it
-  // shipped, so it re-runs a deterministic sample (1 in 4 buckets, by the
-  // same key hash that assigned them) locally. Disagreement is attributable
-  // evidence (kLyingComparer), and the local result replaces the comparer's
-  // answer for every sampled bucket.
-  std::map<uint64_t, NodeId> sampled;  // bucket id -> answering comparer
-  for (const auto& [target, assigned] : by_comparer) {
-    if (silent_.count(target) != 0) continue;  // already recomputed above
-    for (uint64_t bucket_id : assigned) {
-      if (Fnv1a64(buckets[bucket_id].key) % 4 == 0) {
-        sampled.emplace(bucket_id, target);
-      }
-    }
-  }
-  std::set<uint64_t> claimed;  // sampled buckets the comparer flagged
-  for (const Conflict& c : session.conflicts) {
-    if (sampled.count(c.bucket) != 0) claimed.insert(c.bucket);
-  }
-  for (const auto& [bucket_id, comparer] : sampled) {
-    const std::vector<TupleDigest>& digests = buckets[bucket_id].digests;
-    bool truth = false;
-    for (size_t j = 1; j < digests.size(); ++j) {
-      if (digests[j] != digests[0]) {
-        truth = true;
-        break;
-      }
-    }
-    if (truth != (claimed.count(bucket_id) != 0)) {
-      engine.RecordSecurityEvent(
-          SecurityEventKind::kLyingComparer, auditor_, comparer,
-          engine.PrincipalOf(comparer),
-          StrFormat("compare exchange: bucket %llu re-comparison disagrees",
-                    static_cast<unsigned long long>(bucket_id)));
-    }
-    ++stats_.local_lookups;
-    compare_locally(bucket_id);
-  }
-
-  for (const Conflict& c : session.conflicts) {
-    // Sampled buckets use the auditor's own re-comparison — a fabricated
-    // conflict from a lying comparer must not survive into the findings.
-    if (sampled.count(c.bucket) != 0) continue;
-    // Trust but verify the shape: a comparer can only name buckets it was
-    // handed, with in-range indices (a conflict for someone else's bucket
-    // would corrupt the index mapping at the auditor).
-    if (c.bucket >= buckets.size() ||
-        c.a >= buckets[c.bucket].digests.size() ||
-        c.b >= buckets[c.bucket].digests.size()) {
-      continue;
-    }
-    conflicts.push_back(c);
-  }
-  std::stable_sort(conflicts.begin(), conflicts.end(),
-                   [](const Conflict& x, const Conflict& y) {
-                     return x.bucket < y.bucket;
-                   });
-  // One finding per bucket, like the centralized flagged_keys set — also
-  // caps what a malicious comparer can inject by repeating itself.
-  conflicts.erase(std::unique(conflicts.begin(), conflicts.end(),
-                              [](const Conflict& x, const Conflict& y) {
-                                return x.bucket == y.bucket;
-                              }),
-                  conflicts.end());
-
-  stats_.bytes = session.stats.bytes;
-  stats_.messages = session.stats.messages;
-  stats_.requests = session.stats.requests;
-  stats_.responses = session.stats.responses;
-  stats_.responses_rejected = session.stats.responses_rejected;
-  stats_.timeouts = session.stats.timeouts;
-  stats_.retries = session.stats.retries;
-  stats_.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  return conflicts;
 }
 
 }  // namespace provnet

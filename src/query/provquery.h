@@ -61,7 +61,6 @@ inline constexpr char kUnreachableRule[] = "unreachable";
 // responses and must agree on the format.
 inline constexpr uint8_t kQueryRecords = 0;  // digest -> ProvRecords
 inline constexpr uint8_t kQueryClaims = 1;   // predicates -> asserted claims
-inline constexpr uint8_t kQueryCompare = 2;  // digest buckets -> conflicts
 
 enum class QueryScope : uint8_t {
   kAuto = 0,         // local full tree when stored, else distributed
@@ -154,9 +153,8 @@ struct ProofDag {
   // timestamps excluded. Equal bytes <=> identical proof structure.
   Bytes CanonicalBytes() const;
 
-  // Bridges to the legacy derivation-tree representation.
+  // Bridge to the legacy derivation-tree representation.
   DerivationPtr ToDerivation() const;
-  static ProofDag FromDerivation(const DerivationPtr& root);
 
   std::string ToString() const;
 };
@@ -269,7 +267,9 @@ class ProvQueryBuilder {
 // given predicates, together with their asserting principals. Replaces the
 // centralized table sweep the equivocation audit used to run for free — the
 // exchange is real metered traffic, charged to RunStats::prov_query_bytes
-// like any other provenance query.
+// like any other provenance query. The auditor compares what it collected
+// itself (EquivocationAudit, adversary/campaign.h): a delegated comparison
+// would let a compromised delegate suppress the conflicts it was handed.
 class ClaimsExchange {
  public:
   struct Claim {
@@ -291,65 +291,6 @@ class ClaimsExchange {
   // transport error: each silent node is audited (kSilentResponder) and
   // surfaced here so the caller can treat suppression as incriminating —
   // the sweep completes over the answers it did get.
-  const std::set<NodeId>& silent() const { return silent_; }
-
- private:
-  Engine* engine_;
-  NodeId auditor_;
-  QueryStats stats_;
-  std::set<NodeId> silent_;
-};
-
-// Step two of the decentralized equivocation audit: the pairwise digest
-// comparison itself, spread across responder nodes instead of running for
-// free in the auditor's loop. The auditor buckets the collected claims by
-// equivocation key, hashes each key to one of the eligible comparers
-// (Fnv1a64(key) % comparers — seeded only by the claims, so the assignment
-// is deterministic), and ships that comparer its buckets' tuple digests
-// over the signed query wire path (bandwidth charged to
-// RunStats::prov_query_bytes like the claims exchange). Each comparer
-// answers with the conflicting entry indices per bucket — the same
-// "first claim vs. first disagreeing claim" comparison the centralized
-// sweep ran — and the auditor maps indices back to full claims, so the
-// findings come out identical to the centralized audit. Buckets that hash
-// to the auditor itself are compared locally for free, and a comparer that
-// never answers is audited (kSilentResponder) with its buckets falling
-// back to local comparison: the auditor holds every digest anyway, so a
-// suppressed comparison degrades to the centralized path rather than
-// reading as clean. A comparer that *lies* — answers "no conflict" for a
-// conflicting bucket — is caught by the auditor's deterministic spot-check
-// of 1 in 4 of its buckets (kLyingComparer).
-class CompareExchange {
- public:
-  // One equivocation-key bucket: the claims' tuple digests in collected
-  // order (index 0 is the key's first claim, the centralized baseline).
-  struct Bucket {
-    std::string key;  // assignment input, never shipped
-    std::vector<TupleDigest> digests;
-  };
-  // A conflict a comparer reported: entry `b` of bucket `bucket` is the
-  // first whose digest differs from entry `a` (always 0 today).
-  struct Conflict {
-    uint64_t bucket = 0;
-    uint32_t a = 0;
-    uint32_t b = 0;
-  };
-
-  CompareExchange(Engine& engine, NodeId auditor)
-      : engine_(&engine), auditor_(auditor) {}
-
-  // Runs the exchange over `buckets`, assigning each to one of `comparers`.
-  // Conflicts are returned sorted by bucket id. Not counted as a separate
-  // provquery.queries session: it is phase two of the audit that already
-  // counted its Collect().
-  Result<std::vector<Conflict>> Compare(const std::vector<Bucket>& buckets,
-                                        const std::vector<NodeId>& comparers);
-
-  // Accounting of the last Compare().
-  const QueryStats& stats() const { return stats_; }
-
-  // Comparers that never answered the last Compare() (audited, buckets
-  // re-compared locally).
   const std::set<NodeId>& silent() const { return silent_; }
 
  private:

@@ -70,8 +70,8 @@ struct ProvQuerySession {
     // Degradation state (Engine::HandleQueryTimeouts). `inner` keeps the
     // request payload so an expired hop can be re-sent under the same query
     // id; `deadline` is the armed virtual-time expiry (0 = disarmed — either
-    // timeouts are off, or a claims/compare hop exhausted its attempts and
-    // is left for the silent-responder audit).
+    // timeouts are off, or a claims hop exhausted its attempts and is left
+    // for the silent-responder audit).
     Bytes inner;
     size_t attempts = 1;
     double deadline = 0.0;
@@ -91,15 +91,12 @@ struct ProvQuerySession {
   // kMissingRule) leaves for these.
   std::set<Key> unreachable;
 
-  // Responders still awaited when a claims or compare exchange ended, each
-  // audited as kSilentResponder by RunQuerySession.
+  // Responders still awaited when a claims exchange ended, each audited as
+  // kSilentResponder by RunQuerySession.
   std::set<NodeId> silent;
 
   // --- Claims exchange (kQueryClaims) --------------------------------------
   std::vector<ClaimsExchange::Claim> claims;
-
-  // --- Digest comparison (kQueryCompare) -----------------------------------
-  std::vector<CompareExchange::Conflict> conflicts;
 };
 
 }  // namespace provnet

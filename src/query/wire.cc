@@ -15,13 +15,14 @@
 // audited in the SecurityLog.
 //
 // A request body is [kind][query_id][args]; a response body is
-// [kind][query_id][responder][answer]. Three kinds ride the same path:
+// [kind][query_id][responder][answer]. Two kinds ride the same path:
 //   kQueryRecords - digest -> ProvRecords (the Section 4.1 pointer-walk;
 //     online records preferred, offline archive fallback at the responder);
 //   kQueryClaims  - predicates -> (asserting principal, tuple) claims (the
-//     distributed equivocation audit's digest exchange);
-//   kQueryCompare - claim-digest buckets -> conflicting entry indices (the
-//     audit's pairwise comparison, spread across responder nodes).
+//     distributed equivocation audit's collection; the auditor compares
+//     them itself).
+// Any other kind is malformed content and gets no answer (audited as
+// kMalformed when authenticating).
 
 #include <algorithm>
 #include <limits>
@@ -143,20 +144,17 @@ Status Engine::RunQuerySession(ProvQuerySession& session,
     }
     return OkStatus();
   }
-  // An audit counts once, at its claims collection; the compare exchange
-  // is its second phase. In both, a node that never answered (suppressed,
-  // rejected, or dropped its response) is not a transport error to abort
-  // on: in an adversarial deployment, silence *is* evidence. Each silent
-  // responder becomes a kSilentResponder SecurityEvent and a suspect the
-  // caller can fold into its findings.
-  if (session.kind == kQueryClaims) ++cells_[Ctr::kProvQueries]->value;
-  const char* exchange = session.kind == kQueryClaims ? "claims exchange"
-                                                      : "compare exchange";
+  // A claims collection counts one query. A node that never answered
+  // (suppressed, rejected, or dropped its response) is not a transport
+  // error to abort on: in an adversarial deployment, silence *is* evidence.
+  // Each silent responder becomes a kSilentResponder SecurityEvent and a
+  // suspect the caller can fold into its findings.
+  ++cells_[Ctr::kProvQueries]->value;
   for (const auto& [query_id, pending] : session.pending) {
     if (!session.silent.insert(pending.responder).second) continue;
     RecordSecurityEvent(SecurityEventKind::kSilentResponder, session.asker,
                         pending.responder, PrincipalOf(pending.responder),
-                        StrFormat("%s: no answer to query %llu", exchange,
+                        StrFormat("claims exchange: no answer to query %llu",
                                   static_cast<unsigned long long>(query_id)));
   }
   return OkStatus();
@@ -218,9 +216,9 @@ Status Engine::HandleQueryTimeouts(ProvQuerySession& session) {
           SealAndShip(session.asker, p.responder, kMsgProvRequest, p.inner));
       continue;
     }
-    if (session.kind != kQueryRecords) {
-      // Claims/compare hops have their own leftover-pending audit
-      // (kSilentResponder) at the caller; just stop retrying and leave the
+    if (session.kind == kQueryClaims) {
+      // Claims hops have their own leftover-pending audit (kSilentResponder)
+      // at the end of RunQuerySession; just stop retrying and leave the
       // entry in place for it.
       p.deadline = 0;
       continue;
@@ -415,52 +413,6 @@ Status Engine::HandleProvRequest(NodeId to, NodeId from, ByteReader& body) {
       }
       break;
     }
-    case kQueryCompare: {
-      // The responder does the auditor's pairwise work: per bucket, find the
-      // first digest that disagrees with the bucket's first entry — exactly
-      // the comparison the centralized sweep ran, so the conflict indices
-      // map back to identical findings at the auditor.
-      PROVNET_ASSIGN_OR_RETURN(uint64_t nbuckets, body.GetVarint());
-      if (nbuckets > body.remaining()) {
-        return InvalidArgumentError("prov_request: bad bucket count");
-      }
-      ByteWriter conflicts;
-      uint64_t nconflicts = 0;
-      for (uint64_t b = 0; b < nbuckets; ++b) {
-        PROVNET_ASSIGN_OR_RETURN(uint64_t bucket_id, body.GetVarint());
-        PROVNET_ASSIGN_OR_RETURN(uint64_t nentries, body.GetVarint());
-        if (nentries > body.remaining()) {
-          return InvalidArgumentError("prov_request: bad entry count");
-        }
-        uint64_t first = 0;
-        uint64_t conflict_at = 0;
-        for (uint64_t j = 0; j < nentries; ++j) {
-          PROVNET_ASSIGN_OR_RETURN(uint64_t digest, body.GetU64());
-          if (j == 0) {
-            first = digest;
-          } else if (conflict_at == 0 && digest != first) {
-            conflict_at = j;
-          }
-        }
-        if (conflict_at != 0) {
-          conflicts.PutVarint(bucket_id);
-          conflicts.PutVarint(0);
-          conflicts.PutVarint(conflict_at);
-          ++nconflicts;
-        }
-      }
-      if (lying_comparers_.count(to) != 0) {
-        // Fault-injection seam (SetLyingComparer): a compromised comparer
-        // suppresses every conflict it computed — its signature still
-        // verifies, so only the auditor's local spot-check of sampled
-        // buckets (query/provquery.cc) can catch the lie.
-        inner.PutVarint(0);
-      } else {
-        inner.PutVarint(nconflicts);
-        inner.PutRaw(conflicts.bytes().data(), conflicts.size());
-      }
-      break;
-    }
     default:
       return InvalidArgumentError("prov_request: unknown query kind");
   }
@@ -521,7 +473,6 @@ Status Engine::HandleProvResponse(NodeId to, NodeId from,
   uint8_t offline = 0;
   std::vector<ProvRecord> records;
   std::vector<ClaimsExchange::Claim> claims;
-  std::vector<CompareExchange::Conflict> conflicts;
   if (kind == kQueryRecords) {
     PROVNET_ASSIGN_OR_RETURN(digest, body.GetU64());
     if (digest != it->second.digest) return bogus("digest mismatch");
@@ -532,31 +483,15 @@ Status Engine::HandleProvResponse(NodeId to, NodeId from,
     return InvalidArgumentError("prov_response: bad entry count");
   }
   for (uint64_t i = 0; i < count; ++i) {
-    switch (kind) {
-      case kQueryRecords: {
-        PROVNET_ASSIGN_OR_RETURN(ProvRecord rec,
-                                 ProvRecord::Deserialize(body));
-        records.push_back(std::move(rec));
-        break;
-      }
-      case kQueryClaims: {
-        ClaimsExchange::Claim claim;
-        claim.node = responder;
-        PROVNET_ASSIGN_OR_RETURN(claim.asserted_by, body.GetString());
-        PROVNET_ASSIGN_OR_RETURN(claim.tuple, Tuple::Deserialize(body));
-        claims.push_back(std::move(claim));
-        break;
-      }
-      default: {  // kQueryCompare; the session match above pins the kind
-        CompareExchange::Conflict c;
-        PROVNET_ASSIGN_OR_RETURN(c.bucket, body.GetVarint());
-        PROVNET_ASSIGN_OR_RETURN(uint64_t a, body.GetVarint());
-        PROVNET_ASSIGN_OR_RETURN(uint64_t b, body.GetVarint());
-        c.a = static_cast<uint32_t>(a);
-        c.b = static_cast<uint32_t>(b);
-        conflicts.push_back(c);
-        break;
-      }
+    if (kind == kQueryRecords) {
+      PROVNET_ASSIGN_OR_RETURN(ProvRecord rec, ProvRecord::Deserialize(body));
+      records.push_back(std::move(rec));
+    } else {  // kQueryClaims; the session match above pins the kind
+      ClaimsExchange::Claim claim;
+      claim.node = responder;
+      PROVNET_ASSIGN_OR_RETURN(claim.asserted_by, body.GetString());
+      PROVNET_ASSIGN_OR_RETURN(claim.tuple, Tuple::Deserialize(body));
+      claims.push_back(std::move(claim));
     }
   }
 
@@ -576,8 +511,6 @@ Status Engine::HandleProvResponse(NodeId to, NodeId from,
   session->claims.insert(session->claims.end(),
                          std::make_move_iterator(claims.begin()),
                          std::make_move_iterator(claims.end()));
-  session->conflicts.insert(session->conflicts.end(), conflicts.begin(),
-                            conflicts.end());
   if (kind != kQueryRecords) return OkStatus();
   return ProvQueryIngest(*session, responder, digest, std::move(records));
 }

@@ -193,20 +193,6 @@ void ProvArena::CacheAnnotation(DerivId id, const ProvExpr& expr) {
   if (annotations_.emplace(id, expr).second) Charge(kTableEntryOverhead);
 }
 
-const ProvExpr* ProvArena::CachedAnnotation(DerivId id, ProvVar sender) const {
-  uint64_t key = (static_cast<uint64_t>(id) << 32) | sender;
-  auto it = sender_annotations_.find(key);
-  return it == sender_annotations_.end() ? nullptr : &it->second;
-}
-
-void ProvArena::CacheAnnotation(DerivId id, ProvVar sender,
-                                const ProvExpr& expr) {
-  uint64_t key = (static_cast<uint64_t>(id) << 32) | sender;
-  if (sender_annotations_.emplace(key, expr).second) {
-    Charge(kTableEntryOverhead);
-  }
-}
-
 const Bytes* ProvArena::CachedWire(DerivId id) const {
   auto it = wire_.find(id);
   return it == wire_.end() ? nullptr : &it->second;

@@ -79,14 +79,12 @@ class ProvArena {
   ProvExpr InternTimes(const ProvExpr& a, const ProvExpr& b);
 
   // Annotation cache: the rebuilt ProvExpr for a derivation, reusable
-  // whenever the same sub-proof arrives again. Sub-proofs whose rebuilt
-  // annotation depends on who *sent* them (principal-grain leaves with no
-  // recorded asserter) use the sender-keyed overloads instead: one entry
-  // per (derivation, sender) pair, bounded by the node's indegree.
+  // whenever the same sub-proof arrives again. Only sender-independent
+  // annotations belong here: a principal-grain leaf with no recorded
+  // asserter folds to whoever *sent* it, so the receive path rebuilds
+  // sub-proofs containing one on every delivery.
   const ProvExpr* CachedAnnotation(DerivId id) const;
   void CacheAnnotation(DerivId id, const ProvExpr& expr);
-  const ProvExpr* CachedAnnotation(DerivId id, ProvVar sender) const;
-  void CacheAnnotation(DerivId id, ProvVar sender, const ProvExpr& expr);
 
   // Wire cache: serialized DAG bytes for a derivation (SendTuple ships the
   // same proof to every neighbor). Bounded; see kWireCacheMaxEntries.
@@ -163,7 +161,6 @@ class ProvArena {
   std::unordered_map<ExprKey, ProvExpr, ExprKeyHash> exprs_;
 
   std::unordered_map<DerivId, ProvExpr> annotations_;
-  std::unordered_map<uint64_t, ProvExpr> sender_annotations_;
   std::unordered_map<DerivId, Bytes> wire_;
   std::unordered_map<Sha256Digest, DerivId, DigestKey> decode_;
   size_t wire_bytes_ = 0;

@@ -12,10 +12,14 @@
 //   * payload kind - a receiver takes only the provenance payload kind its
 //     own mode ships;
 //   * accounting   - net.auth_bytes is the signed header plus the says tag of
-//     every tuple and retract message.
+//     every tuple and retract message;
+//   * attribution  - a full-provenance leaf that names no asserter folds to
+//     the variable of whichever node sent it.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
+#include <utility>
 
 #include "apps/programs.h"
 #include "core/engine.h"
@@ -55,8 +59,8 @@ struct WireDigest {
 enum class Variant { kNdlog, kCondensed, kPointers, kFull };
 
 // One seeded run: the Best-Path fixpoint over RingPlusRandom(10, 3), one
-// DeleteFact step, and for the pointer variant a distributed walk, a claims
-// exchange and a digest comparison.
+// DeleteFact step, and for the pointer variant a distributed walk and a
+// claims exchange.
 WireDigest RunVariant(Variant variant, size_t threads) {
   Rng rng(5);
   Topology topo = Topology::RingPlusRandom(10, 3, rng);
@@ -106,22 +110,6 @@ WireDigest RunVariant(Variant variant, size_t threads) {
         claims_exchange.Collect({"link"}, /*skip_nodes=*/{});
     EXPECT_TRUE(claims.ok()) << claims.status();
     EXPECT_TRUE(claims_exchange.silent().empty());
-
-    // Pair up consecutive claims into buckets so every comparer is handed
-    // real digests, some of them conflicting.
-    std::vector<CompareExchange::Bucket> buckets;
-    for (size_t i = 0; i + 1 < claims.value().size(); i += 2) {
-      CompareExchange::Bucket bucket;
-      bucket.key = claims.value()[i].tuple.ToString();
-      bucket.digests = {DigestOf(claims.value()[i].tuple),
-                        DigestOf(claims.value()[i + 1].tuple)};
-      buckets.push_back(std::move(bucket));
-    }
-    CompareExchange compare_exchange(*engine, /*auditor=*/0);
-    Result<std::vector<CompareExchange::Conflict>> conflicts =
-        compare_exchange.Compare(buckets, {1, 2, 3, 4, 5, 6, 7, 8, 9});
-    EXPECT_TRUE(conflicts.ok()) << conflicts.status();
-    EXPECT_TRUE(compare_exchange.silent().empty());
   }
   EXPECT_EQ(engine->security_log().size(), 0u);
   engine->network().ClearSendTap();
@@ -140,8 +128,8 @@ TEST(EnvelopeTest, HonestWireBytesArePinned) {
       {Variant::kNdlog, 6152398770891977051ull, {{1, 329}, {4, 19}}},
       {Variant::kCondensed, 15068676882828553372ull, {{1, 329}, {4, 19}}},
       {Variant::kPointers,
-       14517739531518354211ull,
-       {{1, 329}, {2, 21}, {3, 21}, {4, 19}}},
+       911920597394489575ull,
+       {{1, 329}, {2, 14}, {3, 14}, {4, 19}}},
       {Variant::kFull, 13687397267280688170ull, {{1, 329}, {4, 19}}},
   };
   for (size_t threads : {size_t{1}, size_t{4}}) {
@@ -273,6 +261,21 @@ TEST(EnvelopeTest, TornMessagesAreQuarantined) {
   }
 }
 
+// Seals a tuple message body as a validly signed kMsgTuple from `from` to
+// `to`, with the sender's next sequence number and a fresh causal span.
+Bytes SealTuple(Engine& engine, NodeId from, NodeId to, const Bytes& body) {
+  const Principal sender = engine.PrincipalOf(from);
+  SignedPrefix prefix;
+  prefix.seq = engine.NextSendSeq(sender);
+  prefix.dest = to;
+  const uint64_t span = engine.NewCausalSpan(from);
+  prefix.causal = CausalIds{span, span};
+  ByteWriter content;
+  PutSignedPrefix(content, prefix, true);
+  content.PutRaw(body.data(), body.size());
+  return Sign(engine, kMsgTuple, sender, std::move(content).Take());
+}
+
 // A validly signed `link` forgery from node 1 to node 0 whose provenance
 // payload is of kind `kind`, whatever the receiver's mode.
 Bytes ForgeLinkWithPayload(Engine& engine, const Tuple& link, uint8_t kind) {
@@ -290,15 +293,7 @@ Bytes ForgeLinkWithPayload(Engine& engine, const Tuple& link, uint8_t kind) {
                 .value();
     deriv->Serialize(body);
   }
-  SignedPrefix prefix;
-  prefix.seq = engine.NextSendSeq(sender);
-  prefix.dest = 0;
-  const uint64_t span = engine.NewCausalSpan(1);
-  prefix.causal = CausalIds{span, span};
-  ByteWriter content;
-  PutSignedPrefix(content, prefix, true);
-  content.PutRaw(body.bytes().data(), body.size());
-  return Sign(engine, kMsgTuple, sender, std::move(content).Take());
+  return SealTuple(engine, 1, 0, body.bytes());
 }
 
 TEST(EnvelopeTest, ReceiverAcceptsOnlyItsOwnPayloadKind) {
@@ -340,6 +335,50 @@ TEST(EnvelopeTest, ReceiverAcceptsOnlyItsOwnPayloadKind) {
         EXPECT_EQ(engine->security_log().size(), 1u);
       }
     }
+  }
+}
+
+TEST(EnvelopeTest, AsserterlessLeafIsAttributedToEachSender) {
+  // A full-provenance leaf that names no asserter folds to whoever sent the
+  // proof. Two senders ship one rule step each over the same such leaf
+  // (one arena node), so the leaf's annotation depends on the message and
+  // must never be shared between them.
+  Topology topo = Topology::Line(3);
+  auto engine = Engine::Create(topo, BestPathSendlogProgram(),
+                               HmacOptions(ProvMode::kFull))
+                    .value();
+  ASSERT_TRUE(engine->InsertLinkFacts().ok());
+  ASSERT_TRUE(engine->Run().ok());
+
+  const Tuple seed("seed", {Value::Address(1)});
+  const std::pair<NodeId, Tuple> sent[] = {{0, Link3(1, 2, 9)},
+                                           {2, Link3(1, 0, 9)}};
+  for (const auto& [from, link] : sent) {
+    DerivationPtr leaf = MakeBaseDerivation(seed, 1, /*asserted_by=*/"",
+                                            /*created_at=*/0.0, -1.0);
+    DerivationPtr step =
+        MakeRuleDerivation(link, "z1", from, engine->PrincipalOf(from),
+                           /*created_at=*/0.0, -1.0, {leaf});
+    ByteWriter body;
+    link.Serialize(body);
+    body.PutU8(kProvPayloadTree);
+    step->Serialize(body);
+    ASSERT_TRUE(engine->network()
+                    .Send(from, 1, SealTuple(*engine, from, 1, body.bytes()))
+                    .ok());
+  }
+  ASSERT_TRUE(engine->Run().ok());
+  EXPECT_EQ(engine->security_log().size(), 0u);
+
+  for (const auto& [from, link] : sent) {
+    SCOPED_TRACE(link.ToString());
+    std::optional<ProvVar> sender =
+        engine->registry().Find(engine->PrincipalOf(from));
+    ASSERT_TRUE(sender.has_value());
+    Result<ProvExpr> annotation = engine->AnnotationOf(1, link);
+    ASSERT_TRUE(annotation.ok()) << annotation.status();
+    EXPECT_TRUE(annotation.value().Equals(ProvExpr::Var(*sender)))
+        << annotation.value().ToString();
   }
 }
 

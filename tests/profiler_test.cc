@@ -13,10 +13,7 @@
 //   * cost      - the disabled profiler/memory hooks price out under 2% of
 //     a 50-node fixpoint's wall time;
 //   * causality - a distributed ProvQuery walk's spans from three or more
-//     nodes share one trace id and form a single connected tree;
-//   * audit     - a comparer that lies about its assigned buckets is caught
-//     by the auditor's deterministic spot-check (kLyingComparer) and the
-//     suppressed conflict still reaches the findings.
+//     nodes share one trace id and form a single connected tree.
 
 #include <gtest/gtest.h>
 
@@ -28,8 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "adversary/adversary.h"
-#include "adversary/campaign.h"
 #include "apps/programs.h"
 #include "core/engine.h"
 #include "net/topology.h"
@@ -42,10 +37,6 @@
 
 namespace provnet {
 namespace {
-
-Tuple Link3(NodeId a, NodeId b, int64_t c) {
-  return Tuple("link", {Value::Address(a), Value::Address(b), Value::Int(c)});
-}
 
 // --- Profiler unit ----------------------------------------------------------
 
@@ -348,71 +339,6 @@ TEST(ObsCausalTest, DistributedWalkSpansFormOneConnectedTree) {
   // At least one walk touched three or more nodes (the acceptance bar for
   // cross-node stitching).
   EXPECT_GE(max_nodes, 3u);
-}
-
-// --- Satellite: the lying comparer ------------------------------------------
-
-TEST(ObsAuditTest, LyingComparerCaughtBySpotCheck) {
-  Topology topo;
-  topo.num_nodes = 8;
-  for (NodeId i = 0; i < 8; ++i) {
-    topo.edges.push_back(TopoEdge{i, static_cast<NodeId>((i + 1) % 8), 1});
-  }
-  EngineOptions opts;
-  opts.authenticate = true;
-  opts.says_level = SaysLevel::kHmac;
-  auto engine = Engine::Create(topo, BestPathNdlogProgram(), opts).value();
-  ASSERT_TRUE(engine->InsertLinkFacts().ok());
-  ASSERT_TRUE(engine->Run().ok());
-  Adversary adversary(*engine, 11);
-  // Two equivocations chosen by their bucket keys' FNV hashes: node 2's
-  // conflicting bucket ("link|n2|@2,@5,") assigns to the auditor itself
-  // (compared locally — immune to comparer lies), while node 3's
-  // ("link|n3|@3,@1,") both lands in the auditor's 1-in-4 spot-check sample
-  // and assigns to a remote comparer. Between them the audit exercises both
-  // defense layers.
-  ASSERT_TRUE(adversary
-                  .InjectEquivocation(2, 0, Link3(2, 5, 1), 4, Link3(2, 5, 77))
-                  .ok());
-  ASSERT_TRUE(adversary
-                  .InjectEquivocation(3, 1, Link3(3, 1, 2), 5, Link3(3, 1, 88))
-                  .ok());
-  ASSERT_TRUE(engine->Run().ok());
-
-  // Baseline: an honest exchange finds both equivocators and no liars.
-  std::vector<EquivocationFinding> honest =
-      EquivocationAudit(*engine, {"link"}, /*skip_nodes=*/{2, 3}).value();
-  ASSERT_EQ(honest.size(), 2u);
-  ASSERT_EQ(engine->security_log().CountOf(SecurityEventKind::kLyingComparer),
-            0u);
-
-  // Every remote comparer now suppresses the conflicts it is asked to
-  // find. The auditor's 1-in-4 spot-check re-compares a deterministic
-  // sample of shipped buckets locally; a sampled conflicting bucket whose
-  // comparer stayed quiet is attributable evidence.
-  for (NodeId n = 0; n < engine->num_nodes(); ++n) {
-    engine->SetLyingComparer(n, true);
-  }
-  std::vector<EquivocationFinding> audited =
-      EquivocationAudit(*engine, {"link"}, /*skip_nodes=*/{2, 3}).value();
-  EXPECT_GE(
-      engine->security_log().CountOf(SecurityEventKind::kLyingComparer), 1u);
-  // Both conflicts survive universal suppression: node 2's bucket was never
-  // shipped (auditor-assigned), and node 3's sampled bucket is recovered
-  // from the auditor's own digests despite the comparer's lie.
-  std::set<Principal> flagged;
-  for (const EquivocationFinding& f : audited) flagged.insert(f.principal);
-  EXPECT_EQ(flagged.size(), 2u);
-  EXPECT_EQ(flagged.count(engine->PrincipalOf(2)), 1u);
-  EXPECT_EQ(flagged.count(engine->PrincipalOf(3)), 1u);
-  for (NodeId n = 0; n < engine->num_nodes(); ++n) {
-    engine->SetLyingComparer(n, false);
-  }
-  // The registry cell mirrors the log.
-  const obs::Counter* cell = engine->metrics().FindCounter(
-      "security.events", {{"kind", "lying_comparer"}});
-  ASSERT_NE(cell, nullptr);
-  EXPECT_GE(cell->value, 1u);
 }
 
 }  // namespace

@@ -10,18 +10,19 @@
 //     QueryStats, the network meters, and the engine's cumulative
 //     prov_queries / prov_query_bytes counters;
 //   * hostility   - forged, replayed, misdirected, and unsolicited
-//     kMsgProvResponse messages are rejected, counted, and audited; framed
-//     annotation cubes are rejected by the receive-side framing check.
+//     kMsgProvResponse messages are rejected, counted, and audited; a
+//     request of an unknown kind is malformed; framed annotation cubes are
+//     rejected by the receive-side framing check.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 
 #include "adversary/adversary.h"
 #include "adversary/campaign.h"
 #include "apps/programs.h"
 #include "core/engine.h"
+#include "core/envelope.h"
 #include "net/topology.h"
 #include "query/provquery.h"
 
@@ -270,6 +271,46 @@ TEST(ProvQueryTest, LimitsApplyToStoredTreesToo) {
   EXPECT_GT(bounded.stats.truncated, 0u);
 }
 
+TEST(ProvQueryTest, LimitThatCutsNothingLeavesStoredTreeProofsAlone) {
+  // A stored full-provenance tree is imported under the walk's rules with
+  // or without a limit: a limit that cuts nothing changes neither the
+  // proof nor its record and depth accounting.
+  Rng rng(7);
+  Topology topo = Topology::RingPlusRandom(10, 3, rng);
+  EngineOptions opts;
+  opts.authenticate = true;
+  opts.says_level = SaysLevel::kHmac;
+  opts.prov_mode = ProvMode::kFull;
+  auto engine =
+      Engine::Create(topo, BestPathSendlogProgram(), opts).value();
+  ASSERT_TRUE(engine->InsertLinkFacts().ok());
+  ASSERT_TRUE(engine->Run().ok());
+
+  std::vector<Tuple> routes = engine->TuplesAt(0, "bestPath");
+  ASSERT_EQ(routes.size(), 9u);
+  for (const Tuple& route : routes) {
+    SCOPED_TRACE(route.ToString());
+    QueryResult unlimited = ProvQueryBuilder(*engine)
+                                .At(0)
+                                .Of(route)
+                                .WithScope(QueryScope::kLocal)
+                                .Run()
+                                .value();
+    QueryResult limited = ProvQueryBuilder(*engine)
+                              .At(0)
+                              .Of(route)
+                              .WithScope(QueryScope::kLocal)
+                              .MaxDepth(1000)
+                              .Run()
+                              .value();
+    EXPECT_EQ(limited.dag.CanonicalBytes(), unlimited.dag.CanonicalBytes());
+    EXPECT_GT(unlimited.stats.records, 0u);
+    EXPECT_EQ(limited.stats.records, unlimited.stats.records);
+    EXPECT_EQ(limited.stats.depth, unlimited.stats.depth);
+    EXPECT_EQ(limited.stats.truncated, 0u);
+  }
+}
+
 TEST(ProvQueryTest, RecordBudgetBoundsTheWalk) {
   auto engine = RunReach(Topology::Line(6), PointerAuthOptions());
   QueryResult result = ProvQueryBuilder(*engine)
@@ -403,6 +444,44 @@ TEST(ProvQueryHostileTest, ReplayedAndMisdirectedResponsesRejected) {
             rejected0 + 2);
 }
 
+TEST(ProvQueryHostileTest, RetiredQueryKindIsMalformed) {
+  // Kind 2 once asked a node to compare claim digests for the auditor.
+  // Nothing answers it any more: a validly signed request of that kind is
+  // malformed content, audited once and dropped without a response.
+  auto engine = RunReach(Topology::Line(3), PointerAuthOptions());
+  const Principal sender = engine->PrincipalOf(1);
+  ByteWriter body;
+  body.PutU8(2);       // the retired kind
+  body.PutU64(4242);   // query id
+  body.PutVarint(1);   // one bucket of two differing digests
+  body.PutVarint(0);
+  body.PutVarint(2);
+  body.PutU64(DigestOf(Link2(1, 0)));
+  body.PutU64(DigestOf(Link2(1, 2)));
+  SignedPrefix prefix;
+  prefix.seq = engine->NextSendSeq(sender);
+  prefix.dest = 0;
+  const uint64_t span = engine->NewCausalSpan(1);
+  prefix.causal = CausalIds{span, span};
+  Envelope env;
+  env.type = kMsgProvRequest;
+  ByteWriter content;
+  PutSignedPrefix(content, prefix, true);
+  content.PutRaw(body.bytes().data(), body.size());
+  env.content = std::move(content).Take();
+  env.tag = engine->authenticator()
+                .Say(sender, env.content, engine->options().says_level)
+                .value();
+
+  const uint64_t messages0 = engine->network().total_messages();
+  ASSERT_TRUE(engine->network().Send(1, 0, env.Encode()).ok());
+  ASSERT_TRUE(engine->Run().ok());
+  EXPECT_EQ(engine->network().total_messages() - messages0, 1u);
+  ASSERT_EQ(engine->security_log().size(), 1u);
+  EXPECT_EQ(engine->security_log().events()[0].kind,
+            SecurityEventKind::kMalformed);
+}
+
 // --- Receive-side provenance framing check ----------------------------------
 
 TEST(FramingTest, CubesOmittingTheSenderAreRejected) {
@@ -494,9 +573,9 @@ TEST(ClaimsExchangeTest, AuditChargesBandwidthAndStillFindsConflicts) {
   EXPECT_EQ(engine->security_log().CountOf(SecurityEventKind::kReplay), 0u);
 }
 
-TEST(CompareExchangeTest, ComparisonWorkIsSpreadAndFindingsAreStable) {
-  // Two equivocators, so the audit has several conflicting keys to spread
-  // over the honest comparers, plus hundreds of clean link/path buckets.
+TEST(ClaimsExchangeTest, TwoEquivocatorsAreFoundAndFindingsAreStable) {
+  // Two equivocators among the clean claims of an 8-node ring: the auditor
+  // compares everything it collected itself.
   Topology topo;
   topo.num_nodes = 8;
   for (NodeId i = 0; i < 8; ++i) {
@@ -529,11 +608,10 @@ TEST(CompareExchangeTest, ComparisonWorkIsSpreadAndFindingsAreStable) {
   }
   EXPECT_EQ(flagged, (std::set<Principal>{engine->PrincipalOf(2),
                                           engine->PrincipalOf(3)}));
-  // Both phases are metered: 5 responders answer the claims collection
-  // (2 messages each), and the digest-comparison requests that hashed to
-  // non-auditor comparers add their own signed round trips on top.
+  // The audit's only traffic is the claims collection: 5 responders, one
+  // request and one response each. The comparison sends nothing.
   uint64_t audit_messages = engine->network().total_messages() - messages0;
-  EXPECT_GT(audit_messages, 10u);
+  EXPECT_EQ(audit_messages, 10u);
   EXPECT_GT(engine->cumulative_stats().prov_query_bytes, query_bytes0);
   // Nothing went unanswered, and nothing tripped the replay/bogus checks.
   EXPECT_EQ(
@@ -542,7 +620,7 @@ TEST(CompareExchangeTest, ComparisonWorkIsSpreadAndFindingsAreStable) {
   EXPECT_EQ(
       engine->security_log().CountOf(SecurityEventKind::kBogusResponse), 0u);
 
-  // The key->comparer assignment is deterministic, so re-running the audit
+  // The comparison follows the collected order, so re-running the audit
   // over unchanged state reproduces the findings exactly.
   std::vector<EquivocationFinding> again =
       EquivocationAudit(*engine, {"link"}, /*skip_nodes=*/{2, 3}).value();
@@ -560,9 +638,8 @@ TEST(CompareExchangeTest, ComparisonWorkIsSpreadAndFindingsAreStable) {
 
 // RunQuerySession meters each session kind once: a distributed walk is one
 // query, one virtual-time latency sample and one `provquery` span; a kLocal
-// walk sends nothing and counts nothing; an audit counts one query at its
-// claims collection, and its compare exchange (phase two of the same audit)
-// adds only hop samples.
+// walk sends nothing and counts nothing; an audit's claims collection counts
+// one query and adds only hop samples.
 TEST(QueryMeteringTest, EachSessionKindIsMeteredOnce) {
   Rng rng(7);
   Topology topo = Topology::RingPlusRandom(10, 3, rng);
@@ -620,34 +697,13 @@ TEST(QueryMeteringTest, EachSessionKindIsMeteredOnce) {
   EXPECT_EQ(hops->count(), walk.stats.responses);
 
   ClaimsExchange claims(*engine, /*auditor=*/0);
-  std::vector<ClaimsExchange::Claim> collected =
-      claims.Collect({"link"}, /*skip_nodes=*/{}).value();
+  ASSERT_TRUE(claims.Collect({"link"}, /*skip_nodes=*/{}).ok());
   ASSERT_GT(claims.stats().responses, 0u);
   EXPECT_EQ(queries(), 2u);
   EXPECT_EQ(latency->count(), 1u);
   EXPECT_EQ(spans(), 1u);
-
-  // One bucket per asserting principal: several digests each, so every
-  // bucket ships to its comparer.
-  std::map<Principal, size_t> bucket_of;
-  std::vector<CompareExchange::Bucket> buckets;
-  for (const ClaimsExchange::Claim& claim : collected) {
-    auto [it, fresh] = bucket_of.emplace(claim.asserted_by, buckets.size());
-    if (fresh) buckets.push_back(CompareExchange::Bucket{claim.asserted_by, {}});
-    buckets[it->second].digests.push_back(DigestOf(claim.tuple));
-  }
-  std::vector<NodeId> comparers;
-  for (NodeId n = 0; n < engine->num_nodes(); ++n) comparers.push_back(n);
-  CompareExchange compare(*engine, /*auditor=*/0);
-  ASSERT_TRUE(compare.Compare(buckets, comparers).ok());
-  ASSERT_GT(compare.stats().responses, 0u);
-  EXPECT_EQ(queries(), 2u);
-  EXPECT_EQ(latency->count(), 1u);
-  EXPECT_EQ(spans(), 1u);
-  EXPECT_EQ(hops->count(), walk.stats.responses + claims.stats().responses +
-                               compare.stats().responses);
+  EXPECT_EQ(hops->count(), walk.stats.responses + claims.stats().responses);
   EXPECT_TRUE(claims.silent().empty());
-  EXPECT_TRUE(compare.silent().empty());
 }
 
 }  // namespace

@@ -524,19 +524,11 @@ TEST(ProvArenaTest, WireAndAnnotationCachesRoundTrip) {
   ASSERT_NE(arena.CachedWire(id), nullptr);
   EXPECT_EQ(*arena.CachedWire(id), Payload(5, 32));
 
-  // Sender-independent and sender-keyed annotation entries are disjoint.
   ProvExpr ann = arena.InternVar(7);
   EXPECT_EQ(arena.CachedAnnotation(id), nullptr);
   arena.CacheAnnotation(id, ann);
   ASSERT_NE(arena.CachedAnnotation(id), nullptr);
   EXPECT_TRUE(arena.CachedAnnotation(id)->Equals(ann));
-
-  ProvExpr sender_ann = arena.InternTimes(ann, arena.InternVar(8));
-  EXPECT_EQ(arena.CachedAnnotation(id, /*sender=*/8), nullptr);
-  arena.CacheAnnotation(id, /*sender=*/8, sender_ann);
-  ASSERT_NE(arena.CachedAnnotation(id, 8), nullptr);
-  EXPECT_TRUE(arena.CachedAnnotation(id, 8)->Equals(sender_ann));
-  EXPECT_EQ(arena.CachedAnnotation(id, 9), nullptr);
 
   EXPECT_GT(arena.ResidentBytes(), 0u);  // caches are accounted
 }
