@@ -53,8 +53,6 @@ Result<std::unique_ptr<Engine>> MakeEngine(const Topology& topo,
   opts.prov_mode = ProvMode::kFull;
   opts.record_offline = true;
   opts.archive_dir = dir;
-  opts.archive_page_bytes = 4096;
-  opts.archive_cache_pages = 16;
   return Engine::Create(topo, BestPathNdlogProgram(), opts);
 }
 

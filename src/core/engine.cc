@@ -141,8 +141,7 @@ Status Engine::Init(Program program) {
   PROVNET_ASSIGN_OR_RETURN(LocalizedProgram localized,
                            LocalizeProgram(program));
   PROVNET_ASSIGN_OR_RETURN(
-      plan_, Plan::Compile(localized, program.materialize,
-                           options_.default_ttl));
+      plan_, Plan::Compile(localized, program.materialize));
 
   if (!options_.node_names.empty() &&
       options_.node_names.size() != topo_.num_nodes) {
@@ -285,7 +284,6 @@ void Engine::InitObs() {
       {Ctr::kStoreInternedHits, "store.interned_hits", Gate::kArena},
       {Ctr::kArchivePageReads, "store.archive_page_reads", Gate::kArchive},
       {Ctr::kArchivePageWrites, "store.archive_page_writes", Gate::kArchive},
-      {Ctr::kArchiveCompactions, "store.archive_compactions", Gate::kArchive},
   };
   static_assert(std::size(kSpecs) == kSecurityBase);
 
@@ -586,16 +584,11 @@ void Engine::RecordArchiveIo(NodeId node) const {
   store::ArchiveIo io = contexts_[node]->offline_store().TakeIo();
   cells[Ctr::kArchivePageReads]->value += io.page_reads;
   cells[Ctr::kArchivePageWrites]->value += io.page_writes;
-  cells[Ctr::kArchiveCompactions]->value += io.compactions;
 }
 
 Status Engine::OpenArchive(NodeId node) {
-  store::ArchiveOptions archive;
-  archive.page.page_bytes = options_.archive_page_bytes;
-  archive.page.cache_pages = options_.archive_cache_pages;
-  return contexts_[node]->OpenArchive(
-      options_.archive_dir + "/node" + std::to_string(node) + ".prov",
-      archive);
+  return contexts_[node]->OpenArchive(options_.archive_dir + "/node" +
+                                      std::to_string(node) + ".prov");
 }
 
 Status Engine::FlushDurableStores() {

@@ -113,9 +113,8 @@ struct EngineOptions {
   // over the same directory replays the log, so archives — and the
   // distributed ProvQuery offline fallback — survive process restarts).
   // Empty: archives are memory-resident page images in the same format.
+  // Either way its pages and read cache are store::PageFileOptions{}.
   std::string archive_dir;
-  size_t archive_page_bytes = 4096;  // archive page size
-  size_t archive_cache_pages = 64;   // decoded-page LRU capacity per node
 
   // --- fault tolerance (src/net/faults.*) ---
   // A non-empty plan arms the deterministic fault injector and (because
@@ -133,7 +132,6 @@ struct EngineOptions {
 
   // --- execution ---
   uint64_t seed = 1;
-  double default_ttl = -1.0;  // table TTL unless materialize says otherwise
   // Worker lanes for the sharded parallel executor (src/core/parallel.cc).
   // 1 = today's single-threaded loop, bit-for-bit. 0 = hardware
   // concurrency. >1 shards event cascades and delivery waves across a
@@ -441,14 +439,13 @@ class Engine {
     kProvFramesRejected,
     kQueryOfflineHits,
     // Durable-store health (src/store/). Conditionally registered: the
-    // arena pair only in kFull mode, the archive trio only with
+    // arena pair only in kFull mode, the archive pair only with
     // record_offline — so condensed/none telemetry snapshots keep exactly
     // their pre-store key set. Null handles when not registered.
     kStoreInternedNodes,
     kStoreInternedHits,
     kArchivePageReads,
     kArchivePageWrites,
-    kArchiveCompactions,
     kNumNamed,
   };
   // Per-rule counters (label rule=<label>), three per compiled rule.
@@ -544,13 +541,13 @@ class Engine {
   // as fallback (forensics over expired state, Section 4.2).
   std::vector<ProvRecord> ProvRecordsAt(NodeId node, TupleDigest digest,
                                         bool* offline_hit) const;
-  // Folds the offline archive's I/O deltas (page reads/writes, compactions)
-  // at `node` into the executing lane's cells. No-op unless the archive
-  // counters were registered (record_offline). Const because the read-side
-  // query path is const; the counters live behind stable pointers.
+  // Folds the offline archive's I/O deltas (page reads/writes) at `node`
+  // into the executing lane's cells. No-op unless the archive counters
+  // were registered (record_offline). Const because the read-side query
+  // path is const; the counters live behind stable pointers.
   void RecordArchiveIo(NodeId node) const;
-  // Opens `node`'s offline archive at <archive_dir>/node<i>.prov with the
-  // engine's page options, replaying any existing log.
+  // Opens `node`'s offline archive at <archive_dir>/node<i>.prov, replaying
+  // any existing log.
   Status OpenArchive(NodeId node);
   // End-of-Run() barrier for the durable store: folds the arena's dedup
   // counters into the registry cells and flushes every node's archive tail

@@ -20,13 +20,12 @@ void NodeContext::ClearTables() {
 
 void NodeContext::OpenMemoryArchive() {
   offline_ = std::make_unique<store::ProvArchive>();
-  (void)offline_->Open("", store::ArchiveOptions{});  // cannot fail in memory
+  (void)offline_->Open("");  // cannot fail in memory
 }
 
-Status NodeContext::OpenArchive(const std::string& path,
-                                const store::ArchiveOptions& options) {
+Status NodeContext::OpenArchive(const std::string& path) {
   auto fresh = std::make_unique<store::ProvArchive>();
-  PROVNET_RETURN_IF_ERROR(fresh->Open(path, options));
+  PROVNET_RETURN_IF_ERROR(fresh->Open(path));
   offline_ = std::move(fresh);
   return OkStatus();
 }

@@ -39,12 +39,11 @@ class NodeContext {
   const OnlineProvStore& online_store() const { return online_; }
   store::ProvArchive& offline_store() { return *offline_; }
   const store::ProvArchive& offline_store() const { return *offline_; }
-  // Re-binds the offline archive to the log at `path`, replaying any
-  // existing log (a torn final frame is truncated away). Records held by
-  // the previous archive are not carried over: the engine opens archives
-  // at Init, before any fact flows, and at restart.
-  Status OpenArchive(const std::string& path,
-                     const store::ArchiveOptions& options);
+  // Re-binds the offline archive to the log at `path` (default page
+  // options), replaying any existing log (a torn final frame is truncated
+  // away). Records held by the previous archive are not carried over: the
+  // engine opens archives at Init, before any fact flows, and at restart.
+  Status OpenArchive(const std::string& path);
 
   // Total stored tuples across tables (diagnostics).
   size_t TupleCount() const;

@@ -5,11 +5,9 @@
 namespace provnet {
 
 Result<Plan> Plan::Compile(const LocalizedProgram& localized,
-                           const std::vector<MaterializeDecl>& decls,
-                           double default_ttl) {
+                           const std::vector<MaterializeDecl>& decls) {
   Plan plan;
   plan.sendlog_ = localized.sendlog;
-  plan.default_ttl_ = default_ttl;
 
   // Materialize declarations first (explicit configuration).
   for (const MaterializeDecl& decl : decls) {
@@ -90,10 +88,7 @@ const std::vector<Strand>* Plan::StrandsFor(const std::string& pred) const {
 
 TableOptions Plan::OptionsFor(const std::string& pred) const {
   auto it = table_options_.find(pred);
-  if (it != table_options_.end()) return it->second;
-  TableOptions opts;
-  opts.default_ttl = default_ttl_;
-  return opts;
+  return it != table_options_.end() ? it->second : TableOptions{};
 }
 
 std::string Plan::ToString() const {

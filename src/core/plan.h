@@ -38,8 +38,7 @@ class Plan {
   // keys/TTLs; aggregate heads force group-column keys. Body atoms must use
   // only variable/constant arguments (function terms belong in assignments).
   static Result<Plan> Compile(const LocalizedProgram& localized,
-                              const std::vector<MaterializeDecl>& decls,
-                              double default_ttl);
+                              const std::vector<MaterializeDecl>& decls);
 
   bool sendlog() const { return sendlog_; }
   const std::vector<CompiledRule>& rules() const { return rules_; }
@@ -57,7 +56,6 @@ class Plan {
   std::vector<CompiledRule> rules_;
   std::unordered_map<std::string, std::vector<Strand>> strands_;
   std::unordered_map<std::string, TableOptions> table_options_;
-  double default_ttl_ = -1.0;
 };
 
 }  // namespace provnet

@@ -36,7 +36,6 @@ void ProvRecord::Serialize(ByteWriter& out) const {
   out.PutString(asserted_by);
   out.PutDouble(created_at);
   out.PutDouble(expires_at);
-  out.PutU8(persist ? 1 : 0);
   out.PutVarint(children.size());
   for (const ProvChildRef& c : children) c.Serialize(out);
 }
@@ -49,8 +48,6 @@ Result<ProvRecord> ProvRecord::Deserialize(ByteReader& in) {
   PROVNET_ASSIGN_OR_RETURN(rec.asserted_by, in.GetString());
   PROVNET_ASSIGN_OR_RETURN(rec.created_at, in.GetDouble());
   PROVNET_ASSIGN_OR_RETURN(rec.expires_at, in.GetDouble());
-  PROVNET_ASSIGN_OR_RETURN(uint8_t persist, in.GetU8());
-  rec.persist = persist != 0;
   PROVNET_ASSIGN_OR_RETURN(uint64_t n, in.GetVarint());
   if (n > in.remaining()) return InvalidArgumentError("too many children");
   for (uint64_t i = 0; i < n; ++i) {
@@ -66,7 +63,6 @@ std::string ProvRecord::ToString() const {
   if (!asserted_by.empty()) out += " (" + asserted_by + " says)";
   out += StrFormat(" t=%.2f", created_at);
   if (expires_at >= 0) out += StrFormat(" exp=%.2f", expires_at);
-  if (persist) out += " [persist]";
   out += StrFormat(" children=%zu", children.size());
   return out;
 }

@@ -5,9 +5,10 @@
 //    them; supports the "react at runtime" use case (delete all routes that
 //    depend on a malicious node).
 //  * The offline archive (store::ProvArchive, store/archive.h) outlives
-//    tuple expiry, with an aging policy plus per-record persist marks
-//    (Section 5's reactive retention: age everything out unless flagged
-//    during an anomaly).
+//    tuple expiry: an append-only log of every record the run kept.
+//    Section 5's reactive retention (keep little until an anomaly) is
+//    EngineOptions::recording_enabled, which records nothing until it is
+//    switched on.
 //  * Distributed provenance - records store *references* to their immediate
 //    children; a child is either local (same node) or remote (node id +
 //    content digest). Reconstruction walks these pointers with network
@@ -54,7 +55,6 @@ struct ProvRecord {
   Principal asserted_by;
   double created_at = 0.0;
   double expires_at = -1.0;  // -1 = never
-  bool persist = false;      // survives offline-archive aging
   std::vector<ProvChildRef> children;
 
   void Serialize(ByteWriter& out) const;

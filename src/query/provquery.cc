@@ -612,6 +612,12 @@ Result<std::vector<ClaimsExchange::Claim>> ClaimsExchange::Collect(
   // promise — a failed audit never reads as a clean one — holds because
   // silent() is never empty when the exchange was incomplete.
   silent_ = std::move(session.silent);
+  // Responses land in arrival order, which loss and retransmission shuffle.
+  // Ordering the claims by responder (each keeping its answer's order) makes
+  // the audit's "first claim" of a key independent of the transport.
+  std::stable_sort(
+      session.claims.begin(), session.claims.end(),
+      [](const Claim& a, const Claim& b) { return a.node < b.node; });
 
   // The auditor's own claims are read locally, for free — through the same
   // definition of "claim" the responders answered with.

@@ -281,6 +281,8 @@ class ClaimsExchange {
   ClaimsExchange(Engine& engine, NodeId auditor)
       : engine_(&engine), auditor_(auditor) {}
 
+  // Claims come back ordered by responder node, then the auditor's own:
+  // the same list whatever order the responses arrived in.
   Result<std::vector<Claim>> Collect(const std::set<std::string>& predicates,
                                      const std::set<NodeId>& skip_nodes);
 

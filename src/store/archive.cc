@@ -10,15 +10,15 @@ namespace provnet::store {
 namespace {
 
 enum FrameType : uint8_t {
-  kHeader = 0,   // magic + version + generation
-  kString = 1,   // interned string (id = arrival order)
-  kRecord = 2,   // one ProvRecord, id-interned encoding
-  kEvict = 3,    // EvictOlderThan cutoff (replayed logically)
-  kPersist = 4,  // MarkPersistent digest (replayed logically)
+  kHeader = 0,  // magic + version
+  kString = 1,  // interned string (id = arrival order)
+  kRecord = 2,  // one ProvRecord, id-interned encoding
 };
 
 constexpr const char* kMagic = "provarch";
-constexpr uint64_t kVersion = 1;
+// Bumped whenever a frame or record encoding changes, so a log written in
+// another encoding fails the header check instead of being misparsed.
+constexpr uint64_t kVersion = 2;
 // Frame trailer: 8-byte checksum.
 constexpr size_t kChecksumBytes = 8;
 
@@ -28,17 +28,19 @@ uint64_t FrameChecksum(uint8_t type, const uint8_t* payload, size_t len) {
   return Fnv1a64(payload, len) ^ (0x9E3779B97F4A7C15ull * (type + 1));
 }
 
+Bytes HeaderPayload() {
+  ByteWriter w;
+  w.PutString(kMagic);
+  w.PutVarint(kVersion);
+  return std::move(w).Take();
+}
+
 }  // namespace
 
-Status ProvArchive::Open(const std::string& path, ArchiveOptions options) {
-  options_ = options;
-  PROVNET_RETURN_IF_ERROR(file_.Open(path, options.page));
+Status ProvArchive::Open(const std::string& path, PageFileOptions options) {
+  PROVNET_RETURN_IF_ERROR(file_.Open(path, options));
   if (file_.end_offset() == 0) {
-    ByteWriter w;
-    w.PutString(kMagic);
-    w.PutVarint(kVersion);
-    w.PutVarint(generation_);
-    AppendFrame(kHeader, std::move(w).Take(), nullptr);
+    AppendFrame(kHeader, HeaderPayload(), nullptr);
     return OkStatus();
   }
   return Replay();
@@ -53,13 +55,7 @@ void ProvArchive::AppendFrame(uint8_t type, const Bytes& payload,
   w.PutRaw(payload.data(), payload.size());
   w.PutU64(FrameChecksum(type, payload.data(), payload.size()));
   Bytes frame = std::move(w).Take();
-  uint64_t at;
-  if (building_ != nullptr) {
-    at = building_->size();
-    building_->insert(building_->end(), frame.begin(), frame.end());
-  } else {
-    at = file_.Append(frame.data(), frame.size());
-  }
+  uint64_t at = file_.Append(frame.data(), frame.size());
   if (payload_offset != nullptr) *payload_offset = at + header_len;
 }
 
@@ -85,7 +81,6 @@ void ProvArchive::EncodeRecord(const ProvRecord& record, ByteWriter& out) {
   out.PutVarint(InternString(record.asserted_by));
   out.PutDouble(record.created_at);
   out.PutDouble(record.expires_at);
-  out.PutU8(record.persist ? 1 : 0);
   out.PutVarint(record.children.size());
   for (const ProvChildRef& c : record.children) {
     out.PutVarint(c.node);
@@ -133,8 +128,6 @@ Result<ProvRecord> ProvArchive::DecodeRecord(const uint8_t* data,
   PROVNET_ASSIGN_OR_RETURN(rec.asserted_by, get_string(asserted_id));
   PROVNET_ASSIGN_OR_RETURN(rec.created_at, in.GetDouble());
   PROVNET_ASSIGN_OR_RETURN(rec.expires_at, in.GetDouble());
-  PROVNET_ASSIGN_OR_RETURN(uint8_t persist, in.GetU8());
-  rec.persist = persist != 0;
   PROVNET_ASSIGN_OR_RETURN(uint64_t n, in.GetVarint());
   if (n > in.remaining()) return InvalidArgumentError("too many children");
   for (uint64_t i = 0; i < n; ++i) {
@@ -159,71 +152,27 @@ Result<ProvRecord> ProvArchive::DecodeSlot(const Slot& slot) const {
   if (!file_.Read(slot.offset, slot.len, &payload)) {
     return InternalError("archive payload read failed");
   }
-  PROVNET_ASSIGN_OR_RETURN(ProvRecord rec,
-                           DecodeRecord(payload.data(), payload.size()));
-  // MarkPersistent flips the slot, not the stored bytes; surface the live
-  // value so callers see the same record the in-memory store would hold.
-  rec.persist = slot.persist;
-  return rec;
+  return DecodeRecord(payload.data(), payload.size());
+}
+
+void ProvArchive::IndexRecord(const ProvRecord& record, uint64_t offset,
+                              size_t len) {
+  Slot slot;
+  slot.offset = offset;
+  slot.len = static_cast<uint32_t>(len);
+  slot.digest = DigestOf(record.tuple);
+  slot.created_at = record.created_at;
+  by_digest_[slot.digest].push_back(slots_.size());
+  slots_.push_back(slot);
 }
 
 void ProvArchive::Add(const ProvRecord& record) {
   ByteWriter w;
   EncodeRecord(record, w);
   Bytes payload = std::move(w).Take();
-  Slot slot;
-  slot.len = static_cast<uint32_t>(payload.size());
-  slot.digest = DigestOf(record.tuple);
-  slot.pred_id = string_ids_.at(record.tuple.predicate());
-  slot.created_at = record.created_at;
-  slot.persist = record.persist;
-  AppendFrame(kRecord, payload, &slot.offset);
-  by_digest_[slot.digest].push_back(slots_.size());
-  live_bytes_ += slot.len;
-  ++live_count_;
-  slots_.push_back(slot);
-}
-
-size_t ProvArchive::ApplyEvict(double cutoff) {
-  size_t evicted = 0;
-  for (Slot& slot : slots_) {
-    if (slot.dead || slot.persist || slot.created_at >= cutoff) continue;
-    slot.dead = true;
-    ++evicted;
-    --live_count_;
-    ++dead_count_;
-    live_bytes_ -= slot.len;
-  }
-  return evicted;
-}
-
-size_t ProvArchive::EvictOlderThan(double cutoff) {
-  size_t evicted = ApplyEvict(cutoff);
-  ByteWriter w;
-  w.PutDouble(cutoff);
-  AppendFrame(kEvict, std::move(w).Take(), nullptr);
-  MaybeCompact();
-  return evicted;
-}
-
-size_t ProvArchive::ApplyPersist(TupleDigest digest) {
-  auto it = by_digest_.find(digest);
-  if (it == by_digest_.end()) return 0;
-  size_t marked = 0;
-  for (size_t idx : it->second) {
-    if (slots_[idx].dead) continue;
-    slots_[idx].persist = true;
-    ++marked;
-  }
-  return marked;
-}
-
-size_t ProvArchive::MarkPersistent(TupleDigest digest) {
-  size_t marked = ApplyPersist(digest);
-  ByteWriter w;
-  w.PutU64(digest);
-  AppendFrame(kPersist, std::move(w).Take(), nullptr);
-  return marked;
+  uint64_t offset = 0;
+  AppendFrame(kRecord, payload, &offset);
+  IndexRecord(record, offset, payload.size());
 }
 
 std::vector<ProvRecord> ProvArchive::FindByDigest(TupleDigest digest) const {
@@ -231,21 +180,7 @@ std::vector<ProvRecord> ProvArchive::FindByDigest(TupleDigest digest) const {
   auto it = by_digest_.find(digest);
   if (it == by_digest_.end()) return out;
   for (size_t idx : it->second) {
-    if (slots_[idx].dead) continue;
     Result<ProvRecord> rec = DecodeSlot(slots_[idx]);
-    if (rec.ok()) out.push_back(std::move(rec).value());
-  }
-  return out;
-}
-
-std::vector<ProvRecord> ProvArchive::FindByPredicate(
-    const std::string& predicate) const {
-  std::vector<ProvRecord> out;
-  auto id = string_ids_.find(predicate);
-  if (id == string_ids_.end()) return out;
-  for (const Slot& slot : slots_) {
-    if (slot.dead || slot.pred_id != id->second) continue;
-    Result<ProvRecord> rec = DecodeSlot(slot);
     if (rec.ok()) out.push_back(std::move(rec).value());
   }
   return out;
@@ -255,46 +190,11 @@ std::vector<ProvRecord> ProvArchive::FindInWindow(double from,
                                                   double to) const {
   std::vector<ProvRecord> out;
   for (const Slot& slot : slots_) {
-    if (slot.dead || slot.created_at < from || slot.created_at >= to) continue;
+    if (slot.created_at < from || slot.created_at >= to) continue;
     Result<ProvRecord> rec = DecodeSlot(slot);
     if (rec.ok()) out.push_back(std::move(rec).value());
   }
   return out;
-}
-
-void ProvArchive::MaybeCompact() {
-  if (dead_count_ <= live_count_ || dead_count_ < options_.compact_min_dead) {
-    return;
-  }
-  // Decode every survivor before resetting the index — they become the new
-  // snapshot, appended in their original order.
-  std::vector<ProvRecord> live;
-  live.reserve(live_count_);
-  for (const Slot& slot : slots_) {
-    if (slot.dead) continue;
-    Result<ProvRecord> rec = DecodeSlot(slot);
-    if (rec.ok()) live.push_back(std::move(rec).value());
-  }
-  ++generation_;
-  strings_.clear();
-  string_ids_.clear();
-  slots_.clear();
-  by_digest_.clear();
-  live_count_ = 0;
-  live_bytes_ = 0;
-  dead_count_ = 0;
-
-  Bytes snapshot;
-  building_ = &snapshot;
-  ByteWriter header;
-  header.PutString(kMagic);
-  header.PutVarint(kVersion);
-  header.PutVarint(generation_);
-  AppendFrame(kHeader, std::move(header).Take(), nullptr);
-  for (const ProvRecord& rec : live) Add(rec);
-  building_ = nullptr;
-  (void)file_.Rewrite(snapshot);
-  ++compactions_;
 }
 
 Status ProvArchive::Replay() {
@@ -338,11 +238,6 @@ Status ProvArchive::Replay() {
           Result<uint64_t> version = pr.GetVarint();
           ok = version.ok() && *version == kVersion;
         }
-        if (ok) {
-          Result<uint64_t> gen = pr.GetVarint();
-          ok = gen.ok();
-          if (ok) generation_ = *gen;
-        }
         saw_header = ok;
         break;
       }
@@ -357,31 +252,7 @@ Status ProvArchive::Replay() {
         Result<ProvRecord> rec = DecodeRecord(body.data(),
                                               static_cast<size_t>(*len));
         ok = rec.ok();
-        if (ok) {
-          Slot slot;
-          slot.offset = payload_at;
-          slot.len = static_cast<uint32_t>(*len);
-          slot.digest = DigestOf(rec->tuple);
-          slot.pred_id = string_ids_.at(rec->tuple.predicate());
-          slot.created_at = rec->created_at;
-          slot.persist = rec->persist;
-          by_digest_[slot.digest].push_back(slots_.size());
-          live_bytes_ += slot.len;
-          ++live_count_;
-          slots_.push_back(slot);
-        }
-        break;
-      }
-      case kEvict: {
-        Result<double> cutoff = pr.GetDouble();
-        ok = cutoff.ok();
-        if (ok) ApplyEvict(*cutoff);
-        break;
-      }
-      case kPersist: {
-        Result<uint64_t> digest = pr.GetU64();
-        ok = digest.ok();
-        if (ok) ApplyPersist(*digest);
+        if (ok) IndexRecord(*rec, payload_at, static_cast<size_t>(*len));
         break;
       }
       default:
@@ -391,15 +262,10 @@ Status ProvArchive::Replay() {
     pos = frame_end;
   }
   // Drop everything from the first bad frame on. If even the header was
-  // unreadable the archive restarts empty (the log was corrupt at birth).
+  // unreadable (a log corrupt at birth, or one of another version) the
+  // archive restarts empty.
   PROVNET_RETURN_IF_ERROR(file_.TruncateTo(pos));
-  if (!saw_header) {
-    ByteWriter w;
-    w.PutString(kMagic);
-    w.PutVarint(kVersion);
-    w.PutVarint(generation_);
-    AppendFrame(kHeader, std::move(w).Take(), nullptr);
-  }
+  if (!saw_header) AppendFrame(kHeader, HeaderPayload(), nullptr);
   return OkStatus();
 }
 

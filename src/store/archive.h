@@ -1,26 +1,23 @@
-// Durable offline-provenance archive: a framed record log on a PageFile.
+// Durable offline-provenance archive: an append-only framed record log on a
+// PageFile.
 //
 // Layout (all framed, see `FrameType`):
 //
-//   [header] [string|record|evict|persist]*
+//   [header] [string|record]*
 //
 // Every frame is `[u8 type][varint payload_len][payload][u64 fnv1a(payload)]`.
-// Strings (predicates, rule labels, principals) are interned: the first
-// occurrence appends a kString frame and subsequent records reference it by
-// id, so the hot names in a fixpoint run are stored once per archive
-// generation. Records are varint-encoded with id-interned strings and raw
-// Value serialization — typically a third of ProvRecord::Serialize.
+// The header is magic + version. Strings (predicates, rule labels,
+// principals) are interned: the first occurrence appends a kString frame and
+// subsequent records reference it by id, so the hot names in a fixpoint run
+// are stored once per archive. Records are varint-encoded with id-interned
+// strings and raw Value serialization — typically a third of
+// ProvRecord::Serialize.
 //
-// Aging is logical: EvictOlderThan / MarkPersistent append small frames and
-// flip in-memory slot state; the bytes of dead records stay in the log until
-// compaction rewrites a fresh snapshot (generation + 1, live records only,
-// strings re-interned compactly) through PageFile::Rewrite's tmp+rename, so
-// a crash mid-compaction leaves a consistent archive either way. Frames
-// appended after the snapshot are the diff; recovery = replay snapshot then
-// diff, truncating a torn final frame (checksum or length mismatch) at the
-// tail.
+// Nothing is ever removed: the archive keeps every record the run appended.
+// Recovery replays the log and truncates a torn final frame (checksum or
+// length mismatch) at the tail.
 //
-// The in-memory footprint is the slot index (offset/len/digest/metadata per
+// The in-memory footprint is the slot index (offset/len/digest/time per
 // record) plus the PageFile cache — records themselves are decoded on
 // demand, which is what drops full-provenance RSS.
 #ifndef PROVNET_STORE_ARCHIVE_H_
@@ -37,13 +34,6 @@
 
 namespace provnet::store {
 
-struct ArchiveOptions {
-  PageFileOptions page;
-  // Compact when dead records outnumber live ones and exceed this floor
-  // (avoids rewriting tiny archives over and over).
-  size_t compact_min_dead = 64;
-};
-
 class ProvArchive {
  public:
   ProvArchive() = default;
@@ -54,29 +44,18 @@ class ProvArchive {
   // Opens (or creates) the archive at `path`; "" keeps it memory-resident.
   // An existing log is replayed to rebuild the index; a torn tail is
   // truncated away and recovery proceeds with every intact frame.
-  Status Open(const std::string& path, ArchiveOptions options);
+  Status Open(const std::string& path, PageFileOptions options = {});
 
   // Appends one record frame (interning any new strings first).
   void Add(const ProvRecord& record);
 
-  // Logical aging: marks matching live slots dead and logs the cutoff so
-  // replay reproduces the same live set. May trigger compaction. Returns
-  // the number evicted.
-  size_t EvictOlderThan(double cutoff);
-
-  // Marks all records of `digest` persistent (logged for replay). Returns
-  // how many were marked.
-  size_t MarkPersistent(TupleDigest digest);
-
-  // Decoded live records, in append order (matching the pre-archive
-  // in-memory store's iteration order byte-for-byte).
+  // Decoded records, in append order (matching the pre-archive in-memory
+  // store's iteration order byte-for-byte).
   std::vector<ProvRecord> FindByDigest(TupleDigest digest) const;
-  std::vector<ProvRecord> FindByPredicate(const std::string& predicate) const;
+  // Records created in [from, to).
   std::vector<ProvRecord> FindInWindow(double from, double to) const;
 
-  size_t size() const { return live_count_; }
-  // Sum of live record payload bytes — the storage-overhead bench number.
-  size_t ApproxBytes() const { return live_bytes_; }
+  size_t size() const { return slots_.size(); }
 
   Status Flush() { return file_.Flush(); }
   // Fail-stop crash: drops the unflushed tail and releases the backing
@@ -85,13 +64,8 @@ class ProvArchive {
   uint64_t DiskBytes() const { return file_.DiskBytes(); }
   bool on_disk() const { return file_.on_disk(); }
 
-  // Page reads/writes plus compactions since the last call.
-  ArchiveIo TakeIo() const {
-    ArchiveIo io = file_.TakeIo();
-    io.compactions = compactions_;
-    compactions_ = 0;
-    return io;
-  }
+  // Page reads/writes since the last call.
+  ArchiveIo TakeIo() const { return file_.TakeIo(); }
 
  private:
   // One index entry per record frame in the log.
@@ -99,44 +73,29 @@ class ProvArchive {
     uint64_t offset = 0;  // payload offset in the page file
     uint32_t len = 0;     // payload length
     TupleDigest digest = 0;
-    uint32_t pred_id = 0;
     double created_at = 0.0;
-    bool persist = false;
-    bool dead = false;
   };
 
   uint32_t InternString(const std::string& s);
-  // Appends one frame to the log (or to `building_` during compaction),
-  // reporting where the payload landed when the caller indexes it.
+  // Appends one frame to the log, reporting where the payload landed when
+  // the caller indexes it.
   void AppendFrame(uint8_t type, const Bytes& payload,
                    uint64_t* payload_offset);
   void EncodeRecord(const ProvRecord& record, ByteWriter& out);
   Result<ProvRecord> DecodeRecord(const uint8_t* data, size_t len) const;
   Result<ProvRecord> DecodeSlot(const Slot& slot) const;
+  // Indexes one record frame whose payload starts at `offset`.
+  void IndexRecord(const ProvRecord& record, uint64_t offset, size_t len);
   // Replays every intact frame of an existing log, truncating a torn tail.
   Status Replay();
-  // Index-side effects of evict/persist frames, shared by the live calls
-  // and replay.
-  size_t ApplyEvict(double cutoff);
-  size_t ApplyPersist(TupleDigest digest);
-  void MaybeCompact();
 
-  ArchiveOptions options_;
   PageFile file_;
-  uint64_t generation_ = 0;
-  // Non-null while compaction builds the replacement snapshot: AppendFrame
-  // targets this buffer instead of the page file.
-  Bytes* building_ = nullptr;
 
   std::vector<std::string> strings_;
   std::unordered_map<std::string, uint32_t> string_ids_;
 
   std::vector<Slot> slots_;
   std::unordered_map<TupleDigest, std::vector<size_t>> by_digest_;
-  size_t live_count_ = 0;
-  size_t live_bytes_ = 0;
-  size_t dead_count_ = 0;
-  mutable uint64_t compactions_ = 0;
 };
 
 }  // namespace provnet::store

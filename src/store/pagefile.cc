@@ -276,43 +276,6 @@ void PageFile::DropCache() const {
   lru_pos_.clear();
 }
 
-Status PageFile::Rewrite(const Bytes& bytes) {
-  if (file_ == nullptr) {
-    size_t released = pages_.size() * (options_.page_bytes + kPageOverhead);
-    pages_.clear();
-    ReleaseResident(released);
-    end_offset_ = 0;
-    Append(bytes.data(), bytes.size());
-    return OkStatus();
-  }
-  std::string tmp = path_ + ".tmp";
-  std::FILE* out = std::fopen(tmp.c_str(), "wb");
-  if (out == nullptr) return InternalError("cannot open " + tmp);
-  bool ok = bytes.empty() ||
-            std::fwrite(bytes.data(), 1, bytes.size(), out) == bytes.size();
-  ok = std::fflush(out) == 0 && ok;
-  std::fclose(out);
-  if (!ok) return InternalError("archive rewrite failed: " + tmp);
-  std::fclose(file_);
-  file_ = nullptr;
-  std::error_code ec;
-  std::filesystem::rename(tmp, path_, ec);
-  if (ec) return InternalError("archive rename failed: " + ec.message());
-  file_ = std::fopen(path_.c_str(), "rb+");
-  if (file_ == nullptr) {
-    return InternalError("cannot reopen archive file: " + path_);
-  }
-  io_.page_writes += (bytes.size() + options_.page_bytes - 1) /
-                     options_.page_bytes;
-  end_offset_ = bytes.size();
-  tail_index_ = end_offset_ / options_.page_bytes;
-  size_t tail_len = static_cast<size_t>(end_offset_ % options_.page_bytes);
-  tail_.assign(bytes.end() - static_cast<long>(tail_len), bytes.end());
-  tail_dirty_ = false;
-  DropCache();
-  return OkStatus();
-}
-
 uint64_t PageFile::DiskBytes() const {
   return file_ == nullptr ? 0 : end_offset_;
 }

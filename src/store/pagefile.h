@@ -35,12 +35,11 @@ struct PageFileOptions {
   size_t cache_pages = 64;
 };
 
-// Page reads/writes/compactions since the last TakeIo() — the archive's
-// registry counters are fed from these deltas at engine choke points.
+// Page reads/writes since the last TakeIo() — the archive's registry
+// counters are fed from these deltas at engine choke points.
 struct ArchiveIo {
   uint64_t page_reads = 0;   // cache misses served from the backing file
   uint64_t page_writes = 0;  // pages written through to the backing file
-  uint64_t compactions = 0;  // filled by the archive layer, not here
 };
 
 class PageFile {
@@ -81,11 +80,6 @@ class PageFile {
   // Drops everything at and after `offset` (recovery truncating a torn
   // tail). Requires offset <= end_offset().
   Status TruncateTo(uint64_t offset);
-
-  // Replaces the whole log with `bytes` (the archive's snapshot rewrite).
-  // On disk this goes through <path>.tmp + rename, so a crash mid-rewrite
-  // leaves either the old or the new log, never a mix.
-  Status Rewrite(const Bytes& bytes);
 
   // Bytes in the backing file (0 in memory mode): the "archive bytes on
   // disk" number the benches report.

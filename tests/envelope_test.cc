@@ -128,7 +128,7 @@ TEST(EnvelopeTest, HonestWireBytesArePinned) {
       {Variant::kNdlog, 6152398770891977051ull, {{1, 329}, {4, 19}}},
       {Variant::kCondensed, 15068676882828553372ull, {{1, 329}, {4, 19}}},
       {Variant::kPointers,
-       911920597394489575ull,
+       8547425074465526027ull,
        {{1, 329}, {2, 14}, {3, 14}, {4, 19}}},
       {Variant::kFull, 13687397267280688170ull, {{1, 329}, {4, 19}}},
   };

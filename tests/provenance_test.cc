@@ -400,35 +400,19 @@ TEST(OnlineStoreTest, DependentsOfTracksTransitiveTaint) {
   EXPECT_EQ(tainted.size(), 2u);  // mid directly, top transitively
 }
 
-TEST(OfflineStoreTest, AgingRespectsPersistMarks) {
-  store::ProvArchive store;
-  ASSERT_TRUE(store.Open("", {}).ok());
-  Tuple t1("x", {Value::Int(1)});
-  Tuple t2("x", {Value::Int(2)});
-  store.Add(MakeRecord(t1, "r", 0, "a", 1.0));
-  store.Add(MakeRecord(t2, "r", 0, "a", 2.0));
-  EXPECT_EQ(store.MarkPersistent(DigestOf(t1)), 1u);
-  EXPECT_EQ(store.EvictOlderThan(10.0), 1u);  // t2 aged out, t1 kept
-  EXPECT_EQ(store.FindByDigest(DigestOf(t1)).size(), 1u);
-  EXPECT_TRUE(store.FindByDigest(DigestOf(t2)).empty());
-}
-
-TEST(OfflineStoreTest, QueriesByPredicateAndWindow) {
+TEST(OfflineStoreTest, QueriesByWindow) {
   store::ProvArchive store;
   ASSERT_TRUE(store.Open("", {}).ok());
   store.Add(MakeRecord(Tuple("a", {Value::Int(1)}), "r", 0, "p", 1.0));
   store.Add(MakeRecord(Tuple("b", {Value::Int(2)}), "r", 0, "p", 5.0));
   store.Add(MakeRecord(Tuple("a", {Value::Int(3)}), "r", 0, "p", 9.0));
-  EXPECT_EQ(store.FindByPredicate("a").size(), 2u);
   EXPECT_EQ(store.FindInWindow(0.0, 6.0).size(), 2u);
   EXPECT_EQ(store.FindInWindow(4.0, 10.0).size(), 2u);
-  EXPECT_GT(store.ApproxBytes(), 0u);
 }
 
 TEST(ProvRecordTest, SerializationRoundTrip) {
   ProvRecord rec = MakeRecord(Tuple("x", {Value::Int(1)}), "sp2", 3, "n3",
                               1.5, 99.0);
-  rec.persist = true;
   ProvChildRef ref;
   ref.node = 2;
   ref.digest = 0xDEADBEEFCAFEF00DULL;
@@ -444,7 +428,6 @@ TEST(ProvRecordTest, SerializationRoundTrip) {
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value().tuple, rec.tuple);
   EXPECT_EQ(back.value().rule, "sp2");
-  EXPECT_TRUE(back.value().persist);
   ASSERT_EQ(back.value().children.size(), 1u);
   EXPECT_EQ(back.value().children[0].digest, ref.digest);
   EXPECT_TRUE(back.value().children[0].is_base);

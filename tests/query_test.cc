@@ -23,6 +23,7 @@
 #include "apps/programs.h"
 #include "core/engine.h"
 #include "core/envelope.h"
+#include "net/faults.h"
 #include "net/topology.h"
 #include "query/provquery.h"
 
@@ -573,9 +574,10 @@ TEST(ClaimsExchangeTest, AuditChargesBandwidthAndStillFindsConflicts) {
   EXPECT_EQ(engine->security_log().CountOf(SecurityEventKind::kReplay), 0u);
 }
 
-TEST(ClaimsExchangeTest, TwoEquivocatorsAreFoundAndFindingsAreStable) {
-  // Two equivocators among the clean claims of an 8-node ring: the auditor
-  // compares everything it collected itself.
+// Two equivocators among the clean claims of an 8-node ring, run to
+// quiescence: n2 tells n0 and n4 different costs for one link, n3 tells n1
+// and n5 different costs for another.
+std::unique_ptr<Engine> TwoEquivocatorRing(FaultPlan plan = {}) {
   Topology topo;
   topo.num_nodes = 8;
   for (NodeId i = 0; i < 8; ++i) {
@@ -584,17 +586,37 @@ TEST(ClaimsExchangeTest, TwoEquivocatorsAreFoundAndFindingsAreStable) {
   EngineOptions opts;
   opts.authenticate = true;
   opts.says_level = SaysLevel::kHmac;
+  opts.fault_plan = std::move(plan);
   auto engine = Engine::Create(topo, BestPathNdlogProgram(), opts).value();
-  ASSERT_TRUE(engine->InsertLinkFacts().ok());
-  ASSERT_TRUE(engine->Run().ok());
+  EXPECT_TRUE(engine->InsertLinkFacts().ok());
+  EXPECT_TRUE(engine->Run().ok());
   Adversary adversary(*engine, 11);
-  ASSERT_TRUE(adversary
+  EXPECT_TRUE(adversary
                   .InjectEquivocation(2, 0, Link3(2, 5, 1), 4, Link3(2, 5, 77))
                   .ok());
-  ASSERT_TRUE(adversary
+  EXPECT_TRUE(adversary
                   .InjectEquivocation(3, 1, Link3(3, 6, 2), 5, Link3(3, 6, 88))
                   .ok());
-  ASSERT_TRUE(engine->Run().ok());
+  EXPECT_TRUE(engine->Run().ok());
+  return engine;
+}
+
+void ExpectSameFindings(const std::vector<EquivocationFinding>& got,
+                        const std::vector<EquivocationFinding>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "finding " << i);
+    EXPECT_EQ(got[i].principal, want[i].principal);
+    EXPECT_EQ(got[i].node_a, want[i].node_a);
+    EXPECT_EQ(got[i].node_b, want[i].node_b);
+    EXPECT_EQ(got[i].claim_a, want[i].claim_a);
+    EXPECT_EQ(got[i].claim_b, want[i].claim_b);
+  }
+}
+
+TEST(ClaimsExchangeTest, TwoEquivocatorsAreFoundAndFindingsAreStable) {
+  // The auditor compares everything it collected itself.
+  std::unique_ptr<Engine> engine = TwoEquivocatorRing();
 
   uint64_t messages0 = engine->network().total_messages();
   uint64_t query_bytes0 = engine->cumulative_stats().prov_query_bytes;
@@ -622,15 +644,25 @@ TEST(ClaimsExchangeTest, TwoEquivocatorsAreFoundAndFindingsAreStable) {
 
   // The comparison follows the collected order, so re-running the audit
   // over unchanged state reproduces the findings exactly.
-  std::vector<EquivocationFinding> again =
-      EquivocationAudit(*engine, {"link"}, /*skip_nodes=*/{2, 3}).value();
-  ASSERT_EQ(again.size(), findings.size());
-  for (size_t i = 0; i < findings.size(); ++i) {
-    EXPECT_EQ(again[i].principal, findings[i].principal);
-    EXPECT_EQ(again[i].node_a, findings[i].node_a);
-    EXPECT_EQ(again[i].node_b, findings[i].node_b);
-    EXPECT_EQ(again[i].claim_a, findings[i].claim_a);
-    EXPECT_EQ(again[i].claim_b, findings[i].claim_b);
+  ExpectSameFindings(
+      EquivocationAudit(*engine, {"link"}, /*skip_nodes=*/{2, 3}).value(),
+      findings);
+}
+
+TEST(ClaimsExchangeTest, FindingsDoNotDependOnResponseOrder) {
+  // Loss and retransmission change the order the claims responses arrive
+  // in; the findings (which claim of a key counts as first) must not move.
+  std::vector<EquivocationFinding> want =
+      EquivocationAudit(*TwoEquivocatorRing(), {"link"}, {2, 3}).value();
+  ASSERT_EQ(want.size(), 2u);
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "loss seed " << seed);
+    std::unique_ptr<Engine> engine =
+        TwoEquivocatorRing(FaultPlan::UniformLoss(0.05, seed));
+    for (int audit = 0; audit < 2; ++audit) {
+      ExpectSameFindings(
+          EquivocationAudit(*engine, {"link"}, {2, 3}).value(), want);
+    }
   }
 }
 

@@ -4,12 +4,11 @@
 //
 // The oracles:
 //   * byte-log     - PageFile round-trips appended bytes through the page
-//     boundary, survives a reopen byte-for-byte, truncates and atomically
-//     rewrites; the LRU read cache never changes what a read returns;
+//     boundary, survives a reopen byte-for-byte, and truncates; the LRU
+//     read cache never changes what a read returns;
 //   * archive      - ProvArchive decodes records identical (serialized
-//     bytes) to what was added, replays its log on reopen including evict
-//     and persist frames, compacts dead records away, and truncates a torn
-//     tail instead of failing recovery;
+//     bytes) to what was added, replays every record on reopen, and
+//     truncates a torn tail instead of failing recovery;
 //   * arena        - Canonical() interns structurally-equal derivations to
 //     one id, the expression/count/wire/annotation/decode caches answer
 //     what was put in them and nothing else;
@@ -178,31 +177,6 @@ TEST(PageFileTest, TruncateToDropsTail) {
   EXPECT_EQ(back, c);
 }
 
-TEST(PageFileTest, RewriteReplacesLogAtomically) {
-  TempDir dir("pagefile_rewrite");
-  const std::string path = dir.File("log.pages");
-  store::PageFile file;
-  ASSERT_TRUE(file.Open(path, {.page_bytes = 64, .cache_pages = 4}).ok());
-  Bytes old = Payload(1, 300);
-  file.Append(old.data(), old.size());
-  ASSERT_TRUE(file.Flush().ok());
-
-  Bytes fresh = Payload(9, 150);
-  ASSERT_TRUE(file.Rewrite(fresh).ok());
-  EXPECT_EQ(file.end_offset(), fresh.size());
-  Bytes back;
-  ASSERT_TRUE(file.Read(0, fresh.size(), &back));
-  EXPECT_EQ(back, fresh);
-
-  // No .tmp litter, and a reopen sees only the new log.
-  EXPECT_FALSE(fs::exists(path + ".tmp"));
-  store::PageFile again;
-  ASSERT_TRUE(again.Open(path, {.page_bytes = 64, .cache_pages = 4}).ok());
-  EXPECT_EQ(again.end_offset(), fresh.size());
-  ASSERT_TRUE(again.Read(0, fresh.size(), &back));
-  EXPECT_EQ(back, fresh);
-}
-
 // --- ProvArchive ------------------------------------------------------------
 
 ProvRecord MakeRecord(const Tuple& t, const std::string& rule, NodeId loc,
@@ -232,11 +206,8 @@ void ExpectSameRecords(const std::vector<ProvRecord>& got,
   }
 }
 
-store::ArchiveOptions SmallPages() {
-  store::ArchiveOptions opts;
-  opts.page.page_bytes = 128;
-  opts.page.cache_pages = 4;
-  return opts;
+store::PageFileOptions SmallPages() {
+  return {.page_bytes = 128, .cache_pages = 4};
 }
 
 TEST(ProvArchiveTest, RoundTripsAllQueryAxes) {
@@ -259,91 +230,38 @@ TEST(ProvArchiveTest, RoundTripsAllQueryAxes) {
   archive.Add(rb1);
   archive.Add(rb2);
   EXPECT_EQ(archive.size(), 3u);
-  EXPECT_GT(archive.ApproxBytes(), 0u);
 
   ExpectSameRecords(archive.FindByDigest(DigestOf(ta)), {ra});
   ExpectSameRecords(archive.FindByDigest(DigestOf(tb)), {rb1, rb2});
-  ExpectSameRecords(archive.FindByPredicate("bestPath"), {rb1, rb2});
   ExpectSameRecords(archive.FindInWindow(1.5, 2.5), {rb1});
   EXPECT_TRUE(archive.FindByDigest(0xdeadbeef).empty());
 }
 
-TEST(ProvArchiveTest, EvictRespectsPersistMarks) {
-  store::ProvArchive archive;
-  ASSERT_TRUE(archive.Open("", SmallPages()).ok());
-  Tuple told("x", {Value::Int(1)});
-  Tuple tnew("x", {Value::Int(2)});
-  archive.Add(MakeRecord(told, "r", 0, "a", 1.0));
-  archive.Add(MakeRecord(tnew, "r", 0, "a", 5.0));
-
-  EXPECT_EQ(archive.MarkPersistent(DigestOf(told)), 1u);
-  EXPECT_EQ(archive.EvictOlderThan(4.0), 0u);  // persist-marked survives
-  EXPECT_EQ(archive.size(), 2u);
-
-  archive.Add(MakeRecord(Tuple("y", {Value::Int(3)}), "r", 0, "a", 2.0));
-  EXPECT_EQ(archive.EvictOlderThan(4.0), 1u);  // the unmarked old record
-  EXPECT_EQ(archive.size(), 2u);
-  EXPECT_EQ(archive.FindByDigest(DigestOf(told)).size(), 1u);
-  EXPECT_TRUE(archive.FindByPredicate("y").empty());
-}
-
-TEST(ProvArchiveTest, CompactionDropsDeadRecordsFromDisk) {
-  TempDir dir("archive_compact");
-  store::ArchiveOptions opts = SmallPages();
-  opts.compact_min_dead = 4;  // compact eagerly for the test
-  store::ProvArchive archive;
-  ASSERT_TRUE(archive.Open(dir.File("node0.prov"), opts).ok());
-
-  Tuple keep("keep", {Value::Int(0)});
-  archive.Add(MakeRecord(keep, "r", 0, "a", 100.0));
-  for (int i = 0; i < 32; ++i) {
-    archive.Add(MakeRecord(Tuple("junk", {Value::Int(i)}), "r", 0, "a", 1.0));
-  }
-  ASSERT_TRUE(archive.Flush().ok());
-  const uint64_t disk_before = archive.DiskBytes();
-  (void)archive.TakeIo();
-
-  EXPECT_EQ(archive.EvictOlderThan(50.0), 32u);
-  EXPECT_GE(archive.TakeIo().compactions, 1u);
-  ASSERT_TRUE(archive.Flush().ok());
-  EXPECT_LT(archive.DiskBytes(), disk_before);  // snapshot shed dead bytes
-
-  EXPECT_EQ(archive.size(), 1u);
-  EXPECT_EQ(archive.FindByDigest(DigestOf(keep)).size(), 1u);
-  EXPECT_TRUE(archive.FindByPredicate("junk").empty());
-}
-
-TEST(ProvArchiveTest, ReopenReplaysRecordsEvictionsAndPersistMarks) {
+TEST(ProvArchiveTest, ReopenReplaysRecords) {
   TempDir dir("archive_reopen");
   const std::string path = dir.File("node0.prov");
-  Tuple kept("kept", {Value::Int(1)});
-  Tuple marked("marked", {Value::Int(2)});
-  std::vector<ProvRecord> want_kept, want_marked;
+  Tuple early("early", {Value::Int(2)});
+  Tuple late("late", {Value::Int(1)});
+  std::vector<ProvRecord> want_early, want_late;
   {
     store::ProvArchive archive;
     ASSERT_TRUE(archive.Open(path, SmallPages()).ok());
-    ProvRecord rm = MakeRecord(marked, "r", 0, "a", 1.0);
-    ProvRecord rk = MakeRecord(kept, "r", 0, "a", 9.0);
-    archive.Add(rm);
-    archive.Add(MakeRecord(Tuple("aged", {Value::Int(3)}), "r", 0, "a", 1.5));
-    archive.Add(rk);
-    archive.MarkPersistent(DigestOf(marked));
-    archive.EvictOlderThan(5.0);  // drops "aged", keeps the marked record
+    archive.Add(MakeRecord(early, "r", 0, "a", 1.0));
+    archive.Add(MakeRecord(Tuple("other", {Value::Int(3)}), "r", 0, "a", 1.5));
+    archive.Add(MakeRecord(late, "r", 0, "a", 9.0));
     ASSERT_TRUE(archive.Flush().ok());
-    // Fingerprint what the live archive answers (persist marks included):
-    // replay must reproduce exactly this.
-    want_marked = archive.FindByDigest(DigestOf(marked));
-    want_kept = archive.FindByDigest(DigestOf(kept));
-    EXPECT_EQ(archive.size(), 2u);
+    // Fingerprint what the live archive answers: replay must reproduce
+    // exactly this.
+    want_early = archive.FindByDigest(DigestOf(early));
+    want_late = archive.FindByDigest(DigestOf(late));
+    EXPECT_EQ(archive.size(), 3u);
   }
   store::ProvArchive archive;
   ASSERT_TRUE(archive.Open(path, SmallPages()).ok());
-  EXPECT_EQ(archive.size(), 2u);
-  ExpectSameRecords(archive.FindByDigest(DigestOf(kept)), want_kept);
-  ExpectSameRecords(archive.FindByDigest(DigestOf(marked)), want_marked);
-  EXPECT_TRUE(archive.FindByPredicate("aged").empty());
-  // Replayed persist marks still shield the record from further aging.
-  EXPECT_EQ(archive.EvictOlderThan(5.0), 0u);
+  EXPECT_EQ(archive.size(), 3u);
+  ExpectSameRecords(archive.FindByDigest(DigestOf(late)), want_late);
+  ExpectSameRecords(archive.FindByDigest(DigestOf(early)), want_early);
+  EXPECT_EQ(archive.FindInWindow(0.0, 5.0).size(), 2u);  // times replayed too
 }
 
 // Append raw garbage to a finished log: a crash mid-frame leaves exactly
@@ -540,13 +458,11 @@ TEST(ProvArenaTest, WireAndAnnotationCachesRoundTrip) {
 // same directory, and demand the byte-identical proof without re-running.
 class DurableEngineTest : public ::testing::Test {
  protected:
-  EngineOptions ArchiveOptions(const std::string& dir) {
+  EngineOptions DurableOptions(const std::string& dir) {
     EngineOptions opts;
     opts.prov_mode = ProvMode::kFull;
     opts.record_offline = true;
     opts.archive_dir = dir;
-    opts.archive_page_bytes = 1024;  // small pages: exercise page churn
-    opts.archive_cache_pages = 8;
     return opts;
   }
 
@@ -603,7 +519,7 @@ class DurableEngineTest : public ::testing::Test {
 
 TEST_F(DurableEngineTest, ProofDagIsByteIdenticalAcrossRestart) {
   TempDir dir("engine_restart");
-  EngineOptions opts = ArchiveOptions(dir.File("archives"));
+  EngineOptions opts = DurableOptions(dir.File("archives"));
   Rng rng(20080407);
   Topology topo = Topology::RingPlusRandom(12, 2, rng);
 
@@ -617,7 +533,7 @@ TEST_F(DurableEngineTest, ProofDagIsByteIdenticalAcrossRestart) {
 TEST_F(DurableEngineTest, TornArchiveTailRecoversToIdenticalProof) {
   TempDir dir("engine_torn");
   const std::string archives = dir.File("archives");
-  EngineOptions opts = ArchiveOptions(archives);
+  EngineOptions opts = DurableOptions(archives);
   Rng rng(20080407);
   Topology topo = Topology::RingPlusRandom(12, 2, rng);
 
