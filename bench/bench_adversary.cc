@@ -178,7 +178,7 @@ Result<AttackedResult> RunAttacked(const Config& cfg, const Topology& topo,
   uint64_t verifies0 = engine->authenticator().verify_count();
   auto t0 = std::chrono::steady_clock::now();
 
-  AttackCampaignDriver driver(*engine, adversary, CampaignOptions{});
+  AttackCampaignDriver driver(*engine, adversary);
   PROVNET_ASSIGN_OR_RETURN(CampaignReport report, driver.Replay(script));
 
   auto t1 = std::chrono::steady_clock::now();

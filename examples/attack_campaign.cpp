@@ -91,7 +91,7 @@ int main() {
   script.AddAuditSweeps(2.0, 0.5, 4.0);
   script.SortByTime();
 
-  AttackCampaignDriver driver(*engine, adversary, CampaignOptions{});
+  AttackCampaignDriver driver(*engine, adversary);
   auto report = driver.Replay(script);
   if (!report.ok()) {
     std::printf("campaign: %s\n", report.status().ToString().c_str());

@@ -105,7 +105,7 @@ class Adversary {
   // Re-sends a captured authenticated message of `msg_type` (kMsgTuple by
   // default; kMsgProvResponse replays a captured provenance-query answer).
   // The replay targets the original destination (defeated by the sequence
-  // window) or, when `redirect` names a different node, that node (defeated
+  // record) or, when `redirect` names a different node, that node (defeated
   // by the signed destination). Fails with NotFound when nothing suitable
   // was captured.
   Status InjectReplay(NodeId attacker, std::optional<NodeId> redirect = {},

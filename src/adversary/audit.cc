@@ -50,40 +50,4 @@ std::vector<const SecurityEvent*> SecurityLog::EventsSince(size_t mark) const {
   return out;
 }
 
-bool ReplayGuard::Accept(uint64_t seq) {
-  if (!any_) {
-    any_ = true;
-    high_ = seq;
-    mask_ = 1;
-    return true;
-  }
-  if (seq > high_) {
-    uint64_t shift = seq - high_;
-    // Archive the accepted bits about to slide out of the bitmap, so a
-    // below-window arrival can be judged exactly. The conservative
-    // reject-all-stale rule this replaces booked loss-delayed honest
-    // retransmits as replays: one lost frame, retransmitted after the
-    // sender's shared per-principal counter advanced past the window, was
-    // indistinguishable from an attack.
-    uint64_t falling = shift >= kWindow ? kWindow : shift;
-    for (uint64_t age = kWindow - falling; age < kWindow; ++age) {
-      if (high_ >= age && (mask_ & (1ull << age))) old_.insert(high_ - age);
-    }
-    mask_ = shift >= 64 ? 0 : mask_ << shift;
-    mask_ |= 1;
-    high_ = seq;
-    return true;
-  }
-  uint64_t age = high_ - seq;
-  if (age >= kWindow) {
-    // Older than the bitmap: consult the exact archive. Seen before =>
-    // replay; never seen => a late original (lost-then-retransmitted).
-    return old_.insert(seq).second;
-  }
-  uint64_t bit = 1ull << age;
-  if (mask_ & bit) return false;  // duplicate: the replay case
-  mask_ |= bit;
-  return true;
-}
-
 }  // namespace provnet

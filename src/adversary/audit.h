@@ -8,8 +8,8 @@
 // verification rejection becomes a SecurityEvent in an engine-wide
 // SecurityLog (timestamped in virtual time, so detection latency is
 // measurable), and each (receiver, sender-principal) pair maintains a
-// ReplayGuard — a high-water sequence number plus a sliding bitmap window —
-// that rejects re-sent authenticated messages.
+// ReplayGuard — the set of sequence numbers it accepted — that rejects
+// re-sent authenticated messages.
 #ifndef PROVNET_ADVERSARY_AUDIT_H_
 #define PROVNET_ADVERSARY_AUDIT_H_
 
@@ -27,7 +27,7 @@ enum class SecurityEventKind : uint8_t {
   kBadSignature = 0,        // says tag failed cryptographic verification
   kMissingSignature = 1,    // authenticated network, no says tag attached
   kUnknownPrincipal = 2,    // principal outside the deployment's PKI
-  kReplay = 3,              // sequence number already seen (or too old)
+  kReplay = 3,              // sequence number already accepted
   kMisdirected = 4,         // signed destination != receiving node
   kUnauthorizedRetract = 5, // retraction from a principal that never
                             // asserted the tuple (and holds no capability)
@@ -77,34 +77,25 @@ class SecurityLog {
   std::vector<SecurityEvent> events_;
 };
 
-// Anti-replay window for one (receiver, sender-principal) pair. Sequence
+// Anti-replay record for one (receiver, sender-principal) pair. Sequence
 // numbers are issued monotonically per sender principal; a receiver sees an
 // increasing (but gappy — one counter feeds many receivers) subsequence.
-// Accept() tracks the highest sequence seen plus a 64-wide bitmap of recent
-// ones, so moderate reordering passes while any duplicate — the replayed
-// message — is rejected. Sequences older than the bitmap are checked
-// exactly against the archive of accepted-then-aged-out sequences: a frame
+// Accept() keeps the exact set of sequences it accepted, so any reordering
+// passes while any duplicate — the replayed message — is rejected: a frame
 // whose original was lost and retransmitted arrives arbitrarily late but
 // *fresh*, and must not be booked as a replay (the loss-vs-malice
 // distinction the fault-tolerant transport depends on), while a captured
 // message re-sent by an attacker was genuinely accepted once and is
-// rejected however old it is.
+// rejected however old it is. Memory grows with accepted traffic per
+// principal pair — the price of zero false positives on loss-delayed
+// honest frames.
 class ReplayGuard {
  public:
   // True if `seq` is fresh (records it); false on replay.
-  bool Accept(uint64_t seq);
-
-  uint64_t high_water() const { return high_; }
+  bool Accept(uint64_t seq) { return accepted_.insert(seq).second; }
 
  private:
-  static constexpr uint64_t kWindow = 64;
-  bool any_ = false;
-  uint64_t high_ = 0;   // highest accepted sequence
-  uint64_t mask_ = 1;   // bit i set => (high_ - i) seen; bit 0 is high_
-  // Accepted sequences that slid out of the bitmap. Exact history (memory
-  // grows with accepted traffic per principal pair) — the price of zero
-  // false positives on loss-delayed honest frames.
-  std::unordered_set<uint64_t> old_;
+  std::unordered_set<uint64_t> accepted_;
 };
 
 }  // namespace provnet

@@ -23,9 +23,10 @@ bool LeavesStateKind(AttackKind kind) {
   return IsForgeKind(kind) || kind == AttackKind::kEquivocate;
 }
 
-// Default operator invariant: no link/path/bestPath can honestly cost less
-// than 1 (RingPlusRandom topologies use positive costs).
-bool DefaultViolation(const Tuple& t) {
+// The operator's invariant, true for tuples that cannot occur honestly: no
+// link/path/bestPath can cost less than 1 (RingPlusRandom topologies use
+// positive costs).
+bool ViolatesInvariant(const Tuple& t) {
   size_t cost_arg;
   if (t.predicate() == "link" && t.arity() >= 3) {
     cost_arg = 2;
@@ -144,7 +145,7 @@ AttackScript AttackScript::RandomAttacks(const Topology& topo,
       at += spacing;
     }
     // Replay of a captured authenticated message; alternate between the
-    // original destination (sequence window) and a diverted one (signed
+    // original destination (sequence record) and a diverted one (signed
     // destination check).
     {
       AttackAction a;
@@ -280,14 +281,8 @@ std::string CampaignReport::Summary() const {
 }
 
 AttackCampaignDriver::AttackCampaignDriver(Engine& engine,
-                                           Adversary& adversary,
-                                           CampaignOptions options)
-    : engine_(engine),
-      adversary_(adversary),
-      opts_(std::move(options)),
-      churn_(engine, opts_.link_arity) {
-  if (!opts_.violation) opts_.violation = DefaultViolation;
-}
+                                           Adversary& adversary)
+    : engine_(engine), adversary_(adversary), churn_(engine) {}
 
 void AttackCampaignDriver::MarkDetected(AttackOutcome& outcome, double at,
                                         std::string method,
@@ -366,8 +361,8 @@ Status AttackCampaignDriver::RunAuditSweep(CampaignReport& report) {
   std::set<NodeId> silent;
   PROVNET_ASSIGN_OR_RETURN(
       std::vector<EquivocationFinding> findings,
-      EquivocationAudit(engine_, opts_.audit_predicates, compromised,
-                        std::nullopt, &silent));
+      EquivocationAudit(engine_, {"link"}, compromised, std::nullopt,
+                        &silent));
   for (NodeId n : silent) {
     suspects.insert(engine_.PrincipalOf(n));
   }
@@ -398,7 +393,7 @@ Status AttackCampaignDriver::RunAuditSweep(CampaignReport& report) {
     Principal own = engine_.PrincipalOf(n);
     for (Table* table : engine_.node(n).AllTables()) {
       for (const StoredTuple* e : table->Scan()) {
-        if (!opts_.violation(e->tuple)) continue;
+        if (!ViolatesInvariant(e->tuple)) continue;
         Violation v;
         v.node = n;
         v.tuple = e->tuple;
@@ -434,7 +429,7 @@ Status AttackCampaignDriver::RunAuditSweep(CampaignReport& report) {
   // 3. Distributed provenance traceback on the first violation: confirms
   // the origin over the wire (charged to the meters) — the Section 3/4.2
   // forensic query.
-  if (opts_.traceback && !violations.empty()) {
+  if (!violations.empty()) {
     Result<TracebackReport> trace =
         Traceback(engine_, violations.front().node, violations.front().tuple);
     if (trace.ok()) {
@@ -468,15 +463,11 @@ Status AttackCampaignDriver::RunAuditSweep(CampaignReport& report) {
   // post-revocation fixpoint (Section 4.2's compromise response). Suspects
   // are only non-empty while tainted state exists, so a re-offending
   // principal is revoked again on the next sweep and the loop converges.
-  bool revoked = false;
   for (const Principal& p : suspects) {
     report.flagged.insert(p);
-    if (opts_.respond) {
-      PROVNET_RETURN_IF_ERROR(engine_.RetractPrincipal(p));
-      revoked = true;
-    }
+    PROVNET_RETURN_IF_ERROR(engine_.RetractPrincipal(p));
   }
-  if (revoked) {
+  if (!suspects.empty()) {
     PROVNET_RETURN_IF_ERROR(engine_.Run().status());
     MatchSecurityEvents(report);
   }

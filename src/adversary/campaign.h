@@ -22,14 +22,13 @@
 //                       Section 4.2's "determine the set of nodes affected
 //                       by the malicious node" made executable.
 //
-// When `respond` is set, each localized principal is revoked
-// (Engine::RetractPrincipal) and the engine re-run, so a successful campaign
-// ends with zero forged tuples in any honest node's fixpoint — the
-// acceptance bar this subsystem is judged on.
+// Each localized principal is revoked (Engine::RetractPrincipal) and the
+// engine re-run, so a successful campaign ends with zero forged tuples in
+// any honest node's fixpoint — the acceptance bar this subsystem is judged
+// on.
 #ifndef PROVNET_ADVERSARY_CAMPAIGN_H_
 #define PROVNET_ADVERSARY_CAMPAIGN_H_
 
-#include <functional>
 #include <optional>
 #include <set>
 #include <string>
@@ -148,27 +147,9 @@ struct CampaignReport {
   std::string Summary() const;
 };
 
-struct CampaignOptions {
-  // Cadence fallback when the script carries no kAudit events is the
-  // script's own sweeps; these control what a sweep does.
-  bool respond = true;  // RetractPrincipal every newly localized principal
-  // Policy predicate: true for tuples that cannot occur honestly (the
-  // operator's invariant). Default: any link/path/bestPath cost below 1.
-  std::function<bool(const Tuple&)> violation;
-  // Predicates subject to the equivocation audit (claims about one's own
-  // keyed facts). Default: {"link"}.
-  std::set<std::string> audit_predicates = {"link"};
-  // Issue a distributed provenance traceback for the first violating tuple
-  // per sweep (charges query traffic to the meters). Needs provenance
-  // recording (record_online or ProvMode::kPointers).
-  bool traceback = true;
-  size_t link_arity = 3;
-};
-
 class AttackCampaignDriver {
  public:
-  AttackCampaignDriver(Engine& engine, Adversary& adversary,
-                       CampaignOptions options = {});
+  AttackCampaignDriver(Engine& engine, Adversary& adversary);
 
   // Replays the script (engine must be at its initial fixpoint), runs the
   // final audit sweep + response, and scores.
@@ -178,14 +159,15 @@ class AttackCampaignDriver {
   Status ApplyAttack(const AttackAction& action);
   // Matches fresh SecurityLog rejections to pending outcomes.
   void MatchSecurityEvents(CampaignReport& report);
-  // Equivocation audit + violation scan + traceback + optional response.
+  // Equivocation audit of the link claims, violation scan, distributed
+  // traceback of the first violating tuple (charges query traffic to the
+  // meters; needs provenance recording), and the revocation response.
   Status RunAuditSweep(CampaignReport& report);
   void MarkDetected(AttackOutcome& outcome, double at, std::string method,
                     std::set<Principal> localized);
 
   Engine& engine_;
   Adversary& adversary_;
-  CampaignOptions opts_;
   ChurnDriver churn_;
   size_t log_cursor_ = 0;        // SecurityLog read position
   size_t injection_cursor_ = 0;  // Adversary::injections() read position

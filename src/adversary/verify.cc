@@ -14,7 +14,7 @@
 //   4. misdirected         - the signed destination is another node
 //                            (cross-receiver replay of a captured message);
 //   5. replay              - the signed per-sender sequence number was
-//                            already accepted (or fell out of the window).
+//                            already accepted.
 //
 // Retraction authorization (HandleRetractMessage in dynamics/delta.cc) adds
 // the sixth: a kMsgRetract is honored only when the speaker asserted the

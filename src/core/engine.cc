@@ -874,11 +874,6 @@ Status Engine::EmitHead(NodeId node_id, const CompiledRule& cr,
     // under it. Provenance child refs are captured now, while `used` points
     // at live entries.
     StoredTuple entry;
-    // COUNT candidates carry their derivation identity so the witness
-    // multiset counts each derivation once (and deletion retires it).
-    if (plan_.OptionsFor(head.predicate()).agg == AggKind::kCount) {
-      entry.deriv_id = CountDerivId(cr, node_id, head, used);
-    }
     entry.tuple = std::move(head);
     entry.origin = TupleOrigin::kLocalRule;
     entry.asserted_by = contexts_[node_id]->principal();
@@ -921,8 +916,7 @@ Status Engine::DrainPending() {
                                              action.rule_label));
         break;
       case PendingAction::Kind::kOverDelete:
-        PROVNET_RETURN_IF_ERROR(
-            OverDeleteAt(action.node, action.head, action.deriv_id));
+        PROVNET_RETURN_IF_ERROR(OverDeleteAt(action.node, action.head));
         break;
       case PendingAction::Kind::kSendRetract:
         // The firing node recorded the derivation of this shipped head in
@@ -1309,18 +1303,10 @@ Result<RunStats> Engine::Run() {
           ProcessRetraction(retraction.node, retraction.entry));
     } else if (!events_.empty()) {
       obs::Profiler::Scope scope(profiler_, obs::Phase::kEvents);
-      if (parallel && events_.size() > 1) {
-        // Drains the whole queue as one sharded epoch (equivalent to the
-        // sequential branch below repeated to quiescence: insert cascades
-        // never touch the retraction queue, so branch priority is
-        // preserved).
-        PROVNET_RETURN_IF_ERROR(ParallelDrainEvents(&steps));
-      } else {
-        PendingEvent event = std::move(events_.front());
-        events_.pop_front();
-        ++cells_[Ctr::kEvents]->value;
-        PROVNET_RETURN_IF_ERROR(ProcessEvent(event));
-      }
+      PendingEvent event = std::move(events_.front());
+      events_.pop_front();
+      ++cells_[Ctr::kEvents]->value;
+      PROVNET_RETURN_IF_ERROR(ProcessEvent(event));
     } else if (!net_.Idle()) {
       obs::Profiler::Scope scope(profiler_, obs::Phase::kDelivery);
       // Scripted faults fire on the virtual clock: a crash/restart due no

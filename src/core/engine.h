@@ -134,9 +134,9 @@ struct EngineOptions {
   uint64_t seed = 1;
   // Worker lanes for the sharded parallel executor (src/core/parallel.cc).
   // 1 = today's single-threaded loop, bit-for-bit. 0 = hardware
-  // concurrency. >1 shards event cascades and delivery waves across a
-  // worker pool; buffered side effects commit in canonical (time, seq)
-  // order at epoch barriers, so fixpoints, derivation counts, and telemetry
+  // concurrency. >1 shards delivery waves across a worker pool by
+  // destination node; buffered side effects commit in wave seq order at
+  // each wave's barrier, so fixpoints, derivation counts, and telemetry
   // snapshots are byte-identical at every thread count. When left at the
   // default 1, the PROVNET_THREADS environment variable overrides it (CI
   // runs the whole suite parallel that way).
@@ -239,7 +239,7 @@ class Engine {
 
   // --- Fail-stop crash & recovery (src/net/faults.*) ------------------------
   // Crashes `node` now: all in-memory state (tables, online provenance,
-  // anti-replay windows) is lost, the durable archive's unflushed tail is
+  // anti-replay records) is lost, the durable archive's unflushed tail is
   // torn off, in-flight messages to/from the node vanish, and deliveries
   // while down are discarded. Engine-held identity (the principal's signing
   // key and send sequence — the node's "stable storage") survives.
@@ -279,15 +279,6 @@ class Engine {
   uint64_t NextSendSeq(const Principal& principal) {
     return ++send_seq_[principal];
   }
-
-  // Annotation aging (ROADMAP follow-up from PR 1): restricts every stored
-  // annotation by the base variables whose base tuples are no longer stored
-  // anywhere (expired un-refreshed or externally removed), so restriction
-  // pruning agrees with DRed. Tuples left with Zero support are enqueued as
-  // deletion deltas (run Run() afterwards). Only meaningful with complete
-  // annotations at ProvGrain::kTuple; a no-op otherwise. Returns the number
-  // of annotations restricted or retired.
-  size_t AgeAnnotations();
 
   // Sorted tuples of `pred` stored at `node`.
   std::vector<Tuple> TuplesAt(NodeId node, const std::string& pred) const;
@@ -621,23 +612,15 @@ class Engine {
                  int delta_index, bool use_overlay, Frame& frame,
                  std::vector<const StoredTuple*>& used, const EmitFn& emit);
   // Resolves a delete-mode head: schedules removal of the local tuple (or a
-  // retraction message when the head lives remotely). `used` identifies the
-  // dying derivation so COUNT-aggregate heads decrement exactly once even
-  // when several deleted body tuples each enumerate it.
+  // retraction message when the head lives remotely). Removals are
+  // idempotent, so a derivation enumerated once per deleted body tuple
+  // needs no dedup.
   Status OverDeleteHead(NodeId node, const CompiledRule& cr,
-                        const Frame& frame,
-                        const std::vector<const StoredTuple*>& used);
+                        const Frame& frame);
   // Applies an over-deletion to whatever `node` stores for `tuple`,
-  // consulting annotation restriction before cascading. `deriv_id`
-  // identifies the dying derivation for COUNT witness retirement (0 =
-  // unidentified, e.g. a remote retract: count groups then recompute).
-  Status OverDeleteAt(NodeId node, const Tuple& tuple, uint64_t deriv_id = 0);
-  // Identity of a local rule firing: hash over rule label, executing node,
-  // head, and the body tuples used. Computed identically at emit time
-  // (EmitHead -> StoredTuple::deriv_id) and delete time (OverDeleteHead),
-  // so COUNT witness bookkeeping is idempotent per derivation.
-  uint64_t CountDerivId(const CompiledRule& cr, NodeId node, const Tuple& head,
-                        const std::vector<const StoredTuple*>& used) const;
+  // consulting annotation restriction before cascading. An aggregate group
+  // (MIN/MAX/COUNT) is removed whole and re-derived.
+  Status OverDeleteAt(NodeId node, const Tuple& tuple);
   Status SendRetract(NodeId from, NodeId to, const Tuple& tuple);
   Status HandleRetractMessage(NodeId to, NodeId from, const Envelope& env,
                               ByteReader& body);
@@ -663,7 +646,6 @@ class Engine {
     std::vector<ProvChildRef> children;   // kDeliver provenance capture
     std::string rule_label;               // kDeliver
     Tuple head;                           // kOverDelete / kSendRetract
-    uint64_t deriv_id = 0;                // kOverDelete COUNT retirement
   };
   Status DrainPending();
 
@@ -672,10 +654,10 @@ class Engine {
   // main slot) owns the real registry-backed counter handles and applies
   // side effects directly. Worker lanes are `buffered`: their counter
   // handles point into a private mirror array (merged into the registry at
-  // the epoch barrier — sums commute, so merge order is free), and every
+  // the wave barrier — sums commute, so merge order is free), and every
   // externally visible side effect — network sends, trace events, security
   // events, observer callbacks — is appended to the current node's effect
-  // stream, which the main thread replays in canonical (time, seq) order.
+  // stream, which the main thread replays in wave seq order.
   // That replay is what keeps fixpoints and telemetry byte-identical at
   // every thread count. Hot-path code reaches its lane through exec().
   struct ExecSlot {
@@ -746,19 +728,12 @@ class Engine {
   // Predicate->site index fill (grow-only set union; order-free).
   void NotePredSite(const std::string& pred, NodeId node);
 
-  // Worker-pool plumbing and the two parallel phase drivers.
+  // Worker-pool plumbing and the parallel wave driver.
   size_t ResolvedThreads();  // options_.threads with PROVNET_THREADS/0=hw
   void EnsureParallelRuntime();
   void MergeWorkerSlots();
   Status CommitEffects(std::vector<ExecSlot::Effect>& effects, size_t begin,
                        size_t end);
-  // Drains the entire local-event queue as one parallel epoch: events are
-  // partitioned by node (cascades are strictly node-local), workers run
-  // each node's queue to quiescence buffering effects per event unit, and
-  // the main thread replays the original FIFO token order, committing each
-  // unit's effects and re-enqueueing the units it spawned — reproducing the
-  // sequential engine's event order exactly.
-  Status ParallelDrainEvents(uint64_t* steps);
   // Attempts to deliver the next wave (all messages due at the earliest
   // instant) in parallel, grouped by destination with per-message cascade
   // units committed in wave seq order. Returns false — after requeueing the

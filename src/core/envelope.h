@@ -12,7 +12,7 @@
 //   [(trace_id, span_id) varints]
 //   [body]
 //
-// The (seq, dest) header is what the receiver's anti-replay window and
+// The (seq, dest) header is what the receiver's anti-replay record and
 // destination check read; the causal pair is the message's span
 // (core/causal.h). Honest senders (Engine::SealAndShip), the receive-side
 // dispatcher (Engine::HandleMessage) and the fault-injection layer

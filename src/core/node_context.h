@@ -59,20 +59,20 @@ class NodeContext {
                             std::vector<StoredTuple>* expired = nullptr);
 
   // Drops the tables and the online provenance records, keeping the offline
-  // archive, anti-replay windows and co-asserter notes. Crash recovery
+  // archive, anti-replay records and co-asserter notes. Crash recovery
   // (Engine::ReplayJournal) clears every live node this way, then
   // re-derives the fixpoint from the journaled base facts.
   void ClearTables();
 
   // Fail-stop crash: drops everything this node kept in memory — tables,
-  // online provenance, anti-replay windows, co-asserter notes. The offline
+  // online provenance, anti-replay records, co-asserter notes. The offline
   // archive is abandoned unflushed for a fresh memory-resident one; a
   // restart re-opens the durable archive_dir log (whose unflushed tail is
   // exactly what the crash tore off). Engine::CrashNode drives this.
   void ResetForCrash();
 
   // --- Receive-side verification state (src/adversary/) --------------------
-  // Anti-replay window for authenticated messages from `sender`.
+  // Anti-replay record for authenticated messages from `sender`.
   ReplayGuard& ReplayGuardFor(const Principal& sender) {
     return replay_guards_[sender];
   }

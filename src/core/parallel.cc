@@ -1,38 +1,37 @@
-// Sharded parallel execution of the network fixpoint (ISSUE 7 tentpole).
+// Sharded parallel execution of the network fixpoint.
 //
 // The sequential engine is a single loop over three queues: retraction
-// deltas, local delta events, and the virtual-time network. Two of its
-// phases are embarrassingly shardable *by node* — local event cascades
-// never leave their node (a rule firing either delivers locally or sends a
-// message, and messages sit in the network queue until their delivery
-// instant), and a delivery wave (all messages due at the earliest instant)
-// fans out across destinations. What is NOT shardable is the observable
-// order: network sequence numbers, trace streams, the security log, the
-// observer callback, and MIN/MAX aggregate races between same-instant
-// deliveries all depend on the sequential interleaving.
+// deltas, local delta events, and the virtual-time network. One phase of it
+// is embarrassingly shardable *by node*: a delivery wave (all messages due
+// at the earliest instant) fans out across destinations, and each
+// delivery's local event cascade never leaves its node (a rule firing
+// either delivers locally or sends a message, and messages sit in the
+// network queue until their delivery instant). What is NOT shardable is
+// the observable order: network sequence numbers, trace streams, the
+// security log, the observer callback, and MIN/MAX aggregate races between
+// same-instant deliveries all depend on the sequential interleaving.
 //
-// The executor therefore splits every parallel phase into two halves:
+// The executor therefore splits each wave into two halves:
 //
 //   compute (parallel)  - worker lanes run the slot-compiled joins against
 //     node-local tables, buffering every externally visible side effect
 //     (sends, traces, security events, observer calls) into per-node effect
 //     streams, and counting into per-lane counter mirrors;
 //   commit (sequential) - the main thread replays the effect streams in the
-//     exact order the sequential engine would have produced them — FIFO
-//     token order for event epochs, wave seq order for deliveries — and
-//     merges the counter mirrors (sums, so merge order is free).
+//     exact order the sequential engine would have produced them — wave seq
+//     order — and merges the counter mirrors (sums, so merge order is free).
 //
 // Because table mutations are node-local and every cross-node interaction
 // is a buffered effect committed canonically, the fixpoint, every counter,
 // the trace stream, and the security log are byte-identical at every
-// thread count. Ineligible work (retractions, query traffic, single-node
-// waves) falls back to the sequential path untouched.
+// thread count. Everything else (local events queued outside a wave,
+// retractions, query traffic, single-destination waves) runs on the
+// sequential path untouched.
 
 #include <cstdlib>
 #include <thread>
 
 #include "core/engine.h"
-#include "dynamics/delta.h"
 #include "util/logging.h"
 #include "util/threadpool.h"
 
@@ -164,149 +163,6 @@ Status Engine::CommitEffects(std::vector<ExecSlot::Effect>& effects,
     }
   }
   return OkStatus();
-}
-
-Status Engine::ParallelDrainEvents(uint64_t* steps) {
-  // Per-node shard of the epoch: the node's FIFO of delta events (seeded
-  // from the global queue, extended by its own cascades), its effect
-  // stream, and one bookkeeping unit per processed event.
-  struct Unit {
-    size_t effect_end = 0;  // effects[..effect_end) committed through here
-    uint32_t spawned = 0;   // events this event pushed onto the node queue
-    Status status;
-  };
-  struct NodeRun {
-    NodeId node = 0;
-    std::deque<PendingEvent> queue;
-    std::vector<ExecSlot::Effect> effects;
-    std::vector<Unit> units;
-  };
-
-  // Partition the queue by node, remembering the global FIFO order as a
-  // token stream of node ids. Replaying tokens — appending `spawned` tokens
-  // at commit — reproduces the exact pop order of the sequential loop.
-  std::vector<NodeRun> runs;
-  std::vector<size_t> run_of_node(contexts_.size(), SIZE_MAX);
-  std::deque<size_t> tokens;  // indexes into `runs`
-  for (PendingEvent& event : events_) {
-    size_t r = run_of_node[event.node];
-    if (r == SIZE_MAX) {
-      r = runs.size();
-      run_of_node[event.node] = r;
-      runs.push_back(NodeRun{});
-      runs.back().node = event.node;
-    }
-    tokens.push_back(r);
-    runs[r].queue.push_back(std::move(event));
-  }
-  events_.clear();
-
-  if (runs.size() < 2) {
-    // Single-node epoch: nothing to shard. Drain sequentially (identical to
-    // the caller's event branch repeated to quiescence).
-    NodeRun& run = runs[0];
-    while (!run.queue.empty()) {
-      PendingEvent event = std::move(run.queue.front());
-      run.queue.pop_front();
-      ++cells_[Ctr::kEvents]->value;
-      PROVNET_RETURN_IF_ERROR(ProcessEvent(event));
-      while (!events_.empty()) {
-        PendingEvent next = std::move(events_.front());
-        events_.pop_front();
-        ++cells_[Ctr::kEvents]->value;
-        PROVNET_RETURN_IF_ERROR(ProcessEvent(next));
-        if (++*steps > kMaxSteps) {
-          return ResourceExhaustedError(
-              "engine exceeded max_steps; divergent program?");
-        }
-      }
-      if (++*steps > kMaxSteps) {
-        return ResourceExhaustedError(
-            "engine exceeded max_steps; divergent program?");
-      }
-    }
-    return OkStatus();
-  }
-
-  // Compute phase: each lane runs one node's queue to quiescence. Cascades
-  // are strictly node-local (a rule firing either delivers at its own node
-  // or buffers a kSend effect), so shards share no mutable state.
-  // kParallelCompute meters the whole pool dispatch (compute + barrier
-  // stall); AddLane meters each lane's busy slice — the gap between the two
-  // is the stall the lane-utilization gauges expose.
-  const bool prof = profiler_.enabled();
-  const uint64_t compute_t0 = prof ? obs::Profiler::NowNs() : 0;
-  pool_->Run(runs.size(), [this, &runs, prof](size_t index, size_t lane) {
-    uint64_t lane_t0 = prof ? obs::Profiler::NowNs() : 0;
-    NodeRun& run = runs[index];
-    ExecSlot* slot = worker_slots_[lane].get();
-    ExecSlot* saved = tls_slot_;
-    tls_slot_ = slot;
-    slot->events = &run.queue;
-    slot->effects = &run.effects;
-    size_t processed = 0;
-    while (processed < run.queue.size()) {
-      // Process in place (no pop): queue indexes stay aligned with the
-      // token replay's per-node consumption order.
-      const PendingEvent& event = run.queue[processed];
-      size_t queued_before = run.queue.size();
-      Unit unit;
-      unit.status = ProcessEvent(event);
-      unit.effect_end = run.effects.size();
-      unit.spawned = static_cast<uint32_t>(run.queue.size() - queued_before);
-      ++processed;
-      bool failed = !unit.status.ok();
-      run.units.push_back(std::move(unit));
-      if (failed) break;  // canonical replay surfaces it in order
-    }
-    slot->events = nullptr;
-    slot->effects = nullptr;
-    tls_slot_ = saved;
-    if (prof) profiler_.AddLane(lane, obs::Profiler::NowNs() - lane_t0);
-  });
-  if (prof) {
-    profiler_.AddPhase(obs::Phase::kParallelCompute,
-                       obs::Profiler::NowNs() - compute_t0);
-  }
-
-  // Commit phase: replay the global FIFO by token, committing each event's
-  // effect segment and appending the tokens its cascade spawned — the same
-  // order the sequential loop would have popped.
-  const uint64_t commit_t0 = prof ? obs::Profiler::NowNs() : 0;
-  std::vector<size_t> committed(runs.size(), 0);   // units consumed
-  std::vector<size_t> effect_at(runs.size(), 0);   // effects committed
-  Status result = OkStatus();
-  while (!tokens.empty() && result.ok()) {
-    size_t r = tokens.front();
-    tokens.pop_front();
-    NodeRun& run = runs[r];
-    size_t k = committed[r]++;
-    PROVNET_CHECK(k < run.units.size());
-    Unit& unit = run.units[k];
-    ++cells_[Ctr::kEvents]->value;
-    Status commit = CommitEffects(run.effects, effect_at[r], unit.effect_end);
-    effect_at[r] = unit.effect_end;
-    if (!commit.ok()) {
-      result = commit;
-      break;
-    }
-    if (!unit.status.ok()) {
-      result = unit.status;
-      break;
-    }
-    for (uint32_t s = 0; s < unit.spawned; ++s) tokens.push_back(r);
-    if (++*steps > kMaxSteps) {
-      result = ResourceExhaustedError(
-          "engine exceeded max_steps; divergent program?");
-      break;
-    }
-  }
-  MergeWorkerSlots();
-  if (prof) {
-    profiler_.AddPhase(obs::Phase::kCommitReplay,
-                       obs::Profiler::NowNs() - commit_t0);
-  }
-  return result;
 }
 
 Result<bool> Engine::TryParallelWave(uint64_t* steps) {

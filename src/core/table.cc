@@ -12,7 +12,7 @@ namespace provnet {
 
 namespace {
 // Relaxed atomic: worker shards copy StoredTuples concurrently during
-// parallel epochs, and the total (a commutative sum) is what tests assert —
+// parallel waves, and the total (a commutative sum) is what tests assert —
 // it is identical at every thread count.
 std::atomic<uint64_t> g_stored_tuple_copies{0};
 
@@ -48,8 +48,7 @@ StoredTuple::StoredTuple(const StoredTuple& other)
       asserted_by(other.asserted_by),
       origin(other.origin),
       from_node(other.from_node),
-      rule(other.rule),
-      deriv_id(other.deriv_id) {
+      rule(other.rule) {
   g_stored_tuple_copies.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -64,7 +63,6 @@ StoredTuple& StoredTuple::operator=(const StoredTuple& other) {
     origin = other.origin;
     from_node = other.from_node;
     rule = other.rule;
-    deriv_id = other.deriv_id;
     g_stored_tuple_copies.fetch_add(1, std::memory_order_relaxed);
   }
   return *this;
@@ -159,8 +157,8 @@ bool Table::SameKey(const Tuple& a, const Tuple& b) const {
   return true;
 }
 
-std::unordered_map<uint64_t, Table::WitnessDerivs>& Table::WitnessesFor(
-    uint64_t key, const Tuple& tuple) {
+std::unordered_set<uint64_t>& Table::WitnessesFor(uint64_t key,
+                                                  const Tuple& tuple) {
   std::vector<WitnessChain>& chain = witnesses_[key];
   for (WitnessChain& w : chain) {
     if (SameKey(w.group, tuple)) return w.seen;
@@ -288,18 +286,8 @@ InsertResult Table::Insert(StoredTuple entry, double now) {
     PROVNET_CHECK(agg_col < entry.tuple.arity());
 
     if (options_.agg == AggKind::kCount) {
-      auto& wit = WitnessesFor(key, entry.tuple);
-      // Multiset of derivation identities: inserting the same derivation
-      // twice (pipelined semi-naive emits it once per same-epoch body
-      // delta) is a no-op, and deletions retire derivations one at a time
-      // (RemoveWitness). Unidentified derivations are refcounted blind.
-      WitnessDerivs& derivs = wit[entry.tuple.Hash()];
-      bool fresh = derivs.Dead();
-      if (entry.deriv_id != 0) {
-        derivs.ids.insert(entry.deriv_id);
-      } else {
-        ++derivs.anonymous;
-      }
+      std::unordered_set<uint64_t>& wit = WitnessesFor(key, entry.tuple);
+      bool fresh = wit.insert(entry.tuple.Hash()).second;
       int64_t count = static_cast<int64_t>(wit.size());
       std::vector<Value> args = entry.tuple.args();
       args[agg_col] = Value::Int(count);
@@ -469,64 +457,6 @@ std::vector<StoredTuple> Table::ExpireBefore(double now) {
     }
   }
   return dropped;
-}
-
-Table::WitnessRemoval Table::RemoveWitness(const Tuple& candidate,
-                                           uint64_t deriv_id) {
-  WitnessRemoval out;
-  if (options_.agg != AggKind::kCount || deriv_id == 0) return out;
-  uint64_t key = KeyHash(candidate);
-  auto wit_it = witnesses_.find(key);
-  if (wit_it == witnesses_.end()) return out;
-  WitnessChain* chain = nullptr;
-  for (WitnessChain& w : wit_it->second) {
-    if (SameKey(w.group, candidate)) {
-      chain = &w;
-      break;
-    }
-  }
-  if (chain == nullptr) return out;
-  auto seen_it = chain->seen.find(candidate.Hash());
-  if (seen_it == chain->seen.end()) return out;
-  // Unknown identity: this derivation was never counted here (or rode in
-  // anonymously). Only a recomputation can answer it.
-  if (seen_it->second.ids.erase(deriv_id) == 0) return out;
-
-  if (!seen_it->second.Dead()) {
-    out.kind = WitnessRemoval::Kind::kRefcounted;
-    return out;
-  }
-  chain->seen.erase(seen_it);
-  size_t new_count = chain->seen.size();
-
-  auto row = FindRow(key, candidate);
-  if (row == rows_.end()) return out;  // inconsistent: caller falls back
-  out.old_entry = row->second;  // annotation and all — the cascade's delta
-
-  if (new_count == 0) {
-    IndexErase(&row->second);
-    OrderErase(&row->second);
-    WitnessErase(key, candidate);
-    ReleaseRow(row->second);
-    rows_.erase(row);
-    out.kind = WitnessRemoval::Kind::kGroupEmptied;
-    return out;
-  }
-
-  size_t agg_col = static_cast<size_t>(options_.agg_column);
-  std::vector<Value> args = row->second.tuple.args();
-  args[agg_col] = Value::Int(static_cast<int64_t>(new_count));
-  Tuple updated(row->second.tuple.predicate(), std::move(args));
-  // Swap the decremented count in place: same group key, same FIFO slot,
-  // stable entry address. The merged annotation is left as-is — COUNT
-  // annotations are approximate by design (they cannot express "n distinct
-  // witnesses"), which is also why restriction pruning never trusts them.
-  IndexErase(&row->second);
-  row->second.tuple = updated;
-  IndexInsert(&row->second);
-  out.new_tuple = std::move(updated);
-  out.kind = WitnessRemoval::Kind::kCountChanged;
-  return out;
 }
 
 std::optional<StoredTuple> Table::Remove(const Tuple& tuple) {

@@ -50,12 +50,6 @@ struct StoredTuple {
   TupleOrigin origin = TupleOrigin::kBase;
   NodeId from_node = 0;      // sender when origin == kRemote
   std::string rule;          // deriving rule label ("" for base/remote)
-  // Identity of the local rule firing that produced this entry — set only
-  // for COUNT-aggregate candidates (hash over rule, node, head, body
-  // tuples). Keys the witness multiset so insert/delete of one derivation
-  // is idempotent; 0 = unidentified (base/remote), which COUNT deletion
-  // answers with a group recomputation instead.
-  uint64_t deriv_id = 0;
 
   StoredTuple() = default;
   StoredTuple(const StoredTuple& other);
@@ -189,28 +183,6 @@ class Table {
   // provenance. nullopt if the tuple was not present.
   std::optional<StoredTuple> Remove(const Tuple& tuple);
 
-  // O(delta) COUNT maintenance, deletion side. `candidate` is the dead
-  // derivation's head (the same shape Insert takes: aggregate column =
-  // contributing value) and `deriv_id` its identity. Retires that
-  // derivation from the witness's set; when the last one dies the witness
-  // leaves the group's multiset and the stored count drops by one — in
-  // place, no group re-derivation. The caller retracts `old_entry` (the row
-  // as it stood) downstream and propagates `new_tuple` as an ordinary
-  // insertion delta. Unidentified deletions (deriv_id 0: remote retracts,
-  // base candidates) return kNoWitness so the caller recomputes the group.
-  struct WitnessRemoval {
-    enum class Kind : uint8_t {
-      kNoWitness = 0,    // unknown derivation/witness: fall back to DRed
-      kRefcounted = 1,   // another derivation survives; nothing visible
-      kCountChanged = 2, // count decremented in place
-      kGroupEmptied = 3, // last witness died; the group row was removed
-    };
-    Kind kind = Kind::kNoWitness;
-    StoredTuple old_entry;  // kCountChanged / kGroupEmptied
-    Tuple new_tuple;        // kCountChanged: the row now stored
-  };
-  WitnessRemoval RemoveWitness(const Tuple& candidate, uint64_t deriv_id);
-
   // Removes a specific tuple; true if it was present.
   bool Erase(const Tuple& tuple) { return Remove(tuple).has_value(); }
 
@@ -254,28 +226,21 @@ class Table {
   // Primary store: key hash -> collision chain of entries. Node-based, so
   // entry pointers are stable until the entry itself is removed.
   RowMap rows_;
-  // Aggregate bookkeeping (COUNT): a *multiset* of witnesses per group —
-  // witness hash -> the identities of its live derivations. The count is
-  // the number of distinct witnesses (map size); the identity sets make
-  // insertion idempotent per derivation (pipelined semi-naive can emit one
-  // derivation from each of its body deltas) and let deletion deltas retire
-  // one derivation at a time (RemoveWitness) without re-deriving the group.
-  // `anonymous` counts derivations without identities (base facts, remote
-  // candidates); retiring those falls back to group recomputation.
+  // Aggregate bookkeeping (COUNT): the set of witness hashes seen per
+  // group. The count is the number of distinct witnesses, so a candidate
+  // counts only when its hash is new (pipelined semi-naive can emit one
+  // derivation from each of its body deltas). Deletion never edits the
+  // set: a dead COUNT group is removed whole (Remove drops its witnesses)
+  // and re-derived, the path MIN/MAX groups take.
   // Like rows_, chained per key hash with key-column verification so
   // colliding groups never share (or lose) each other's witnesses.
-  struct WitnessDerivs {
-    std::unordered_set<uint64_t> ids;
-    uint32_t anonymous = 0;
-    bool Dead() const { return ids.empty() && anonymous == 0; }
-  };
   struct WitnessChain {
     Tuple group;  // any candidate of the group (key columns identify it)
-    std::unordered_map<uint64_t, WitnessDerivs> seen;
+    std::unordered_set<uint64_t> seen;
   };
   // The chain entry for `tuple`'s group, created on demand.
-  std::unordered_map<uint64_t, WitnessDerivs>& WitnessesFor(
-      uint64_t key, const Tuple& tuple);
+  std::unordered_set<uint64_t>& WitnessesFor(uint64_t key,
+                                             const Tuple& tuple);
   void WitnessErase(uint64_t key, const Tuple& tuple);
   std::unordered_map<uint64_t, std::vector<WitnessChain>> witnesses_;
   // Lazy composite equality index: column-set bitmask -> combined value

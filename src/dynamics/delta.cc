@@ -194,9 +194,8 @@ Status Engine::FireDeleteStrand(NodeId node_id, const CompiledRule& cr,
   used.push_back(&delta_entry);
   PROVNET_RETURN_IF_ERROR(DynJoin(
       node_id, cr, 0, delta_index, /*use_overlay=*/true, frame, used,
-      [this, node_id, &cr](Frame& f,
-                           const std::vector<const StoredTuple*>& u) {
-        return OverDeleteHead(node_id, cr, f, u);
+      [this, node_id, &cr](Frame& f, const std::vector<const StoredTuple*>&) {
+        return OverDeleteHead(node_id, cr, f);
       }));
   return DrainPending();
 }
@@ -293,37 +292,9 @@ Status Engine::DynJoin(NodeId node_id, const CompiledRule& cr,
   return InternalError("unreachable literal kind");
 }
 
-uint64_t Engine::CountDerivId(const CompiledRule& cr, NodeId node,
-                              const Tuple& head,
-                              const std::vector<const StoredTuple*>& used)
-    const {
-  uint64_t id = HashCombine(Fnv1a64(cr.prog.label), DigestOf(head));
-  id = HashCombine(id, static_cast<uint64_t>(node));
-  uint64_t body = 0;
-  for (const StoredTuple* u : used) {
-    body += Mix64(DigestOf(u->tuple));  // order-independent: the delta
-  }                                     // literal leads in its own strand
-  id = HashCombine(id, body);
-  return id == 0 ? 1 : id;  // 0 is reserved for "unidentified"
-}
-
 Status Engine::OverDeleteHead(NodeId node_id, const CompiledRule& cr,
-                              const Frame& frame,
-                              const std::vector<const StoredTuple*>& used) {
+                              const Frame& frame) {
   PROVNET_ASSIGN_OR_RETURN(Tuple head, BuildHeadTuple(cr.prog, frame));
-
-  // COUNT heads retire one witness derivation per dead derivation — so a
-  // derivation joining several tuples deleted in the same epoch (each of
-  // whose delete strands enumerates it) must be processed exactly once.
-  // Other heads are removed idempotently and need no dedup.
-  uint64_t deriv_id = 0;
-  if (plan_.OptionsFor(head.predicate()).agg == AggKind::kCount) {
-    deriv_id = CountDerivId(cr, node_id, head, used);
-    if (!dynamics_->count_deriv_seen.insert(deriv_id).second) {
-      return OkStatus();
-    }
-  }
-
   NodeId dest = node_id;
   if (cr.prog.send_to.has_value()) {
     PROVNET_ASSIGN_OR_RETURN(Value v, EvalSlotTerm(*cr.prog.send_to, frame));
@@ -344,54 +315,23 @@ Status Engine::OverDeleteHead(NodeId node_id, const CompiledRule& cr,
   action.node = node_id;
   action.dest = dest;
   action.head = std::move(head);
-  action.deriv_id = deriv_id;
   exec().pending.push_back(std::move(action));
   return OkStatus();
 }
 
-Status Engine::OverDeleteAt(NodeId node_id, const Tuple& tuple,
-                            uint64_t deriv_id) {
+Status Engine::OverDeleteAt(NodeId node_id, const Tuple& tuple) {
   NodeContext& ctx = *contexts_[node_id];
   Table* table = ctx.FindTableMutable(tuple.predicate());
   if (table == nullptr) return OkStatus();
   const TableOptions& topt = table->options();
 
   if (topt.agg != AggKind::kNone) {
-    if (topt.agg == AggKind::kCount) {
-      // O(delta) count maintenance via the witness multiset (ROADMAP
-      // follow-up from PR 1): retire this derivation's refcount; when a
-      // witness dies the count drops in place. The old count's downstream
-      // consequences are torn down by an ordinary retraction delta and the
-      // decremented count re-propagates as an insertion delta — no group
-      // re-derivation.
-      Table::WitnessRemoval removal = table->RemoveWitness(tuple, deriv_id);
-      switch (removal.kind) {
-        case Table::WitnessRemoval::Kind::kRefcounted:
-          return OkStatus();  // the witness survives on another derivation
-        case Table::WitnessRemoval::Kind::kCountChanged:
-          if (observer_) {
-            observer_(node_id, removal.new_tuple, InsertOutcome::kReplaced,
-                      net_.now());
-          }
-          EnqueueRetraction(node_id, std::move(removal.old_entry),
-                            /*rederive=*/false, /*rederive_group=*/false);
-          events_.push_back(
-              PendingEvent{node_id, removal.new_tuple, CausalIds{}});
-          return OkStatus();
-        case Table::WitnessRemoval::Kind::kGroupEmptied:
-          EnqueueRetraction(node_id, std::move(removal.old_entry),
-                            /*rederive=*/false, /*rederive_group=*/false);
-          return OkStatus();
-        case Table::WitnessRemoval::Kind::kNoWitness:
-          break;  // unknown witness: fall back to group re-derivation
-      }
-    }
     const StoredTuple* group = table->FindGroup(tuple);
     if (group == nullptr) return OkStatus();
     size_t agg_col = static_cast<size_t>(topt.agg_column);
     // MIN/MAX: only a derivation of the current extremum can invalidate the
-    // group. COUNT (witness-multiset fallback): any dead witness changes
-    // the count.
+    // group. COUNT: any dead witness changes the count, and the group is
+    // re-derived to recount the survivors.
     bool contributes =
         topt.agg == AggKind::kCount ||
         (agg_col < tuple.arity() &&
@@ -522,81 +462,6 @@ Status Engine::HandleRetractMessage(NodeId to, NodeId from,
 
   for (ProvVar v : killed) dynamics_->killed.insert(v);
   return OverDeleteAt(to, tuple);
-}
-
-size_t Engine::AgeAnnotations() {
-  // Aging closes the PR 1 gap: a stored annotation may retain alternatives
-  // whose supporting base tuples expired un-refreshed (or were removed
-  // outside the delta machinery). Restriction pruning would then keep a
-  // tuple DRed drops. The pass computes the dead variables — variables that
-  // occur in some annotation but whose base tuple is stored nowhere — and
-  // restricts every annotation by them; tuples left with Zero support are
-  // converted into deletion deltas (with re-derivation, so cross-node copies
-  // whose merged annotations under-enumerate are restored if support
-  // exists). Sound only when annotations enumerate every derivation at
-  // tuple grain.
-  if (!AnnotationsComplete() || options_.prov_grain != ProvGrain::kTuple) {
-    return 0;
-  }
-
-  std::unordered_set<ProvVar> live;
-  std::unordered_set<ProvVar> occurring;
-  for (auto& ctx : contexts_) {
-    for (Table* table : ctx->AllTables()) {
-      for (const StoredTuple* e : table->Scan()) {
-        if (e->origin == TupleOrigin::kBase) {
-          std::optional<ProvVar> v = registry_.Find(e->tuple.ToString());
-          if (v.has_value()) live.insert(*v);
-        }
-        if (!e->prov.IsZero() && !e->prov.IsOne()) {
-          for (ProvVar v : e->prov.Variables()) occurring.insert(v);
-        }
-      }
-    }
-  }
-  std::unordered_set<ProvVar> dead;
-  for (ProvVar v : occurring) {
-    if (live.find(v) == live.end()) dead.insert(v);
-  }
-  if (dead.empty()) return 0;
-
-  size_t aged = 0;
-  for (auto& ctx : contexts_) {
-    for (Table* table : ctx->AllTables()) {
-      // COUNT annotations are approximate (a count is not a disjunction of
-      // witnesses); the witness multiset, not aging, keeps them honest.
-      if (table->options().agg == AggKind::kCount) continue;
-      const bool group_rederive = table->options().agg != AggKind::kNone ||
-                                  !table->options().key_columns.empty();
-      std::vector<Tuple> stale;
-      for (const StoredTuple* e : table->Scan()) {
-        if (e->origin == TupleOrigin::kBase) continue;  // own var is live
-        if (!e->prov.IsZero() && e->prov.DependsOnAny(dead)) {
-          stale.push_back(e->tuple);
-        }
-      }
-      for (const Tuple& t : stale) {
-        StoredTuple* e = table->FindMutable(t);
-        if (e == nullptr) continue;
-        ProvExpr restricted = e->prov.Restrict(dead);
-        ++aged;
-        if (restricted.IsZero()) {
-          std::optional<StoredTuple> removed = table->Remove(t);
-          if (removed.has_value()) {
-            EnqueueRetraction(ctx->id(), std::move(*removed),
-                              /*rederive=*/true,
-                              /*rederive_group=*/group_rederive);
-          }
-        } else {
-          e->prov = std::move(restricted);
-        }
-      }
-    }
-  }
-  // The cascade the retractions fire must treat the dead variables as
-  // killed, exactly as if their base tuples had been deleted this epoch.
-  for (ProvVar v : dead) dynamics_->killed.insert(v);
-  return aged;
 }
 
 Status Engine::RunRederivePass() {

@@ -103,14 +103,6 @@ struct DeltaState {
   std::vector<RederiveItem> rederive;
   std::unordered_set<uint64_t> rederive_seen;
 
-  // Dead derivations of COUNT-aggregate candidates already processed this
-  // epoch, keyed by (rule, executing node, head, body-tuple multiset). DRed
-  // enumerates a dying derivation once per deleted body tuple (each delta's
-  // delete-mode strand joins the others through the overlay); removals are
-  // idempotent so that never mattered — witness refcounts are not, so each
-  // dead derivation must decrement exactly once.
-  std::unordered_set<uint64_t> count_deriv_seen;
-
   const std::vector<StoredTuple>* OverlayFor(NodeId node,
                                              const std::string& pred) const {
     auto nit = overlay.find(node);
@@ -126,7 +118,6 @@ struct DeltaState {
     overlay.clear();
     killed.clear();
     rederive_seen.clear();
-    count_deriv_seen.clear();
   }
 };
 

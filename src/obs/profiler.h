@@ -16,7 +16,7 @@
 // one relaxed atomic bool load and a branch; enabled, a scope costs two
 // steady_clock reads and a relaxed fetch_add. Phase accumulators are
 // atomics because receive-side hooks (verification, delivery) run on worker
-// lanes during parallel epochs.
+// lanes during parallel delivery waves.
 #ifndef PROVNET_OBS_PROFILER_H_
 #define PROVNET_OBS_PROFILER_H_
 

@@ -236,7 +236,15 @@ Status ProvArchive::Replay() {
         ok = magic.ok() && *magic == kMagic;
         if (ok) {
           Result<uint64_t> version = pr.GetVarint();
-          ok = version.ok() && *version == kVersion;
+          ok = version.ok();
+          if (ok && *version != kVersion) {
+            // An intact log of another format: refuse it and leave the
+            // file as it is, rather than truncate records this build
+            // cannot read.
+            return FailedPreconditionError(
+                "archive log has format version " + std::to_string(*version) +
+                ", this build reads " + std::to_string(kVersion));
+          }
         }
         saw_header = ok;
         break;
@@ -262,8 +270,7 @@ Status ProvArchive::Replay() {
     pos = frame_end;
   }
   // Drop everything from the first bad frame on. If even the header was
-  // unreadable (a log corrupt at birth, or one of another version) the
-  // archive restarts empty.
+  // unreadable (a log torn or corrupt at birth) the archive restarts empty.
   PROVNET_RETURN_IF_ERROR(file_.TruncateTo(pos));
   if (!saw_header) AppendFrame(kHeader, HeaderPayload(), nullptr);
   return OkStatus();

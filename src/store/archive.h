@@ -15,7 +15,8 @@
 //
 // Nothing is ever removed: the archive keeps every record the run appended.
 // Recovery replays the log and truncates a torn final frame (checksum or
-// length mismatch) at the tail.
+// length mismatch) at the tail. A log whose intact header names another
+// format version is refused and left untouched.
 //
 // The in-memory footprint is the slot index (offset/len/digest/time per
 // record) plus the PageFile cache — records themselves are decoded on
@@ -43,7 +44,8 @@ class ProvArchive {
 
   // Opens (or creates) the archive at `path`; "" keeps it memory-resident.
   // An existing log is replayed to rebuild the index; a torn tail is
-  // truncated away and recovery proceeds with every intact frame.
+  // truncated away and recovery proceeds with every intact frame. A log of
+  // another format version fails with FailedPreconditionError, unmodified.
   Status Open(const std::string& path, PageFileOptions options = {});
 
   // Appends one record frame (interning any new strings first).
@@ -86,7 +88,8 @@ class ProvArchive {
   Result<ProvRecord> DecodeSlot(const Slot& slot) const;
   // Indexes one record frame whose payload starts at `offset`.
   void IndexRecord(const ProvRecord& record, uint64_t offset, size_t len);
-  // Replays every intact frame of an existing log, truncating a torn tail.
+  // Replays every intact frame of an existing log, truncating a torn tail
+  // (or refusing a log of another version before touching it).
   Status Replay();
 
   PageFile file_;

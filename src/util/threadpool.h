@@ -1,6 +1,6 @@
 // Minimal persistent worker pool for the sharded parallel executor.
 //
-// One pool per Engine, created lazily on the first parallel fixpoint epoch.
+// One pool per Engine, created lazily on the first parallel fixpoint Run().
 // `Run(n, task)` executes task(index, thread) for every index in [0, n),
 // spreading indexes across the pool's worker threads *and* the calling
 // thread via an atomic claim counter, then returns once all n indexes have
@@ -9,8 +9,8 @@
 // lane its own scratch state without locking.
 //
 // The pool itself is deliberately dumb: no futures, no task queue, no
-// stealing. The engine's epoch structure (run shards to quiescence, commit
-// effects in canonical order) provides all the ordering; the pool only
+// stealing. The engine's wave structure (run shards to quiescence, commit
+// effects in wave seq order) provides all the ordering; the pool only
 // provides the parallelism and the barrier.
 #ifndef PROVNET_UTIL_THREADPOOL_H_
 #define PROVNET_UTIL_THREADPOOL_H_

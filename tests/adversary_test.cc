@@ -100,17 +100,17 @@ TEST(ReplayGuardTest, AcceptsFreshRejectsDuplicatesAndStale) {
   EXPECT_TRUE(guard.Accept(5));
   EXPECT_FALSE(guard.Accept(5));  // duplicate: the replay case
   EXPECT_TRUE(guard.Accept(7));   // gaps are fine (one counter, many peers)
-  EXPECT_TRUE(guard.Accept(6));   // late but inside the window
+  EXPECT_TRUE(guard.Accept(6));   // late, but never accepted before
   EXPECT_FALSE(guard.Accept(6));
   EXPECT_TRUE(guard.Accept(1000));
-  EXPECT_FALSE(guard.Accept(7));  // replay after window advance: archived
-  EXPECT_FALSE(guard.Accept(6));  // so is its in-window-accepted neighbor
-  // Older than the 64-wide bitmap but never accepted: a lost original
-  // retransmitted late. Exact history accepts it once, then rejects the
+  EXPECT_FALSE(guard.Accept(7));  // replay far behind the newest sequence
+  EXPECT_FALSE(guard.Accept(6));  // so is its late-accepted neighbor
+  // Far behind the newest sequence but never accepted: a lost original
+  // retransmitted late. The exact record accepts it once, then rejects the
   // true replay of the same bytes.
   EXPECT_TRUE(guard.Accept(900));
   EXPECT_FALSE(guard.Accept(900));
-  EXPECT_TRUE(guard.Accept(990));   // within the bitmap, never seen
+  EXPECT_TRUE(guard.Accept(990));   // close behind the newest, never seen
   EXPECT_FALSE(guard.Accept(990));
 }
 
@@ -546,7 +546,7 @@ TEST(CampaignTest, StolenKeyForgeryLocalizedAndPurged) {
   script.AddAuditSweeps(2.0, 1.0, 4.0);
   script.SortByTime();
 
-  AttackCampaignDriver driver(*engine, adversary, CampaignOptions{});
+  AttackCampaignDriver driver(*engine, adversary);
   Result<CampaignReport> report = driver.Replay(script);
   ASSERT_TRUE(report.ok()) << report.status();
 
@@ -605,7 +605,7 @@ TEST(CampaignTest, RejectionsCreditOnlyTheAttacksTheyEvidence) {
                                                /*start=*/1.0,
                                                /*spacing=*/1.0, churn_rng));
   script.SortByTime();
-  AttackCampaignDriver driver(*engine, adversary, CampaignOptions{});
+  AttackCampaignDriver driver(*engine, adversary);
   Result<CampaignReport> report = driver.Replay(script);
   ASSERT_TRUE(report.ok()) << report.status();
   const std::vector<AttackOutcome>& outcomes = report.value().outcomes;
@@ -647,8 +647,7 @@ TEST(CampaignTest, AllHonestCampaignIsByteIdenticalToPlainChurn) {
   script.AddChurn(churn);
   script.AddAuditSweeps(1.2, 0.7, 5.0);
   script.SortByTime();
-  AttackCampaignDriver driver(*campaign_engine, adversary,
-                              CampaignOptions{});
+  AttackCampaignDriver driver(*campaign_engine, adversary);
   Result<CampaignReport> report = driver.Replay(script);
   ASSERT_TRUE(report.ok()) << report.status();
 
@@ -687,7 +686,7 @@ TEST(CampaignTest, FullCampaignOverChurningNetworkAcceptance) {
   script.AddAuditSweeps(1.5, 0.5, 6.0);
   script.SortByTime();
 
-  AttackCampaignDriver driver(*engine, adversary, CampaignOptions{});
+  AttackCampaignDriver driver(*engine, adversary);
   Result<CampaignReport> report = driver.Replay(script);
   ASSERT_TRUE(report.ok()) << report.status();
   const CampaignReport& r = report.value();

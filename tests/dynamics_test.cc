@@ -515,7 +515,7 @@ TEST(ChurnWorkGoldenTest, PureDRedFlapScriptWorkIsPinned) {
   EXPECT_EQ(FixpointFingerprint(*e), 0xfbfb8f957c3ea881ull);
 }
 
-// --- COUNT witness multiset: O(delta) deletion ------------------------------
+// --- COUNT aggregates: a deletion recounts the group ------------------------
 
 const char* kDegreeProgram = R"(
   materialize(link, infinity, infinity, keys(1,2)).
@@ -527,7 +527,7 @@ Tuple Deg(NodeId s, int64_t count) {
   return Tuple("deg", {Value::Address(s), Value::Int(count)});
 }
 
-TEST(CountDeltaTest, DeletionDecrementsCountWithoutRederivation) {
+TEST(CountDeltaTest, DeletionDecrementsCount) {
   // Star: node 0 links to 1, 2, 3.
   Topology topo;
   topo.num_nodes = 4;
@@ -540,13 +540,9 @@ TEST(CountDeltaTest, DeletionDecrementsCountWithoutRederivation) {
   ASSERT_TRUE(e->Run().ok());
   ASSERT_EQ(e->TuplesAt(0, "deg"), std::vector<Tuple>{Deg(0, 3)});
 
-  // One dead witness: the count drops by exactly one, maintained through
-  // the witness multiset — no group re-derivation.
+  // One dead witness: the count drops by exactly one.
   ASSERT_TRUE(e->DeleteFact(0, Link3(0, 2, 1)).ok());
-  Result<RunStats> stats = e->Run();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats.value().rederivations, 0u)
-      << "COUNT deletion must not fall back to group re-derivation";
+  ASSERT_TRUE(e->Run().ok());
   EXPECT_EQ(e->TuplesAt(0, "deg"), std::vector<Tuple>{Deg(0, 2)});
 
   // Down to one, then to an empty group: the deg row itself disappears.
@@ -568,9 +564,9 @@ TEST(CountDeltaTest, DeletionDecrementsCountWithoutRederivation) {
 }
 
 TEST(CountDeltaTest, WitnessWithTwoDerivationsSurvivesOne) {
-  // The same witness value (S, D) derived through two distinct rules: the
-  // multiset holds refcount 2, so retiring one derivation must not change
-  // the count.
+  // The same witness value (S, D) derived through two distinct rules: when
+  // one derivation dies, re-deriving the group still finds the other, so
+  // the count must not change.
   const char* program = R"(
     materialize(link, infinity, infinity, keys(1,2)).
     materialize(backlink, infinity, infinity, keys(1,2)).
@@ -606,7 +602,7 @@ TEST(CountDeltaTest, WitnessWithTwoDerivationsSurvivesOne) {
 TEST(CountDeltaTest, JointDerivationDeletedTwiceInOneEpochDecrementsOnce) {
   // One derivation joins two body tuples; deleting both in the same epoch
   // enumerates the dead derivation from each delta's delete strand. The
-  // per-epoch dedup must decrement the witness exactly once.
+  // witness must still be counted out exactly once.
   const char* program = R"(
     materialize(link, infinity, infinity, keys(1,2)).
     materialize(mark, infinity, infinity, keys(1,2)).
@@ -633,50 +629,6 @@ TEST(CountDeltaTest, JointDerivationDeletedTwiceInOneEpochDecrementsOnce) {
   ASSERT_TRUE(e->DeleteFact(0, mark1).ok());
   ASSERT_TRUE(e->Run().ok());
   EXPECT_EQ(e->TuplesAt(0, "deg"), std::vector<Tuple>{Deg(0, 1)});
-}
-
-// --- Annotation aging (ROADMAP follow-up from PR 1) -------------------------
-
-TEST(AgingTest, DropsExpiredSupportAlternativesSoPruningAgreesWithDRed) {
-  // Diamond reachability at tuple grain: reachable(0,3)'s annotation holds
-  // two alternatives (via 1 and via 2). Remove link(0,1) *behind the delta
-  // machinery's back* — the un-refreshed-expiry shape — so annotations
-  // still credit the dead alternative. The aging pass must restrict them
-  // (and retire tuples left without live support) so the fixpoint matches
-  // what DRed computes from the live base facts.
-  Topology topo = Diamond();
-  std::unique_ptr<Engine> e =
-      ReachEngine(ReachableNdlogProgram(), topo, TupleGrainProv());
-  ASSERT_NE(e, nullptr);
-
-  Result<ProvExpr> before = e->AnnotationOf(0, Reach(0, 3));
-  ASSERT_TRUE(before.ok());
-  ASSERT_EQ(before.value().Variables().size(), 4u)  // l01,l13,l02,l23
-      << before.value().ToString();
-
-  // The silent removal: no deletion delta, no killed variable.
-  Table* links = e->node(0).FindTableMutable("link");
-  ASSERT_NE(links, nullptr);
-  ASSERT_TRUE(links->Remove(Link2(0, 1)).has_value());
-
-  // Aging finds the dead base variable, restricts survivors, retires
-  // reachable(0,1) (no live support), and cascades.
-  EXPECT_GT(e->AgeAnnotations(), 0u);
-  ASSERT_TRUE(e->Run().ok());
-
-  std::unique_ptr<Engine> golden = ReachEngine(
-      ReachableNdlogProgram(), Without(topo, 0, 1), TupleGrainProv());
-  ASSERT_NE(golden, nullptr);
-  ExpectSamePred(*e, *golden, "reachable");
-
-  Result<ProvExpr> after = e->AnnotationOf(0, Reach(0, 3));
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after.value().Variables().size(), 2u)  // only the 0->2->3 route
-      << "aged annotation must drop the dead alternative: "
-      << after.value().ToString();
-
-  // Idempotent once consistent.
-  EXPECT_EQ(e->AgeAnnotations(), 0u);
 }
 
 TEST(ChurnDriverTest, CompromiseScriptRevokesPrincipal) {

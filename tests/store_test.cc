@@ -7,8 +7,9 @@
 //     boundary, survives a reopen byte-for-byte, and truncates; the LRU
 //     read cache never changes what a read returns;
 //   * archive      - ProvArchive decodes records identical (serialized
-//     bytes) to what was added, replays every record on reopen, and
-//     truncates a torn tail instead of failing recovery;
+//     bytes) to what was added, replays every record on reopen,
+//     truncates a torn tail instead of failing recovery, and refuses a log
+//     of another format version without touching it;
 //   * arena        - Canonical() interns structurally-equal derivations to
 //     one id, the expression/count/wire/annotation/decode caches answer
 //     what was put in them and nothing else;
@@ -36,6 +37,7 @@
 #include "store/arena.h"
 #include "store/pagefile.h"
 #include "util/bytes.h"
+#include "util/hash.h"
 #include "util/random.h"
 
 namespace provnet {
@@ -318,6 +320,43 @@ TEST(ProvArchiveTest, TornFinalRecordIsDroppedNotFatal) {
   ASSERT_TRUE(archive.Open(path, SmallPages()).ok());
   EXPECT_EQ(archive.size(), 4u);  // every intact record survives
   EXPECT_EQ(archive.FindByDigest(DigestOf(t)).size(), 4u);
+}
+
+TEST(ProvArchiveTest, LogOfAnotherVersionIsRefusedAndKeptIntact) {
+  TempDir dir("archive_other_version");
+  const std::string path = dir.File("node0.prov");
+  // An intact header frame — right magic, good checksum — naming format
+  // version 1: `[u8 type 0][varint len][payload][u64 checksum]`.
+  ByteWriter payload;
+  payload.PutString("provarch");
+  payload.PutVarint(1);
+  ByteWriter frame;
+  frame.PutU8(0);
+  frame.PutVarint(payload.bytes().size());
+  frame.PutRaw(payload.bytes().data(), payload.bytes().size());
+  frame.PutU64(Fnv1a64(payload.bytes()) ^ 0x9E3779B97F4A7C15ull);
+  const Bytes log = frame.bytes();
+  ASSERT_EQ(log.size(), 20u);
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(log.data(), 1, log.size(), f), log.size());
+    std::fclose(f);
+  }
+
+  {
+    store::ProvArchive archive;
+    Status opened = archive.Open(path, SmallPages());
+    EXPECT_EQ(opened.code(), StatusCode::kFailedPrecondition) << opened;
+  }
+  // Refused, not recovered: the log keeps every byte it had.
+  ASSERT_EQ(fs::file_size(path), log.size());
+  Bytes kept(log.size());
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  EXPECT_EQ(std::fread(kept.data(), 1, kept.size(), f), kept.size());
+  std::fclose(f);
+  EXPECT_EQ(kept, log);
 }
 
 // --- ProvArena --------------------------------------------------------------
