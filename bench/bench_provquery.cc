@@ -21,7 +21,8 @@
 // Reported per (n, mode): queries answered, mean/max query latency, mean
 // messages, bytes and records per query, the fraction of proofs with no
 // missing leaves, and the fixpoint's cost — its wire bytes, the provenance
-// bytes among them, and the online records it stored before any anomaly.
+// bytes among them, and the online records it stored before any anomaly,
+// in records and in the bytes the online stores hold.
 // Writes BENCH_provquery.json (CI uploads it per PR) and exits 1 unless
 // each mode has its expected shape (see CheckShapes).
 //
@@ -79,6 +80,7 @@ struct Point {
   uint64_t run_bytes = 0;          // fixpoint traffic (the "cheap shipping")
   uint64_t prov_bytes = 0;         // provenance shipped within run_bytes
   uint64_t online_records = 0;     // stored by the fixpoint, pre-anomaly
+  uint64_t online_bytes = 0;       // what those records occupy
 };
 
 Result<Point> RunMode(const Config& cfg, size_t n, const std::string& mode) {
@@ -114,6 +116,7 @@ Result<Point> RunMode(const Config& cfg, size_t n, const std::string& mode) {
   point.prov_bytes = run_stats.prov_bytes;
   for (NodeId node = 0; node < engine->num_nodes(); ++node) {
     point.online_records += engine->node(node).online_store().size();
+    point.online_bytes += engine->node(node).online_store().bytes();
   }
 
   if (mode == "offline") {
@@ -203,6 +206,7 @@ void WriteJson(const Config& cfg, const std::vector<Point>& points) {
         .Field("run_bytes", p.run_bytes)
         .Field("prov_bytes", p.prov_bytes)
         .Field("online_records", p.online_records)
+        .Field("online_bytes", p.online_bytes)
         .EndObject();
   }
   w.EndArray().EndObject();
@@ -296,9 +300,10 @@ int main(int argc, char** argv) {
 
   std::printf("bench_provquery: Best-Path (SeNDlog, HMAC says), %zu queries "
               "per point\n\n", cfg.queries);
-  std::printf("%4s %-9s %8s %12s %10s %10s %9s %10s %10s %9s\n", "n", "mode",
-              "queries", "mean_lat_ms", "mean_msgs", "mean_bytes", "complete",
-              "run_bytes", "prov_bytes", "records");
+  std::printf("%4s %-9s %8s %12s %10s %10s %9s %10s %10s %9s %12s\n", "n",
+              "mode", "queries", "mean_lat_ms", "mean_msgs", "mean_bytes",
+              "complete", "run_bytes", "prov_bytes", "records",
+              "online_bytes");
 
   std::vector<Point> points;
   std::map<size_t, std::map<std::string, Point>> by_n;
@@ -312,12 +317,13 @@ int main(int argc, char** argv) {
       }
       const Point& p = point.value();
       std::printf("%4zu %-9s %8zu %12.3f %10.1f %10.1f %8.0f%% %10llu "
-                  "%10llu %9llu\n",
+                  "%10llu %9llu %12llu\n",
                   p.n, p.mode.c_str(), p.queries, p.mean_latency_s * 1e3,
                   p.mean_messages, p.mean_bytes, p.complete_fraction * 100.0,
                   static_cast<unsigned long long>(p.run_bytes),
                   static_cast<unsigned long long>(p.prov_bytes),
-                  static_cast<unsigned long long>(p.online_records));
+                  static_cast<unsigned long long>(p.online_records),
+                  static_cast<unsigned long long>(p.online_bytes));
       points.push_back(p);
       by_n[n].emplace(mode, p);
     }

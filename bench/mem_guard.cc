@@ -8,14 +8,17 @@
 // flake margin to eat: a >20% growth over baseline fails the build and
 // forces the regression (or a deliberate baseline bump) into review.
 //
-// Two fixtures cover the two memory regimes:
+// Three fixtures cover the three memory regimes:
 //   condensed — the lean path (prov_annotations dominates);
-//   full      — the durable-store path (ISSUE 9): the derivation arena and
+//   full      — the durable-store path: the derivation arena and
 //               offline-archive pages carry the footprint, so regressions
-//               in prov_arena / archive_pages trip here.
+//               in prov_arena / archive_pages trip here;
+//   pointers  — the forensic path: SeNDlog Best-Path with HMAC says,
+//               pointer provenance and the in-memory archive, so the online
+//               provenance store (online_records) carries the footprint.
 //
 // Usage:
-//   mem_guard [--fixture condensed|full] [--baseline PATH]
+//   mem_guard [--fixture condensed|full|pointers] [--baseline PATH]
 //             [--write-baseline] [--tolerance PCT]
 //
 //   --fixture NAME    guard fixture (default condensed)
@@ -51,7 +54,7 @@ struct Measurement {
   uint64_t per_subsystem[obs::kNumMemSubsystems] = {};
 };
 
-Result<Measurement> RunGuardFixture(bool full) {
+Result<Measurement> RunGuardFixture(const std::string& fixture) {
   obs::MemAccounting& mem = obs::MemAccounting::Global();
   mem.Reset();
   mem.Enable();
@@ -60,15 +63,23 @@ Result<Measurement> RunGuardFixture(bool full) {
   Topology topo = Topology::RingPlusRandom(kNodes, /*outdegree=*/3, rng);
   EngineOptions opts;
   opts.seed = kSeed;
-  opts.prov_mode = full ? ProvMode::kFull : ProvMode::kCondensed;
-  opts.prov_grain = ProvGrain::kTuple;
-  // The full fixture archives offline records (memory-resident pages), so
-  // the archive_pages subsystem is part of what the guard watches.
-  opts.record_offline = full;
   opts.threads = 1;
-  PROVNET_ASSIGN_OR_RETURN(
-      std::unique_ptr<Engine> engine,
-      Engine::Create(topo, BestPathNdlogProgram(), opts));
+  const std::string* program = &BestPathNdlogProgram();
+  if (fixture == "pointers") {
+    program = &BestPathSendlogProgram();
+    opts.authenticate = true;
+    opts.says_level = SaysLevel::kHmac;
+    opts.prov_mode = ProvMode::kPointers;
+  } else {
+    opts.prov_mode =
+        fixture == "full" ? ProvMode::kFull : ProvMode::kCondensed;
+    opts.prov_grain = ProvGrain::kTuple;
+  }
+  // The full and pointers fixtures archive offline records (memory-resident
+  // pages), so the archive_pages subsystem is part of what they watch.
+  opts.record_offline = fixture != "condensed";
+  PROVNET_ASSIGN_OR_RETURN(std::unique_ptr<Engine> engine,
+                           Engine::Create(topo, *program, opts));
   PROVNET_RETURN_IF_ERROR(engine->InsertLinkFacts());
   PROVNET_RETURN_IF_ERROR(engine->Run().status());
 
@@ -123,13 +134,13 @@ int main(int argc, char** argv) {
       tolerance_pct = std::atof(argv[++i]);
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--fixture condensed|full] [--baseline PATH] "
-                   "[--write-baseline] [--tolerance PCT]\n",
+                   "usage: %s [--fixture condensed|full|pointers] "
+                   "[--baseline PATH] [--write-baseline] [--tolerance PCT]\n",
                    argv[0]);
       return 2;
     }
   }
-  if (fixture != "condensed" && fixture != "full") {
+  if (fixture != "condensed" && fixture != "full" && fixture != "pointers") {
     std::fprintf(stderr, "mem_guard: unknown fixture '%s'\n", fixture.c_str());
     return 2;
   }
@@ -137,7 +148,7 @@ int main(int argc, char** argv) {
     baseline_path = "bench/baselines/MEM_fixpoint_50_" + fixture + ".json";
   }
 
-  Result<Measurement> measured = RunGuardFixture(fixture == "full");
+  Result<Measurement> measured = RunGuardFixture(fixture);
   if (!measured.ok()) {
     std::fprintf(stderr, "mem_guard fixture failed: %s\n",
                  measured.status().ToString().c_str());

@@ -42,9 +42,9 @@ Result<std::map<NodeId, size_t>> RandomMoonwalk(Engine& engine, NodeId node,
 
   auto records_of = [&engine](NodeId n, TupleDigest digest)
       -> std::vector<ProvRecord> {
-    const std::vector<ProvRecord>* online =
+    std::vector<ProvRecord> online =
         engine.node(n).online_store().Lookup(digest);
-    if (online != nullptr) return *online;
+    if (!online.empty()) return online;
     return engine.node(n).offline_store().FindByDigest(digest);
   };
 

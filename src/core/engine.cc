@@ -537,9 +537,11 @@ void Engine::RecordProvenance(NodeId node_id, const Tuple& tuple,
                               std::vector<ProvChildRef> children,
                               double expires_at) {
   if (!RecordingPossible()) return;
+  // One hash serves the sampler, the recv child ref and both stores.
+  const TupleDigest digest = DigestOf(tuple);
   if (options_.sample_k > 1) {
     TupleSampler sampler(options_.sample_k, options_.seed);
-    if (!sampler.ShouldRecord(tuple)) return;
+    if (!sampler.ShouldRecord(digest)) return;
   }
 
   ProvRecord rec;
@@ -556,7 +558,7 @@ void Engine::RecordProvenance(NodeId node_id, const Tuple& tuple,
       rec.rule = "recv";
       ProvChildRef ref;
       ref.node = from_node;
-      ref.digest = DigestOf(tuple);
+      ref.digest = digest;
       ref.asserted_by = asserted_by;
       rec.children.push_back(std::move(ref));
       break;
@@ -569,9 +571,9 @@ void Engine::RecordProvenance(NodeId node_id, const Tuple& tuple,
 
   bool online = options_.record_online ||
                 options_.prov_mode == ProvMode::kPointers;
-  if (online) contexts_[node_id]->online_store().Add(rec);
+  if (online) contexts_[node_id]->online_store().Add(rec, digest);
   if (options_.record_offline) {
-    contexts_[node_id]->offline_store().Add(rec);
+    contexts_[node_id]->offline_store().Add(rec, digest);
     RecordArchiveIo(node_id);
   }
 }

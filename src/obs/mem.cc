@@ -22,6 +22,8 @@ const char* MemSubsystemName(MemSubsystem s) {
       return "prov_arena";
     case MemSubsystem::kArchivePages:
       return "archive_pages";
+    case MemSubsystem::kOnlineRecords:
+      return "online_records";
     case MemSubsystem::kNumSubsystems:
       break;
   }

@@ -2,9 +2,9 @@
 //
 // Cheap byte gauges incremented at the existing allocation choke points —
 // Table row/index mutations, ProvExpr DAG nodes, BDD arena nodes, network
-// queue push/pop, the trace ring, ProvQuery session state — so the
-// full-provenance memory curve is a first-class exported number instead of
-// an external RSS reading nobody can attribute.
+// queue push/pop, the trace ring, ProvQuery session state, the online
+// provenance store — so the full-provenance memory curve is a first-class
+// exported number instead of an external RSS reading nobody can attribute.
 //
 // The accounting is process-global (ProvExpr and Table have no engine
 // back-pointer) and approximate by design: each hook charges a fixed
@@ -40,6 +40,7 @@ enum class MemSubsystem : uint8_t {
   kQuerySessions,        // in-flight ProvQuery session state
   kProvArena,            // hash-consed derivation arena (src/store/arena.*)
   kArchivePages,         // offline-archive page buffers + LRU cache
+  kOnlineRecords,        // online provenance records (encoded, per digest)
   kNumSubsystems,
 };
 

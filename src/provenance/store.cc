@@ -1,7 +1,10 @@
 #include "provenance/store.h"
 
 #include <algorithm>
+#include <utility>
 
+#include "obs/mem.h"
+#include "util/logging.h"
 #include "util/strings.h"
 
 namespace provnet {
@@ -67,12 +70,67 @@ std::string ProvRecord::ToString() const {
   return out;
 }
 
-void OnlineProvStore::Add(ProvRecord record) {
-  records_[DigestOf(record.tuple)].push_back(std::move(record));
+namespace {
+
+// Per-entry estimate: the hash-map node (next pointer, digest, Entry) plus
+// its bucket slot.
+constexpr uint64_t kEntryAccountedBytes =
+    sizeof(std::pair<const TupleDigest, OnlineProvStore::Entry>) +
+    2 * sizeof(void*);
+
+uint64_t EntryBytes(const OnlineProvStore::Entry& entry) {
+  return entry.bytes.capacity() + kEntryAccountedBytes;
+}
+
+// Decodes the record at `in`; the store wrote these bytes itself, so a
+// failure is a program bug.
+ProvRecord DecodeOne(ByteReader& in) {
+  Result<ProvRecord> rec = ProvRecord::Deserialize(in);
+  PROVNET_CHECK(rec.ok()) << "online record does not decode: "
+                          << rec.status().ToString();
+  return std::move(rec).value();
+}
+
+std::vector<ProvRecord> Decode(const OnlineProvStore::Entry& entry) {
+  std::vector<ProvRecord> out;
+  out.reserve(entry.count);
+  ByteReader in(entry.bytes);
+  for (uint32_t i = 0; i < entry.count; ++i) out.push_back(DecodeOne(in));
+  return out;
+}
+
+}  // namespace
+
+void OnlineProvStore::Charge(uint64_t b) {
+  bytes_ += b;
+  obs::MemAccounting::Global().Add(obs::MemSubsystem::kOnlineRecords, b);
+}
+
+void OnlineProvStore::Release(uint64_t b) {
+  bytes_ -= b;
+  obs::MemAccounting::Global().Sub(obs::MemSubsystem::kOnlineRecords, b);
+}
+
+void OnlineProvStore::Add(const ProvRecord& record, TupleDigest digest) {
+  scratch_.Clear();
+  record.Serialize(scratch_);
+  auto [it, fresh] = records_.try_emplace(digest);
+  Entry& entry = it->second;
+  uint64_t before = fresh ? 0 : EntryBytes(entry);
+  const Bytes& encoded = scratch_.bytes();
+  entry.bytes.insert(entry.bytes.end(), encoded.begin(), encoded.end());
+  ++entry.count;
+  entry.expiring = entry.expiring || record.expires_at >= 0;
+  Charge(EntryBytes(entry) - before);
   ++count_;
 }
 
-const std::vector<ProvRecord>* OnlineProvStore::Lookup(
+std::vector<ProvRecord> OnlineProvStore::Lookup(TupleDigest digest) const {
+  const Entry* entry = Encoded(digest);
+  return entry == nullptr ? std::vector<ProvRecord>{} : Decode(*entry);
+}
+
+const OnlineProvStore::Entry* OnlineProvStore::Encoded(
     TupleDigest digest) const {
   auto it = records_.find(digest);
   return it == records_.end() ? nullptr : &it->second;
@@ -81,19 +139,36 @@ const std::vector<ProvRecord>* OnlineProvStore::Lookup(
 size_t OnlineProvStore::ExpireBefore(double now) {
   size_t dropped = 0;
   for (auto it = records_.begin(); it != records_.end();) {
-    auto& vec = it->second;
-    size_t before = vec.size();
-    vec.erase(std::remove_if(vec.begin(), vec.end(),
-                             [now](const ProvRecord& r) {
-                               return r.expires_at >= 0 && r.expires_at < now;
-                             }),
-              vec.end());
-    dropped += before - vec.size();
-    if (vec.empty()) {
-      it = records_.erase(it);
-    } else {
+    Entry& entry = it->second;
+    if (!entry.expiring) {
       ++it;
+      continue;
     }
+    // Keep the encoded bytes of every record still live, in order.
+    Entry kept;
+    ByteReader in(entry.bytes);
+    for (uint32_t i = 0; i < entry.count; ++i) {
+      size_t from = in.position();
+      ProvRecord rec = DecodeOne(in);
+      if (rec.expires_at >= 0 && rec.expires_at < now) continue;
+      kept.bytes.insert(kept.bytes.end(), entry.bytes.begin() + from,
+                        entry.bytes.begin() + in.position());
+      ++kept.count;
+      kept.expiring = kept.expiring || rec.expires_at >= 0;
+    }
+    if (kept.count == entry.count) {
+      ++it;
+      continue;
+    }
+    dropped += entry.count - kept.count;
+    Release(EntryBytes(entry));
+    if (kept.count == 0) {
+      it = records_.erase(it);
+      continue;
+    }
+    entry = std::move(kept);
+    Charge(EntryBytes(entry));
+    ++it;
   }
   count_ -= dropped;
   return dropped;
@@ -102,22 +177,34 @@ size_t OnlineProvStore::ExpireBefore(double now) {
 size_t OnlineProvStore::Remove(TupleDigest digest) {
   auto it = records_.find(digest);
   if (it == records_.end()) return 0;
-  size_t n = it->second.size();
+  size_t n = it->second.count;
+  Release(EntryBytes(it->second));
   records_.erase(it);
   count_ -= n;
   return n;
+}
+
+void OnlineProvStore::Clear() {
+  Release(bytes_);
+  records_.clear();
+  count_ = 0;
 }
 
 std::vector<TupleDigest> OnlineProvStore::DependentsOf(
     const Principal& principal) const {
   // Transitive closure over local records: seed with records having a child
   // asserted by `principal`, then propagate through local parent links.
+  std::vector<std::pair<TupleDigest, std::vector<ProvRecord>>> decoded;
+  decoded.reserve(records_.size());
+  for (const auto& [digest, entry] : records_) {
+    decoded.emplace_back(digest, Decode(entry));
+  }
   std::vector<TupleDigest> out;
   std::unordered_map<TupleDigest, bool> tainted;
   bool changed = true;
   while (changed) {
     changed = false;
-    for (const auto& [digest, recs] : records_) {
+    for (const auto& [digest, recs] : decoded) {
       if (tainted.count(digest)) continue;
       for (const ProvRecord& rec : recs) {
         bool hit = rec.asserted_by == principal;

@@ -14,6 +14,16 @@
 //    content digest). Reconstruction walks these pointers with network
 //    queries (the ProvQuery API, query/provquery.h), the paper's
 //    IP-traceback analogy.
+//
+// The online store holds each record in its wire encoding, the bytes
+// ProvRecord::Serialize writes, concatenated per tuple digest. Those are
+// exactly the bytes a records response ships, so a responder copies them
+// without decoding; and a record costs its ~120 encoded bytes instead of a
+// heap object graph (tuple values, a children vector, copied base tuples)
+// several times that size. Local readers decode on lookup, through the same
+// codec that guards hostile wire input. The archive keeps its own interned
+// encoding because it is an append-only log; this store must support removal
+// and expiry.
 #ifndef PROVNET_PROVENANCE_STORE_H_
 #define PROVNET_PROVENANCE_STORE_H_
 
@@ -26,6 +36,7 @@
 
 #include "crypto/keystore.h"
 #include "datalog/tuple.h"
+#include "util/bytes.h"
 #include "util/status.h"
 
 namespace provnet {
@@ -62,14 +73,35 @@ struct ProvRecord {
   std::string ToString() const;
 };
 
-// Online store: one entry set per live tuple digest. Multiple records per
-// digest capture alternative derivations.
+// Online store: the records of each live tuple digest, in append order.
+// Multiple records per digest capture alternative derivations. Memory is
+// charged to obs::MemSubsystem::kOnlineRecords (each entry's byte capacity
+// plus a fixed per-entry estimate) and released as records leave the store.
 class OnlineProvStore {
  public:
-  void Add(ProvRecord record);
+  // One digest's records: their concatenated ProvRecord::Serialize bytes and
+  // how many there are.
+  struct Entry {
+    Bytes bytes;
+    uint32_t count = 0;
+    bool expiring = false;  // some record has expires_at >= 0
+  };
 
-  // All current derivations of a tuple; nullptr when unknown.
-  const std::vector<ProvRecord>* Lookup(TupleDigest digest) const;
+  OnlineProvStore() = default;
+  ~OnlineProvStore() { Clear(); }
+
+  OnlineProvStore(const OnlineProvStore&) = delete;
+  OnlineProvStore& operator=(const OnlineProvStore&) = delete;
+
+  // Appends `record` under `digest`, the caller's DigestOf(record.tuple).
+  void Add(const ProvRecord& record, TupleDigest digest);
+
+  // All current derivations of a tuple, decoded; empty when unknown.
+  std::vector<ProvRecord> Lookup(TupleDigest digest) const;
+
+  // The stored encoding of a digest's records, as a records response ships
+  // it; nullptr when unknown.
+  const Entry* Encoded(TupleDigest digest) const;
 
   // Drops records whose tuples expired before `now` (online provenance only
   // covers currently-valid state). Returns the number dropped.
@@ -86,16 +118,23 @@ class OnlineProvStore {
 
   // Drops every record (e.g. simulating fully aged-out online state before
   // an archive-only forensic query).
-  void Clear() {
-    records_.clear();
-    count_ = 0;
-  }
+  void Clear();
 
   size_t size() const { return count_; }
+  // Bytes held: every entry's byte capacity plus the per-entry estimate.
+  uint64_t bytes() const { return bytes_; }
 
  private:
-  std::unordered_map<TupleDigest, std::vector<ProvRecord>> records_;
+  // Keeps bytes_ and the memory ledger in step with one entry's size.
+  void Charge(uint64_t b);
+  void Release(uint64_t b);
+
+  std::unordered_map<TupleDigest, Entry> records_;
+  // Reused encode buffer: a record is appended to its entry in one copy, so
+  // a fresh entry's capacity is exactly its record's size.
+  ByteWriter scratch_;
   size_t count_ = 0;
+  uint64_t bytes_ = 0;
 };
 
 }  // namespace provnet

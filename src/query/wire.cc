@@ -299,9 +299,9 @@ std::vector<const StoredTuple*> Engine::ClaimTuplesAt(
 
 std::vector<ProvRecord> Engine::ProvRecordsAt(NodeId node, TupleDigest digest,
                                               bool* offline_hit) const {
-  const std::vector<ProvRecord>* online =
+  std::vector<ProvRecord> online =
       contexts_[node]->online_store().Lookup(digest);
-  if (online != nullptr) return *online;
+  if (!online.empty()) return online;
   std::vector<ProvRecord> out =
       contexts_[node]->offline_store().FindByDigest(digest);
   if (offline_hit != nullptr && !out.empty()) *offline_hit = true;
@@ -384,9 +384,18 @@ Status Engine::HandleProvRequest(NodeId to, NodeId from, ByteReader& body) {
   switch (kind) {
     case kQueryRecords: {
       PROVNET_ASSIGN_OR_RETURN(uint64_t digest, body.GetU64());
+      inner.PutU64(digest);
+      // The online store holds records in their wire encoding: ship the
+      // stored bytes as they are.
+      if (const OnlineProvStore::Entry* online =
+              contexts_[to]->online_store().Encoded(digest)) {
+        inner.PutU8(0);  // not an archive read
+        inner.PutVarint(online->count);
+        inner.PutRaw(online->bytes.data(), online->bytes.size());
+        break;
+      }
       bool offline = false;
       std::vector<ProvRecord> records = ProvRecordsAt(to, digest, &offline);
-      inner.PutU64(digest);
       // Responder-side archive flag: set when the records came from the
       // offline store, so the asker's QueryStats::offline_hits covers remote
       // archive reads, not just its own (satellite of the Section 4.1 walk).

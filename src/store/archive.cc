@@ -28,35 +28,34 @@ uint64_t FrameChecksum(uint8_t type, const uint8_t* payload, size_t len) {
   return Fnv1a64(payload, len) ^ (0x9E3779B97F4A7C15ull * (type + 1));
 }
 
-Bytes HeaderPayload() {
-  ByteWriter w;
-  w.PutString(kMagic);
-  w.PutVarint(kVersion);
-  return std::move(w).Take();
-}
-
 }  // namespace
 
 Status ProvArchive::Open(const std::string& path, PageFileOptions options) {
   PROVNET_RETURN_IF_ERROR(file_.Open(path, options));
   if (file_.end_offset() == 0) {
-    AppendFrame(kHeader, HeaderPayload(), nullptr);
+    AppendHeader();
     return OkStatus();
   }
   return Replay();
 }
 
-void ProvArchive::AppendFrame(uint8_t type, const Bytes& payload,
-                              uint64_t* payload_offset) {
-  ByteWriter w;
-  w.PutU8(type);
-  w.PutVarint(payload.size());
-  size_t header_len = w.size();
-  w.PutRaw(payload.data(), payload.size());
-  w.PutU64(FrameChecksum(type, payload.data(), payload.size()));
-  Bytes frame = std::move(w).Take();
-  uint64_t at = file_.Append(frame.data(), frame.size());
+void ProvArchive::AppendFrame(uint8_t type, const uint8_t* payload,
+                              size_t len, uint64_t* payload_offset) {
+  frame_.Clear();
+  frame_.PutU8(type);
+  frame_.PutVarint(len);
+  size_t header_len = frame_.size();
+  frame_.PutRaw(payload, len);
+  frame_.PutU64(FrameChecksum(type, payload, len));
+  uint64_t at = file_.Append(frame_.bytes().data(), frame_.size());
   if (payload_offset != nullptr) *payload_offset = at + header_len;
+}
+
+void ProvArchive::AppendHeader() {
+  payload_.Clear();
+  payload_.PutString(kMagic);
+  payload_.PutVarint(kVersion);
+  AppendFrame(kHeader, payload_.bytes().data(), payload_.size(), nullptr);
 }
 
 uint32_t ProvArchive::InternString(const std::string& s) {
@@ -65,8 +64,8 @@ uint32_t ProvArchive::InternString(const std::string& s) {
   uint32_t id = static_cast<uint32_t>(strings_.size());
   strings_.push_back(s);
   string_ids_.emplace(s, id);
-  Bytes payload(s.begin(), s.end());
-  AppendFrame(kString, payload, nullptr);
+  AppendFrame(kString, reinterpret_cast<const uint8_t*>(s.data()), s.size(),
+              nullptr);
   return id;
 }
 
@@ -155,24 +154,23 @@ Result<ProvRecord> ProvArchive::DecodeSlot(const Slot& slot) const {
   return DecodeRecord(payload.data(), payload.size());
 }
 
-void ProvArchive::IndexRecord(const ProvRecord& record, uint64_t offset,
-                              size_t len) {
+void ProvArchive::IndexRecord(TupleDigest digest, double created_at,
+                              uint64_t offset, size_t len) {
   Slot slot;
   slot.offset = offset;
   slot.len = static_cast<uint32_t>(len);
-  slot.digest = DigestOf(record.tuple);
-  slot.created_at = record.created_at;
-  by_digest_[slot.digest].push_back(slots_.size());
+  slot.digest = digest;
+  slot.created_at = created_at;
+  by_digest_[digest].push_back(slots_.size());
   slots_.push_back(slot);
 }
 
-void ProvArchive::Add(const ProvRecord& record) {
-  ByteWriter w;
-  EncodeRecord(record, w);
-  Bytes payload = std::move(w).Take();
+void ProvArchive::Add(const ProvRecord& record, TupleDigest digest) {
+  payload_.Clear();
+  EncodeRecord(record, payload_);
   uint64_t offset = 0;
-  AppendFrame(kRecord, payload, &offset);
-  IndexRecord(record, offset, payload.size());
+  AppendFrame(kRecord, payload_.bytes().data(), payload_.size(), &offset);
+  IndexRecord(digest, record.created_at, offset, payload_.size());
 }
 
 std::vector<ProvRecord> ProvArchive::FindByDigest(TupleDigest digest) const {
@@ -260,7 +258,10 @@ Status ProvArchive::Replay() {
         Result<ProvRecord> rec = DecodeRecord(body.data(),
                                               static_cast<size_t>(*len));
         ok = rec.ok();
-        if (ok) IndexRecord(*rec, payload_at, static_cast<size_t>(*len));
+        if (ok) {
+          IndexRecord(DigestOf(rec->tuple), rec->created_at, payload_at,
+                      static_cast<size_t>(*len));
+        }
         break;
       }
       default:
@@ -272,7 +273,7 @@ Status ProvArchive::Replay() {
   // Drop everything from the first bad frame on. If even the header was
   // unreadable (a log torn or corrupt at birth) the archive restarts empty.
   PROVNET_RETURN_IF_ERROR(file_.TruncateTo(pos));
-  if (!saw_header) AppendFrame(kHeader, HeaderPayload(), nullptr);
+  if (!saw_header) AppendHeader();
   return OkStatus();
 }
 

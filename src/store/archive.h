@@ -48,8 +48,9 @@ class ProvArchive {
   // another format version fails with FailedPreconditionError, unmodified.
   Status Open(const std::string& path, PageFileOptions options = {});
 
-  // Appends one record frame (interning any new strings first).
-  void Add(const ProvRecord& record);
+  // Appends one record frame (interning any new strings first), indexed
+  // under `digest`, the caller's DigestOf(record.tuple).
+  void Add(const ProvRecord& record, TupleDigest digest);
 
   // Decoded records, in append order (matching the pre-archive in-memory
   // store's iteration order byte-for-byte).
@@ -81,18 +82,25 @@ class ProvArchive {
   uint32_t InternString(const std::string& s);
   // Appends one frame to the log, reporting where the payload landed when
   // the caller indexes it.
-  void AppendFrame(uint8_t type, const Bytes& payload,
+  void AppendFrame(uint8_t type, const uint8_t* payload, size_t len,
                    uint64_t* payload_offset);
+  // Appends the magic + version header frame.
+  void AppendHeader();
   void EncodeRecord(const ProvRecord& record, ByteWriter& out);
   Result<ProvRecord> DecodeRecord(const uint8_t* data, size_t len) const;
   Result<ProvRecord> DecodeSlot(const Slot& slot) const;
   // Indexes one record frame whose payload starts at `offset`.
-  void IndexRecord(const ProvRecord& record, uint64_t offset, size_t len);
+  void IndexRecord(TupleDigest digest, double created_at, uint64_t offset,
+                   size_t len);
   // Replays every intact frame of an existing log, truncating a torn tail
   // (or refusing a log of another version before touching it).
   Status Replay();
 
   PageFile file_;
+  // Encode buffers reused across appends: a record's payload, and the frame
+  // around it (string frames are framed while a payload is being encoded).
+  ByteWriter payload_;
+  ByteWriter frame_;
 
   std::vector<std::string> strings_;
   std::unordered_map<std::string, uint32_t> string_ids_;

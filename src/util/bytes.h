@@ -33,6 +33,8 @@ class ByteWriter {
   void PutBlob(const Bytes& b);
   void PutRaw(const uint8_t* data, size_t len);
   void Reserve(size_t n) { buf_.reserve(n); }
+  // Empties the buffer, keeping its capacity for reuse.
+  void Clear() { buf_.clear(); }
 
   size_t size() const { return buf_.size(); }
   const Bytes& bytes() const { return buf_; }

@@ -133,11 +133,10 @@ RecordSets RecordsOf(Engine& engine, const std::vector<TupleDigest>& digests) {
   RecordSets out(engine.num_nodes());
   for (NodeId n = 0; n < engine.num_nodes(); ++n) {
     for (TupleDigest d : digests) {
-      const std::vector<ProvRecord>* recs =
-          engine.node(n).online_store().Lookup(d);
-      if (recs == nullptr) continue;
+      std::vector<ProvRecord> recs = engine.node(n).online_store().Lookup(d);
+      if (recs.empty()) continue;
       std::vector<std::string>& contents = out[n][d];
-      for (const ProvRecord& rec : *recs) contents.push_back(ContentOf(rec));
+      for (const ProvRecord& rec : recs) contents.push_back(ContentOf(rec));
       std::sort(contents.begin(), contents.end());
     }
   }

@@ -4,7 +4,8 @@
 //
 // The oracles:
 //   * unit      - phase/lane accumulation, commit_serial_fraction, the
-//     memory gauges' add/sub/peak discipline, and the trace.dropped_spans
+//     memory gauges' add/sub/peak discipline (the online provenance store
+//     charges what it holds and releases it), and the trace.dropped_spans
 //     counter;
 //   * golden    - the full observability stack (profiler + memory accounting
 //     + span recording) enabled vs. disabled leaves fixpoints, metric
@@ -104,6 +105,53 @@ TEST(MemAccountingTest, GaugesTrackCurrentAndPeak) {
   mem.Reset();
   mem.Disable();
   EXPECT_EQ(mem.TotalPeakBytes(), 0u);
+}
+
+// The online provenance store charges what it holds and releases it on
+// Clear() and on destruction.
+TEST(MemAccountingTest, OnlineRecordsAreChargedAndReleased) {
+  obs::MemAccounting& mem = obs::MemAccounting::Global();
+  mem.Reset();
+  mem.Enable();
+  auto run = [] {
+    EngineOptions opts;
+    opts.authenticate = true;
+    opts.says_level = SaysLevel::kHmac;
+    opts.prov_mode = ProvMode::kPointers;
+    Rng rng(7);
+    Topology topo = Topology::RingPlusRandom(12, 3, rng);
+    auto engine = Engine::Create(topo, BestPathSendlogProgram(), opts).value();
+    EXPECT_TRUE(engine->InsertLinkFacts().ok());
+    EXPECT_TRUE(engine->Run().ok());
+    return engine;
+  };
+  auto held = [](Engine& engine) {
+    uint64_t bytes = 0;
+    for (NodeId n = 0; n < engine.num_nodes(); ++n) {
+      bytes += engine.node(n).online_store().bytes();
+    }
+    return bytes;
+  };
+  const obs::MemSubsystem kOnline = obs::MemSubsystem::kOnlineRecords;
+  {
+    std::unique_ptr<Engine> engine = run();
+    EXPECT_GT(mem.CurrentBytes(kOnline), 0u);
+    EXPECT_EQ(mem.CurrentBytes(kOnline), held(*engine));
+    for (NodeId n = 0; n < engine->num_nodes(); ++n) {
+      engine->node(n).online_store().Clear();
+    }
+    EXPECT_EQ(held(*engine), 0u);
+    EXPECT_EQ(mem.CurrentBytes(kOnline), 0u);
+  }
+  {
+    std::unique_ptr<Engine> engine = run();
+    EXPECT_GT(mem.CurrentBytes(kOnline), 0u);
+  }
+  EXPECT_EQ(mem.CurrentBytes(kOnline), 0u);
+  EXPECT_GT(mem.PeakBytes(kOnline), 0u);
+
+  mem.Reset();
+  mem.Disable();
 }
 
 // --- Golden determinism: observability on vs. off ---------------------------

@@ -354,25 +354,113 @@ ProvRecord MakeRecord(const Tuple& t, const std::string& rule, NodeId loc,
 TEST(OnlineStoreTest, AddLookupRemove) {
   OnlineProvStore store;
   Tuple t("x", {Value::Int(1)});
-  store.Add(MakeRecord(t, "r1", 0, "a", 1.0));
-  store.Add(MakeRecord(t, "r2", 0, "a", 2.0));
-  ASSERT_NE(store.Lookup(DigestOf(t)), nullptr);
-  EXPECT_EQ(store.Lookup(DigestOf(t))->size(), 2u);
+  store.Add(MakeRecord(t, "r1", 0, "a", 1.0), DigestOf(t));
+  store.Add(MakeRecord(t, "r2", 0, "a", 2.0), DigestOf(t));
+  ASSERT_FALSE(store.Lookup(DigestOf(t)).empty());
+  EXPECT_EQ(store.Lookup(DigestOf(t)).size(), 2u);
   EXPECT_EQ(store.size(), 2u);
+  EXPECT_GT(store.bytes(), 0u);
   EXPECT_EQ(store.Remove(DigestOf(t)), 2u);
-  EXPECT_EQ(store.Lookup(DigestOf(t)), nullptr);
+  EXPECT_TRUE(store.Lookup(DigestOf(t)).empty());
   EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(store.bytes(), 0u);
 }
 
 TEST(OnlineStoreTest, ExpiresWithTuples) {
   OnlineProvStore store;
   Tuple t1("x", {Value::Int(1)});
   Tuple t2("x", {Value::Int(2)});
-  store.Add(MakeRecord(t1, "r", 0, "a", 0.0, /*expires=*/5.0));
-  store.Add(MakeRecord(t2, "r", 0, "a", 0.0, /*expires=*/50.0));
+  store.Add(MakeRecord(t1, "r", 0, "a", 0.0, /*expires=*/5.0), DigestOf(t1));
+  store.Add(MakeRecord(t2, "r", 0, "a", 0.0, /*expires=*/50.0), DigestOf(t2));
   EXPECT_EQ(store.ExpireBefore(10.0), 1u);
-  EXPECT_EQ(store.Lookup(DigestOf(t1)), nullptr);
-  EXPECT_NE(store.Lookup(DigestOf(t2)), nullptr);
+  EXPECT_TRUE(store.Lookup(DigestOf(t1)).empty());
+  EXPECT_FALSE(store.Lookup(DigestOf(t2)).empty());
+}
+
+// Field-for-field record equality.
+void ExpectSameFields(const ProvRecord& got, const ProvRecord& want) {
+  EXPECT_EQ(got.tuple, want.tuple);
+  EXPECT_EQ(got.rule, want.rule);
+  EXPECT_EQ(got.location, want.location);
+  EXPECT_EQ(got.asserted_by, want.asserted_by);
+  EXPECT_EQ(got.created_at, want.created_at);
+  EXPECT_EQ(got.expires_at, want.expires_at);
+  ASSERT_EQ(got.children.size(), want.children.size());
+  for (size_t i = 0; i < got.children.size(); ++i) {
+    const ProvChildRef& g = got.children[i];
+    const ProvChildRef& w = want.children[i];
+    EXPECT_EQ(g.node, w.node) << "child " << i;
+    EXPECT_EQ(g.digest, w.digest) << "child " << i;
+    EXPECT_EQ(g.is_base, w.is_base) << "child " << i;
+    EXPECT_EQ(g.base_tuple, w.base_tuple) << "child " << i;
+    EXPECT_EQ(g.asserted_by, w.asserted_by) << "child " << i;
+  }
+}
+
+Bytes Encode(const ProvRecord& rec) {
+  ByteWriter w;
+  rec.Serialize(w);
+  return std::move(w).Take();
+}
+
+TEST(OnlineStoreTest, RecordsRoundTripInAppendOrder) {
+  Tuple link("link", {Value::Address(1), Value::Address(2), Value::Int(3)});
+  Tuple t("path", {Value::Address(1), Value::Address(4),
+                   Value::List({Value::Address(1), Value::Address(2),
+                                Value::Address(4)}),
+                   Value::Real(2.5), Value::Str("z3")});
+  ProvChildRef base;
+  base.node = 1;
+  base.digest = DigestOf(link);
+  base.is_base = true;
+  base.base_tuple = link;
+  base.asserted_by = "n1";
+  ProvChildRef remote;
+  remote.node = 2;
+  remote.digest = 0xFEEDFACECAFEBEEFULL;
+  remote.asserted_by = "n2";
+  ProvRecord first = MakeRecord(t, "z3", 1, "n1", 1.25, /*expires=*/40.0);
+  first.children = {base, remote};
+  ProvRecord second = MakeRecord(t, "recv", 1, "n2", 3.5);
+  second.children = {remote};
+
+  OnlineProvStore store;
+  store.Add(first, DigestOf(t));
+  store.Add(second, DigestOf(t));
+
+  std::vector<ProvRecord> got = store.Lookup(DigestOf(t));
+  ASSERT_EQ(got.size(), 2u);
+  ExpectSameFields(got[0], first);
+  ExpectSameFields(got[1], second);
+
+  // What a records response ships: the count, then the concatenated
+  // Serialize output.
+  const OnlineProvStore::Entry* encoded = store.Encoded(DigestOf(t));
+  ASSERT_NE(encoded, nullptr);
+  EXPECT_EQ(encoded->count, 2u);
+  Bytes want = Encode(first);
+  Bytes more = Encode(second);
+  want.insert(want.end(), more.begin(), more.end());
+  EXPECT_EQ(encoded->bytes, want);
+}
+
+TEST(OnlineStoreTest, ExpireBeforeKeepsTheLiveRecordOfAMixedTuple) {
+  OnlineProvStore store;
+  Tuple t("x", {Value::Int(1)});
+  ProvRecord expiring = MakeRecord(t, "r1", 0, "a", 0.0, /*expires=*/5.0);
+  ProvRecord permanent = MakeRecord(t, "r2", 0, "a", 1.0);
+  store.Add(expiring, DigestOf(t));
+  store.Add(permanent, DigestOf(t));
+  uint64_t held = store.bytes();
+
+  EXPECT_EQ(store.ExpireBefore(10.0), 1u);
+  EXPECT_EQ(store.size(), 1u);
+  std::vector<ProvRecord> got = store.Lookup(DigestOf(t));
+  ASSERT_EQ(got.size(), 1u);
+  ExpectSameFields(got[0], permanent);
+  EXPECT_EQ(store.Encoded(DigestOf(t))->bytes, Encode(permanent));
+  EXPECT_LT(store.bytes(), held);
+  EXPECT_EQ(store.ExpireBefore(10.0), 0u);  // nothing left to expire
 }
 
 TEST(OnlineStoreTest, DependentsOfTracksTransitiveTaint) {
@@ -386,7 +474,7 @@ TEST(OnlineStoreTest, DependentsOfTracksTransitiveTaint) {
   ref.digest = DigestOf(base);
   ref.asserted_by = "mallory";
   rec_mid.children.push_back(ref);
-  store.Add(rec_mid);
+  store.Add(rec_mid, DigestOf(mid));
 
   ProvRecord rec_top = MakeRecord(top, "r", 0, "honest", 0.0);
   ProvChildRef ref2;
@@ -394,7 +482,7 @@ TEST(OnlineStoreTest, DependentsOfTracksTransitiveTaint) {
   ref2.digest = DigestOf(mid);
   ref2.asserted_by = "honest";
   rec_top.children.push_back(ref2);
-  store.Add(rec_top);
+  store.Add(rec_top, DigestOf(top));
 
   std::vector<TupleDigest> tainted = store.DependentsOf("mallory");
   EXPECT_EQ(tainted.size(), 2u);  // mid directly, top transitively
@@ -403,9 +491,12 @@ TEST(OnlineStoreTest, DependentsOfTracksTransitiveTaint) {
 TEST(OfflineStoreTest, QueriesByWindow) {
   store::ProvArchive store;
   ASSERT_TRUE(store.Open("", {}).ok());
-  store.Add(MakeRecord(Tuple("a", {Value::Int(1)}), "r", 0, "p", 1.0));
-  store.Add(MakeRecord(Tuple("b", {Value::Int(2)}), "r", 0, "p", 5.0));
-  store.Add(MakeRecord(Tuple("a", {Value::Int(3)}), "r", 0, "p", 9.0));
+  Tuple a1("a", {Value::Int(1)});
+  Tuple b2("b", {Value::Int(2)});
+  Tuple a3("a", {Value::Int(3)});
+  store.Add(MakeRecord(a1, "r", 0, "p", 1.0), DigestOf(a1));
+  store.Add(MakeRecord(b2, "r", 0, "p", 5.0), DigestOf(b2));
+  store.Add(MakeRecord(a3, "r", 0, "p", 9.0), DigestOf(a3));
   EXPECT_EQ(store.FindInWindow(0.0, 6.0).size(), 2u);
   EXPECT_EQ(store.FindInWindow(4.0, 10.0).size(), 2u);
 }

@@ -10,6 +10,8 @@
 //     bytes) to what was added, replays every record on reopen,
 //     truncates a torn tail instead of failing recovery, and refuses a log
 //     of another format version without touching it;
+//   * online       - after a cold pointer-provenance fixpoint, every node's
+//     online records decode to exactly the records its archive holds;
 //   * arena        - Canonical() interns structurally-equal derivations to
 //     one id, the expression/count/wire/annotation/decode caches answer
 //     what was put in them and nothing else;
@@ -23,6 +25,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -228,9 +231,9 @@ TEST(ProvArchiveTest, RoundTripsAllQueryAxes) {
   ref.asserted_by = "n1";
   rb2.children.push_back(ref);
 
-  archive.Add(ra);
-  archive.Add(rb1);
-  archive.Add(rb2);
+  archive.Add(ra, DigestOf(ta));
+  archive.Add(rb1, DigestOf(tb));
+  archive.Add(rb2, DigestOf(tb));
   EXPECT_EQ(archive.size(), 3u);
 
   ExpectSameRecords(archive.FindByDigest(DigestOf(ta)), {ra});
@@ -244,13 +247,14 @@ TEST(ProvArchiveTest, ReopenReplaysRecords) {
   const std::string path = dir.File("node0.prov");
   Tuple early("early", {Value::Int(2)});
   Tuple late("late", {Value::Int(1)});
+  Tuple other("other", {Value::Int(3)});
   std::vector<ProvRecord> want_early, want_late;
   {
     store::ProvArchive archive;
     ASSERT_TRUE(archive.Open(path, SmallPages()).ok());
-    archive.Add(MakeRecord(early, "r", 0, "a", 1.0));
-    archive.Add(MakeRecord(Tuple("other", {Value::Int(3)}), "r", 0, "a", 1.5));
-    archive.Add(MakeRecord(late, "r", 0, "a", 9.0));
+    archive.Add(MakeRecord(early, "r", 0, "a", 1.0), DigestOf(early));
+    archive.Add(MakeRecord(other, "r", 0, "a", 1.5), DigestOf(other));
+    archive.Add(MakeRecord(late, "r", 0, "a", 9.0), DigestOf(late));
     ASSERT_TRUE(archive.Flush().ok());
     // Fingerprint what the live archive answers: replay must reproduce
     // exactly this.
@@ -285,7 +289,7 @@ TEST(ProvArchiveTest, TornTailGarbageIsTruncatedOnRecovery) {
     ASSERT_TRUE(archive.Open(path, SmallPages()).ok());
     for (int i = 0; i < 5; ++i) {
       ProvRecord rec = MakeRecord(t, "r", 0, "a", 1.0 + i);
-      archive.Add(rec);
+      archive.Add(rec, DigestOf(t));
       want.push_back(rec);
     }
     ASSERT_TRUE(archive.Flush().ok());
@@ -297,7 +301,7 @@ TEST(ProvArchiveTest, TornTailGarbageIsTruncatedOnRecovery) {
   EXPECT_EQ(archive.size(), 5u);                       // intact prefix whole
   ExpectSameRecords(archive.FindByDigest(DigestOf(t)), want);
   // The archive is writable again after recovery.
-  archive.Add(MakeRecord(t, "r", 0, "a", 9.0));
+  archive.Add(MakeRecord(t, "r", 0, "a", 9.0), DigestOf(t));
   EXPECT_EQ(archive.size(), 6u);
 }
 
@@ -309,7 +313,7 @@ TEST(ProvArchiveTest, TornFinalRecordIsDroppedNotFatal) {
     store::ProvArchive archive;
     ASSERT_TRUE(archive.Open(path, SmallPages()).ok());
     for (int i = 0; i < 5; ++i) {
-      archive.Add(MakeRecord(t, "r", 0, "a", 1.0 + i));
+      archive.Add(MakeRecord(t, "r", 0, "a", 1.0 + i), DigestOf(t));
     }
     ASSERT_TRUE(archive.Flush().ok());
   }
@@ -488,6 +492,50 @@ TEST(ProvArenaTest, WireAndAnnotationCachesRoundTrip) {
   EXPECT_TRUE(arena.CachedAnnotation(id)->Equals(ann));
 
   EXPECT_GT(arena.ResidentBytes(), 0u);  // caches are accounted
+}
+
+// --- Online store against the archive --------------------------------------
+
+// Pointer provenance files every record in both stores. After a cold
+// fixpoint each node's online records, decoded, equal its archive's for
+// every digest, field for field (Serialize writes every field), at one lane
+// and at four.
+TEST(OnlineArchiveTest, OnlineRecordsEqualTheArchiveAfterAColdFixpoint) {
+  for (size_t threads : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    EngineOptions opts;
+    opts.authenticate = true;
+    opts.says_level = SaysLevel::kHmac;
+    opts.prov_mode = ProvMode::kPointers;
+    opts.record_offline = true;
+    opts.threads = threads;
+    Rng rng(20080407);
+    Topology topo = Topology::RingPlusRandom(16, 3, rng);
+    auto engine_or = Engine::Create(topo, BestPathSendlogProgram(), opts);
+    ASSERT_TRUE(engine_or.ok());
+    std::unique_ptr<Engine> engine = std::move(engine_or).value();
+    ASSERT_TRUE(engine->InsertLinkFacts().ok());
+    ASSERT_TRUE(engine->Run().ok());
+
+    for (NodeId n = 0; n < engine->num_nodes(); ++n) {
+      SCOPED_TRACE(::testing::Message() << "node " << n);
+      const OnlineProvStore& online = engine->node(n).online_store();
+      const store::ProvArchive& archive = engine->node(n).offline_store();
+      ASSERT_GT(online.size(), 0u);
+      ASSERT_EQ(online.size(), archive.size());
+      std::set<TupleDigest> digests;
+      for (const ProvRecord& rec : archive.FindInWindow(0.0, 1e18)) {
+        digests.insert(DigestOf(rec.tuple));
+      }
+      size_t compared = 0;
+      for (TupleDigest d : digests) {
+        std::vector<ProvRecord> got = online.Lookup(d);
+        ExpectSameRecords(got, archive.FindByDigest(d));
+        compared += got.size();
+      }
+      EXPECT_EQ(compared, online.size());  // every online record was checked
+    }
+  }
 }
 
 // --- Engine crash recovery --------------------------------------------------
