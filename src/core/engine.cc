@@ -169,14 +169,14 @@ Status Engine::Init(Program program) {
   causal_seqs_.assign(topo_.num_nodes, 0);
 
   // Durable provenance store (src/store/): the hash-consing arena backs
-  // every kFull derivation and annotation, and a non-empty archive_dir
-  // moves each node's offline archive onto disk. Opening replays any
-  // existing log at that path, so recovery completes before the first
-  // fact flows.
+  // every kFull derivation and annotation, and record_offline opens each
+  // node's offline archive, on disk when archive_dir is set. Opening
+  // replays any existing log at that path, so recovery completes before the
+  // first fact flows.
   if (options_.prov_mode == ProvMode::kFull) {
     arena_ = std::make_unique<store::ProvArena>();
   }
-  if (options_.record_offline && !options_.archive_dir.empty()) {
+  if (options_.record_offline) {
     for (const auto& ctx : contexts_) {
       PROVNET_RETURN_IF_ERROR(OpenArchive(ctx->id()));
     }
@@ -589,6 +589,7 @@ void Engine::RecordArchiveIo(NodeId node) const {
 }
 
 Status Engine::OpenArchive(NodeId node) {
+  if (options_.archive_dir.empty()) return contexts_[node]->OpenArchive("");
   return contexts_[node]->OpenArchive(options_.archive_dir + "/node" +
                                       std::to_string(node) + ".prov");
 }
@@ -668,10 +669,10 @@ Status Engine::RestartNode(NodeId node) {
   // generation, so peers reset their receive records instead of discarding
   // the reborn node's traffic as stale.
   net_.SetCrashed(node, false);
-  if (options_.record_offline && !options_.archive_dir.empty()) {
-    // Replay the on-disk log: every intact frame survives; a torn tail
+  if (options_.record_offline) {
+    // Replay an on-disk log: every intact frame survives; a torn tail
     // (records buffered past the last flush when the crash hit) is
-    // truncated away.
+    // truncated away. A memory archive restarts empty.
     PROVNET_RETURN_IF_ERROR(OpenArchive(node));
     RecordArchiveIo(node);
   }

@@ -108,12 +108,13 @@ struct EngineOptions {
   uint32_t sample_k = 1;          // 1-in-k provenance sampling (Section 5)
 
   // --- durable provenance store (src/store/) ---
+  // Used only with record_offline, which opens every node's archive.
   // Non-empty: each node's offline archive lives on disk at
   // <archive_dir>/node<i>.prov (append-only paged log; reopening an engine
   // over the same directory replays the log, so archives — and the
   // distributed ProvQuery offline fallback — survive process restarts).
-  // Empty: archives are memory-resident page images in the same format.
-  // Either way its pages and read cache are store::PageFileOptions{}.
+  // A disk log keeps only the page being filled in memory. Empty: archives
+  // are memory-resident page images in the same format.
   std::string archive_dir;
 
   // --- fault tolerance (src/net/faults.*) ---
@@ -245,8 +246,9 @@ class Engine {
   // key and send sequence — the node's "stable storage") survives.
   // Run() drives scripted CrashSpec events through these automatically.
   Status CrashNode(NodeId node);
-  // Restarts a crashed node: re-opens its archive_dir log (replaying every
-  // intact frame; a torn tail is truncated away). Once the network drains,
+  // Restarts a crashed node: re-opens its archive (an archive_dir log
+  // replays every intact frame; a torn tail is truncated away; a memory
+  // archive restarts empty). Once the network drains,
   // Run() clears every live node's tables and online records and re-inserts
   // every journaled base fact, so the fixpoint — and each online record —
   // is re-derived exactly as in the fault-free run.
@@ -537,8 +539,8 @@ class Engine {
   // were registered (record_offline). Const because the read-side query
   // path is const; the counters live behind stable pointers.
   void RecordArchiveIo(NodeId node) const;
-  // Opens `node`'s offline archive at <archive_dir>/node<i>.prov, replaying
-  // any existing log.
+  // Opens `node`'s offline archive: in memory when archive_dir is empty,
+  // else at <archive_dir>/node<i>.prov, replaying any existing log.
   Status OpenArchive(NodeId node);
   // End-of-Run() barrier for the durable store: folds the arena's dedup
   // counters into the registry cells and flushes every node's archive tail
@@ -546,7 +548,7 @@ class Engine {
   Status FlushDurableStores();
   // Folds a batch of records for (at, digest) into the session: stores them
   // and expands unseen child references (local frontier or signed requests),
-  // honoring the session's depth/fanout/record limits.
+  // honoring the session's depth/record limits.
   Status ProvQueryIngest(ProvQuerySession& session, NodeId at,
                          TupleDigest digest, std::vector<ProvRecord> records);
   Status HandleProvRequest(NodeId to, NodeId from, ByteReader& body);

@@ -18,11 +18,6 @@ void NodeContext::ClearTables() {
   online_.Clear();
 }
 
-void NodeContext::OpenMemoryArchive() {
-  offline_ = std::make_unique<store::ProvArchive>();
-  (void)offline_->Open("");  // cannot fail in memory
-}
-
 Status NodeContext::OpenArchive(const std::string& path) {
   auto fresh = std::make_unique<store::ProvArchive>();
   PROVNET_RETURN_IF_ERROR(fresh->Open(path));
@@ -33,7 +28,7 @@ Status NodeContext::OpenArchive(const std::string& path) {
 void NodeContext::ResetForCrash() {
   ClearTables();
   offline_->Abandon();
-  OpenMemoryArchive();
+  offline_ = std::make_unique<store::ProvArchive>();
   replay_guards_.clear();
   co_asserters_.clear();
 }

@@ -19,11 +19,13 @@ namespace provnet {
 
 class NodeContext {
  public:
-  // The offline archive starts memory-resident.
+  // The offline archive starts unopened: empty, holding no page, and every
+  // lookup answers empty. The engine opens it when it archives.
   NodeContext(NodeId id, Principal principal, const Plan* plan)
-      : id_(id), principal_(std::move(principal)), plan_(plan) {
-    OpenMemoryArchive();
-  }
+      : id_(id),
+        principal_(std::move(principal)),
+        plan_(plan),
+        offline_(std::make_unique<store::ProvArchive>()) {}
 
   NodeId id() const { return id_; }
   const Principal& principal() const { return principal_; }
@@ -39,8 +41,8 @@ class NodeContext {
   const OnlineProvStore& online_store() const { return online_; }
   store::ProvArchive& offline_store() { return *offline_; }
   const store::ProvArchive& offline_store() const { return *offline_; }
-  // Re-binds the offline archive to the log at `path` (default page
-  // options), replaying any existing log (a torn final frame is truncated
+  // Re-binds the offline archive to the log at `path` ("" opens it in
+  // memory), replaying any existing log (a torn final frame is truncated
   // away). Records held by the previous archive are not carried over: the
   // engine opens archives at Init, before any fact flows, and at restart.
   Status OpenArchive(const std::string& path);
@@ -66,9 +68,9 @@ class NodeContext {
 
   // Fail-stop crash: drops everything this node kept in memory — tables,
   // online provenance, anti-replay records, co-asserter notes. The offline
-  // archive is abandoned unflushed for a fresh memory-resident one; a
-  // restart re-opens the durable archive_dir log (whose unflushed tail is
-  // exactly what the crash tore off). Engine::CrashNode drives this.
+  // archive is abandoned unflushed for an unopened one; a restart re-opens
+  // the archive (an on-disk log's unflushed tail is exactly what the crash
+  // tore off). Engine::CrashNode drives this.
   void ResetForCrash();
 
   // --- Receive-side verification state (src/adversary/) --------------------
@@ -87,8 +89,6 @@ class NodeContext {
   bool IsCoAsserter(uint64_t digest, const Principal& principal) const;
 
  private:
-  void OpenMemoryArchive();
-
   NodeId id_;
   Principal principal_;
   const Plan* plan_;

@@ -39,7 +39,7 @@ enum class MemSubsystem : uint8_t {
   kTraceRing,            // Tracer ring-buffer capacity
   kQuerySessions,        // in-flight ProvQuery session state
   kProvArena,            // hash-consed derivation arena (src/store/arena.*)
-  kArchivePages,         // offline-archive page buffers + LRU cache
+  kArchivePages,         // offline-archive resident pages
   kOnlineRecords,        // online provenance records (encoded, per digest)
   kNumSubsystems,
 };

@@ -260,24 +260,16 @@ class StoredTreeImporter {
 
     std::vector<uint32_t> children;
     children.reserve(d.children.size());
-    size_t expanded = 0;
     for (const DerivationPtr& child : d.children) {
       bool child_is_base =
           child->children.empty() && child->rule == kBaseRule;
-      // Union alternatives resolve the same tuple: same depth, no fanout.
+      // Union alternatives resolve the same tuple: same depth.
       size_t child_depth = d.rule == kUnionRule ? depth : depth + 1;
-      if (!child_is_base && d.rule != kUnionRule) {
-        if (limits_.max_fanout != 0 && expanded >= limits_.max_fanout) {
-          ++stats_.truncated;
-          children.push_back(MissingLeaf(*child));
-          continue;
-        }
-        if (limits_.max_depth != 0 && child_depth > limits_.max_depth) {
-          ++stats_.truncated;
-          children.push_back(MissingLeaf(*child));
-          continue;
-        }
-        ++expanded;
+      if (!child_is_base && d.rule != kUnionRule &&
+          limits_.max_depth != 0 && child_depth > limits_.max_depth) {
+        ++stats_.truncated;
+        children.push_back(MissingLeaf(*child));
+        continue;
       }
       children.push_back(Build(*child, child_depth));
     }

@@ -13,8 +13,8 @@
 //     full tree is stored, distributed otherwise);
 //   * grain  - which variables the reconstructed proof folds to (principal
 //     or base-tuple, provenance/granularity semantics);
-//   * limits - depth / per-record fanout / total record budgets, so a
-//     forensic probe can bound its own traffic;
+//   * limits - depth / total record budgets, so a forensic probe can bound
+//     its own traffic;
 //
 // and Run() returns an explicit ProofDag plus QueryStats with per-query
 // message/byte accounting — the paper's "expensive query vs. cheap
@@ -74,7 +74,6 @@ const char* QueryScopeName(QueryScope scope);
 // surface as kMissingRule leaves and count into QueryStats::truncated.
 struct QueryLimits {
   size_t max_depth = 0;    // derivation hops expanded from the root
-  size_t max_fanout = 0;   // non-base child refs expanded per record
   size_t max_records = 0;  // total records folded into the DAG
 };
 
@@ -96,7 +95,7 @@ struct QueryStats {
   uint64_t retries = 0;
   uint64_t unreachable = 0;
   size_t depth = 0;             // deepest level expanded
-  size_t truncated = 0;         // refs cut by depth/fanout/record limits
+  size_t truncated = 0;         // refs cut by depth/record limits
   double wall_seconds = 0.0;
 
   std::string ToString() const;
@@ -188,17 +187,12 @@ struct QueryResult {
   store::ProvArena* arena = nullptr;
 };
 
-// An executable provenance query. Build with ProvQueryBuilder; Run() is
-// synchronous (it pumps the network to quiescence for distributed scopes)
-// and may be called repeatedly.
+// An executable provenance query, specified and run by ProvQueryBuilder.
+// Run() is synchronous (it pumps the network to quiescence for distributed
+// scopes).
 class ProvQuery {
  public:
   Result<QueryResult> Run();
-
-  NodeId node() const { return node_; }
-  const Tuple& tuple() const { return tuple_; }
-  QueryScope scope() const { return scope_; }
-  const QueryLimits& limits() const { return limits_; }
 
  private:
   friend class ProvQueryBuilder;
@@ -238,16 +232,8 @@ class ProvQueryBuilder {
     query_.grain_ = grain;
     return *this;
   }
-  ProvQueryBuilder& WithLimits(QueryLimits limits) {
-    query_.limits_ = limits;
-    return *this;
-  }
   ProvQueryBuilder& MaxDepth(size_t depth) {
     query_.limits_.max_depth = depth;
-    return *this;
-  }
-  ProvQueryBuilder& MaxFanout(size_t fanout) {
-    query_.limits_.max_fanout = fanout;
     return *this;
   }
   ProvQueryBuilder& MaxRecords(size_t records) {
@@ -255,7 +241,6 @@ class ProvQueryBuilder {
     return *this;
   }
 
-  ProvQuery Build() const { return query_; }
   Result<QueryResult> Run() const { return ProvQuery(query_).Run(); }
 
  private:

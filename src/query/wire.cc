@@ -327,16 +327,10 @@ Status Engine::ProvQueryIngest(ProvQuerySession& session, NodeId at,
       continue;
     }
     ++session.stats.records;
-    size_t expanded = 0;
     for (const ProvChildRef& ref : rec.children) {
       if (ref.is_base) continue;
       ProvQuerySession::Key child_key{ref.node, ref.digest};
       if (session.depth.count(child_key) != 0) continue;  // already on route
-      if (session.limits.max_fanout != 0 &&
-          expanded >= session.limits.max_fanout) {
-        ++session.stats.truncated;
-        continue;
-      }
       if (session.limits.max_depth != 0 &&
           level + 1 > session.limits.max_depth) {
         ++session.stats.truncated;
@@ -347,7 +341,6 @@ Status Engine::ProvQueryIngest(ProvQuerySession& session, NodeId at,
         continue;
       }
       session.depth.emplace(child_key, level + 1);
-      ++expanded;
       if (ref.node == session.asker) {
         session.local_frontier.push_back(child_key);
       } else {

@@ -30,8 +30,8 @@ uint64_t FrameChecksum(uint8_t type, const uint8_t* payload, size_t len) {
 
 }  // namespace
 
-Status ProvArchive::Open(const std::string& path, PageFileOptions options) {
-  PROVNET_RETURN_IF_ERROR(file_.Open(path, options));
+Status ProvArchive::Open(const std::string& path) {
+  PROVNET_RETURN_IF_ERROR(file_.Open(path));
   if (file_.end_offset() == 0) {
     AppendHeader();
     return OkStatus();

@@ -19,8 +19,9 @@
 // format version is refused and left untouched.
 //
 // The in-memory footprint is the slot index (offset/len/digest/time per
-// record) plus the PageFile cache — records themselves are decoded on
-// demand, which is what drops full-provenance RSS.
+// record) plus the PageFile's resident pages: the whole log in memory, only
+// the page being filled on disk. Records themselves are decoded on demand,
+// which is what drops full-provenance RSS.
 #ifndef PROVNET_STORE_ARCHIVE_H_
 #define PROVNET_STORE_ARCHIVE_H_
 
@@ -37,6 +38,7 @@ namespace provnet::store {
 
 class ProvArchive {
  public:
+  // Unopened: empty, holding no page, and every lookup answers empty.
   ProvArchive() = default;
 
   ProvArchive(const ProvArchive&) = delete;
@@ -46,7 +48,7 @@ class ProvArchive {
   // An existing log is replayed to rebuild the index; a torn tail is
   // truncated away and recovery proceeds with every intact frame. A log of
   // another format version fails with FailedPreconditionError, unmodified.
-  Status Open(const std::string& path, PageFileOptions options = {});
+  Status Open(const std::string& path);
 
   // Appends one record frame (interning any new strings first), indexed
   // under `digest`, the caller's DigestOf(record.tuple).

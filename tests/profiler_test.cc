@@ -5,7 +5,8 @@
 // The oracles:
 //   * unit      - phase/lane accumulation, commit_serial_fraction, the
 //     memory gauges' add/sub/peak discipline (the online provenance store
-//     charges what it holds and releases it), and the trace.dropped_spans
+//     charges what it holds and releases it; an engine without
+//     record_offline charges no archive page), and the trace.dropped_spans
 //     counter;
 //   * golden    - the full observability stack (profiler + memory accounting
 //     + span recording) enabled vs. disabled leaves fixpoints, metric
@@ -152,6 +153,36 @@ TEST(MemAccountingTest, OnlineRecordsAreChargedAndReleased) {
 
   mem.Reset();
   mem.Disable();
+}
+
+// An engine that archives nothing opens no archive, so it charges no
+// archive page; with record_offline every node's in-memory log charges the
+// pages it holds.
+TEST(MemAccountingTest, NoArchivePageWithoutRecordOffline) {
+  obs::MemAccounting& mem = obs::MemAccounting::Global();
+  auto archive_peak = [&mem](bool record_offline) {
+    mem.Reset();
+    mem.Enable();
+    {
+      EngineOptions opts;
+      opts.prov_mode = ProvMode::kCondensed;
+      opts.record_offline = record_offline;
+      opts.threads = 1;
+      Rng rng(7);
+      Topology topo = Topology::RingPlusRandom(12, 3, rng);
+      auto engine =
+          Engine::Create(topo, BestPathNdlogProgram(), opts).value();
+      EXPECT_TRUE(engine->InsertLinkFacts().ok());
+      EXPECT_TRUE(engine->Run().ok());
+    }
+    uint64_t peak = mem.PeakBytes(obs::MemSubsystem::kArchivePages);
+    mem.Reset();
+    mem.Disable();
+    return peak;
+  };
+  EXPECT_EQ(archive_peak(false), 0u);
+  // The 12 logs hold 34 pages, charged 4,160 bytes each.
+  EXPECT_EQ(archive_peak(true), 141440u);
 }
 
 // --- Golden determinism: observability on vs. off ---------------------------

@@ -490,7 +490,7 @@ TEST(OnlineStoreTest, DependentsOfTracksTransitiveTaint) {
 
 TEST(OfflineStoreTest, QueriesByWindow) {
   store::ProvArchive store;
-  ASSERT_TRUE(store.Open("", {}).ok());
+  ASSERT_TRUE(store.Open("").ok());
   Tuple a1("a", {Value::Int(1)});
   Tuple b2("b", {Value::Int(2)});
   Tuple a3("a", {Value::Int(3)});

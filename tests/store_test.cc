@@ -4,8 +4,9 @@
 //
 // The oracles:
 //   * byte-log     - PageFile round-trips appended bytes through the page
-//     boundary, survives a reopen byte-for-byte, and truncates; the LRU
-//     read cache never changes what a read returns;
+//     boundary, survives a reopen byte-for-byte, and truncates; a disk log
+//     keeps only the page being filled, writing each full page once and
+//     reading written pages back from the file;
 //   * archive      - ProvArchive decodes records identical (serialized
 //     bytes) to what was added, replays every record on reopen,
 //     truncates a torn tail instead of failing recovery, and refuses a log
@@ -81,14 +82,17 @@ Bytes Payload(uint8_t tag, size_t len) {
 
 // --- PageFile ---------------------------------------------------------------
 
+constexpr size_t kPageBytes = store::PageFile::kPageBytes;
+
 TEST(PageFileTest, MemoryModeRoundTripsAcrossPageBoundaries) {
   store::PageFile file;
-  ASSERT_TRUE(file.Open("", {.page_bytes = 64, .cache_pages = 4}).ok());
+  ASSERT_TRUE(file.Open("").ok());
   EXPECT_FALSE(file.on_disk());
 
   std::vector<std::pair<uint64_t, Bytes>> written;
   for (uint8_t i = 0; i < 10; ++i) {
-    Bytes b = Payload(i, 40 + i * 11);  // lengths straddle the 64B pages
+    // Lengths straddle the pages: 0.6 to 1.3 pages each.
+    Bytes b = Payload(i, kPageBytes / 2 + 400 + i * 331);
     written.emplace_back(file.Append(b.data(), b.size()), b);
   }
   EXPECT_EQ(file.end_offset(), written.back().first + written.back().second.size());
@@ -107,11 +111,12 @@ TEST(PageFileTest, MemoryModeRoundTripsAcrossPageBoundaries) {
 TEST(PageFileTest, DiskModePersistsAcrossReopen) {
   TempDir dir("pagefile_reopen");
   const std::string path = dir.File("log.pages");
-  Bytes a = Payload(1, 100), b = Payload(2, 200);
+  // a ends inside page 0; b straddles pages 0-2.
+  Bytes a = Payload(1, kPageBytes - 500), b = Payload(2, 2 * kPageBytes);
   uint64_t off_a, off_b, end;
   {
     store::PageFile file;
-    ASSERT_TRUE(file.Open(path, {.page_bytes = 64, .cache_pages = 4}).ok());
+    ASSERT_TRUE(file.Open(path).ok());
     EXPECT_TRUE(file.on_disk());
     off_a = file.Append(a.data(), a.size());
     off_b = file.Append(b.data(), b.size());
@@ -120,52 +125,82 @@ TEST(PageFileTest, DiskModePersistsAcrossReopen) {
     EXPECT_GT(file.DiskBytes(), 0u);
   }
   store::PageFile file;
-  ASSERT_TRUE(file.Open(path, {.page_bytes = 64, .cache_pages = 4}).ok());
+  ASSERT_TRUE(file.Open(path).ok());
   EXPECT_EQ(file.end_offset(), end);  // resumes exactly where it stopped
   Bytes back;
   ASSERT_TRUE(file.Read(off_a, a.size(), &back));
   EXPECT_EQ(back, a);
   ASSERT_TRUE(file.Read(off_b, b.size(), &back));
   EXPECT_EQ(back, b);
-  // And appending after a reopen keeps the log consistent.
-  Bytes c = Payload(3, 77);
+  // And appending after a reopen keeps the log consistent, across the next
+  // page boundary too.
+  Bytes c = Payload(3, kPageBytes);
   uint64_t off_c = file.Append(c.data(), c.size());
   ASSERT_TRUE(file.Read(off_c, c.size(), &back));
   EXPECT_EQ(back, c);
 }
 
-TEST(PageFileTest, TinyLruCacheNeverChangesReadResults) {
-  TempDir dir("pagefile_lru");
-  store::PageFile file;
-  // 2 cached pages over a log spanning ~30 pages: most reads miss.
-  ASSERT_TRUE(
-      file.Open(dir.File("log.pages"), {.page_bytes = 64, .cache_pages = 2})
-          .ok());
-  std::vector<std::pair<uint64_t, Bytes>> written;
-  for (int i = 0; i < 30; ++i) {
-    Bytes b = Payload(static_cast<uint8_t>(i), 60);
-    written.emplace_back(file.Append(b.data(), b.size()), b);
-  }
-  ASSERT_TRUE(file.Flush().ok());
-  (void)file.TakeIo();
+// A disk log keeps only the page being filled: each page is written through
+// once as it fills, leaves memory, and is read back from the file — before
+// and after a reopen.
+TEST(PageFileTest, DiskLogKeepsOnlyThePageBeingFilled) {
+  // One page's charge: what a memory log holding a single page accounts.
+  store::PageFile one;
+  ASSERT_TRUE(one.Open("").ok());
+  const uint8_t byte = 0;
+  one.Append(&byte, 1);
+  const size_t one_page = one.ResidentBytes();
+  ASSERT_GT(one_page, 0u);
 
-  // Alternate between far-apart offsets to churn the LRU.
-  for (int round = 0; round < 3; ++round) {
-    for (size_t i = 0; i < written.size(); ++i) {
-      size_t pick = (i % 2 == 0) ? i / 2 : written.size() - 1 - i / 2;
-      Bytes back;
-      ASSERT_TRUE(file.Read(written[pick].first, written[pick].second.size(),
-                            &back));
-      EXPECT_EQ(back, written[pick].second);
+  TempDir dir("pagefile_one_page");
+  const std::string path = dir.File("log.pages");
+  std::vector<std::pair<uint64_t, Bytes>> written;
+  // Appends `count` payloads of 777 bytes (straddling the page boundaries),
+  // expecting one page write per page filled.
+  auto append = [&](store::PageFile& file, int count) {
+    uint64_t full_before = file.end_offset() / kPageBytes;
+    for (int i = 0; i < count; ++i) {
+      Bytes b = Payload(static_cast<uint8_t>(written.size()), 777);
+      written.emplace_back(file.Append(b.data(), b.size()), b);
+      EXPECT_LE(file.ResidentBytes(), one_page);
     }
+    EXPECT_EQ(file.TakeIo().page_writes,
+              file.end_offset() / kPageBytes - full_before);
+  };
+  // Reads every range appended so far back, from the file or the page
+  // being filled.
+  auto read_all = [&](const store::PageFile& file) {
+    for (const auto& [off, bytes] : written) {
+      Bytes back;
+      ASSERT_TRUE(file.Read(off, bytes.size(), &back));
+      EXPECT_EQ(back, bytes);
+      EXPECT_LE(file.ResidentBytes(), one_page);
+    }
+    EXPECT_GT(file.TakeIo().page_reads, 0u);
+  };
+
+  {
+    store::PageFile file;
+    ASSERT_TRUE(file.Open(path).ok());
+    append(file, 30);
+    ASSERT_GE(file.end_offset(), 5 * kPageBytes);
+    read_all(file);
+    ASSERT_TRUE(file.Flush().ok());
+    EXPECT_EQ(file.TakeIo().page_writes, 1u);  // the partial page
   }
-  EXPECT_GT(file.TakeIo().page_reads, 0u);  // the cache actually missed
+  store::PageFile file;
+  ASSERT_TRUE(file.Open(path).ok());
+  EXPECT_LE(file.ResidentBytes(), one_page);
+  read_all(file);
+  append(file, 20);
+  read_all(file);
 }
 
 TEST(PageFileTest, TruncateToDropsTail) {
   store::PageFile file;
-  ASSERT_TRUE(file.Open("", {.page_bytes = 64, .cache_pages = 4}).ok());
-  Bytes a = Payload(1, 100), b = Payload(2, 100);
+  ASSERT_TRUE(file.Open("").ok());
+  // a straddles pages 0-1; b straddles pages 1-2.
+  Bytes a = Payload(1, kPageBytes + 500), b = Payload(2, kPageBytes + 500);
   uint64_t off_a = file.Append(a.data(), a.size());
   uint64_t off_b = file.Append(b.data(), b.size());
   ASSERT_TRUE(file.TruncateTo(off_b).ok());
@@ -175,7 +210,7 @@ TEST(PageFileTest, TruncateToDropsTail) {
   EXPECT_EQ(back, a);
   EXPECT_FALSE(file.Read(off_b, b.size(), &back));  // gone
   // The truncated region is reusable.
-  Bytes c = Payload(3, 50);
+  Bytes c = Payload(3, kPageBytes);
   uint64_t off_c = file.Append(c.data(), c.size());
   EXPECT_EQ(off_c, off_b);
   ASSERT_TRUE(file.Read(off_c, c.size(), &back));
@@ -211,13 +246,18 @@ void ExpectSameRecords(const std::vector<ProvRecord>& got,
   }
 }
 
-store::PageFileOptions SmallPages() {
-  return {.page_bytes = 128, .cache_pages = 4};
+// Records the reopen and torn-tail tests write: about 6 KB of frames, so
+// each log spans at least two pages and replay crosses a page boundary.
+constexpr size_t kLogRecords = 150;
+
+// Asserts the log at `path` spans at least two pages.
+void ExpectSpansTwoPages(const std::string& path) {
+  EXPECT_GT(fs::file_size(path), kPageBytes);
 }
 
 TEST(ProvArchiveTest, RoundTripsAllQueryAxes) {
   store::ProvArchive archive;
-  ASSERT_TRUE(archive.Open("", SmallPages()).ok());
+  ASSERT_TRUE(archive.Open("").ok());
 
   Tuple ta("link", {Value::Address(0), Value::Address(1)});
   Tuple tb("bestPath", {Value::Address(0), Value::Address(2)});
@@ -251,20 +291,27 @@ TEST(ProvArchiveTest, ReopenReplaysRecords) {
   std::vector<ProvRecord> want_early, want_late;
   {
     store::ProvArchive archive;
-    ASSERT_TRUE(archive.Open(path, SmallPages()).ok());
+    ASSERT_TRUE(archive.Open(path).ok());
     archive.Add(MakeRecord(early, "r", 0, "a", 1.0), DigestOf(early));
     archive.Add(MakeRecord(other, "r", 0, "a", 1.5), DigestOf(other));
+    // Filler records after the query window, so `late` lands pages after
+    // `early`.
+    for (size_t i = 0; i < kLogRecords; ++i) {
+      Tuple filler("filler", {Value::Int(static_cast<int64_t>(i))});
+      archive.Add(MakeRecord(filler, "r", 0, "a", 10.0 + i), DigestOf(filler));
+    }
     archive.Add(MakeRecord(late, "r", 0, "a", 9.0), DigestOf(late));
     ASSERT_TRUE(archive.Flush().ok());
     // Fingerprint what the live archive answers: replay must reproduce
     // exactly this.
     want_early = archive.FindByDigest(DigestOf(early));
     want_late = archive.FindByDigest(DigestOf(late));
-    EXPECT_EQ(archive.size(), 3u);
+    EXPECT_EQ(archive.size(), 3u + kLogRecords);
   }
+  ExpectSpansTwoPages(path);
   store::ProvArchive archive;
-  ASSERT_TRUE(archive.Open(path, SmallPages()).ok());
-  EXPECT_EQ(archive.size(), 3u);
+  ASSERT_TRUE(archive.Open(path).ok());
+  EXPECT_EQ(archive.size(), 3u + kLogRecords);
   ExpectSameRecords(archive.FindByDigest(DigestOf(late)), want_late);
   ExpectSameRecords(archive.FindByDigest(DigestOf(early)), want_early);
   EXPECT_EQ(archive.FindInWindow(0.0, 5.0).size(), 2u);  // times replayed too
@@ -286,23 +333,24 @@ TEST(ProvArchiveTest, TornTailGarbageIsTruncatedOnRecovery) {
   std::vector<ProvRecord> want;
   {
     store::ProvArchive archive;
-    ASSERT_TRUE(archive.Open(path, SmallPages()).ok());
-    for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(archive.Open(path).ok());
+    for (size_t i = 0; i < kLogRecords; ++i) {
       ProvRecord rec = MakeRecord(t, "r", 0, "a", 1.0 + i);
       archive.Add(rec, DigestOf(t));
       want.push_back(rec);
     }
     ASSERT_TRUE(archive.Flush().ok());
   }
+  ExpectSpansTwoPages(path);
   TearTail(path, Payload(0xEE, 11));  // half-written frame at the tail
 
   store::ProvArchive archive;
-  ASSERT_TRUE(archive.Open(path, SmallPages()).ok());  // recovery, not error
-  EXPECT_EQ(archive.size(), 5u);                       // intact prefix whole
+  ASSERT_TRUE(archive.Open(path).ok());            // recovery, not error
+  EXPECT_EQ(archive.size(), kLogRecords);          // intact prefix whole
   ExpectSameRecords(archive.FindByDigest(DigestOf(t)), want);
   // The archive is writable again after recovery.
   archive.Add(MakeRecord(t, "r", 0, "a", 9.0), DigestOf(t));
-  EXPECT_EQ(archive.size(), 6u);
+  EXPECT_EQ(archive.size(), kLogRecords + 1);
 }
 
 TEST(ProvArchiveTest, TornFinalRecordIsDroppedNotFatal) {
@@ -311,19 +359,20 @@ TEST(ProvArchiveTest, TornFinalRecordIsDroppedNotFatal) {
   Tuple t("x", {Value::Int(7)});
   {
     store::ProvArchive archive;
-    ASSERT_TRUE(archive.Open(path, SmallPages()).ok());
-    for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(archive.Open(path).ok());
+    for (size_t i = 0; i < kLogRecords; ++i) {
       archive.Add(MakeRecord(t, "r", 0, "a", 1.0 + i), DigestOf(t));
     }
     ASSERT_TRUE(archive.Flush().ok());
   }
+  ExpectSpansTwoPages(path);
   // Chop bytes off the last frame's checksum: the record is torn.
   fs::resize_file(path, fs::file_size(path) - 3);
 
   store::ProvArchive archive;
-  ASSERT_TRUE(archive.Open(path, SmallPages()).ok());
-  EXPECT_EQ(archive.size(), 4u);  // every intact record survives
-  EXPECT_EQ(archive.FindByDigest(DigestOf(t)).size(), 4u);
+  ASSERT_TRUE(archive.Open(path).ok());
+  EXPECT_EQ(archive.size(), kLogRecords - 1);  // every intact record survives
+  EXPECT_EQ(archive.FindByDigest(DigestOf(t)).size(), kLogRecords - 1);
 }
 
 TEST(ProvArchiveTest, LogOfAnotherVersionIsRefusedAndKeptIntact) {
@@ -350,7 +399,7 @@ TEST(ProvArchiveTest, LogOfAnotherVersionIsRefusedAndKeptIntact) {
 
   {
     store::ProvArchive archive;
-    Status opened = archive.Open(path, SmallPages());
+    Status opened = archive.Open(path);
     EXPECT_EQ(opened.code(), StatusCode::kFailedPrecondition) << opened;
   }
   // Refused, not recovered: the log keeps every byte it had.
