@@ -50,7 +50,8 @@ Result<SaysTag> Authenticator::Say(const Principal& principal,
       break;
     case SaysLevel::kHmac: {
       sign_count_.fetch_add(1, std::memory_order_relaxed);
-      Sha256Digest mac = HmacSha256(keystore_->HmacKeyFor(principal), payload);
+      Sha256Digest mac =
+          HmacSha256(keystore_->HmacPadsFor(principal), payload);
       tag.proof.assign(mac.begin(), mac.end());
       break;
     }
@@ -72,7 +73,7 @@ Status Authenticator::Verify(const SaysTag& tag, const Bytes& payload) {
     case SaysLevel::kHmac: {
       verify_count_.fetch_add(1, std::memory_order_relaxed);
       Sha256Digest expected =
-          HmacSha256(keystore_->HmacKeyFor(tag.principal), payload);
+          HmacSha256(keystore_->HmacPadsFor(tag.principal), payload);
       if (tag.proof.size() != expected.size()) {
         return UnauthenticatedError("MAC length mismatch");
       }

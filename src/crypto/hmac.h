@@ -9,7 +9,18 @@
 
 namespace provnet {
 
+// A key's precomputed pads: the two SHA-256 states after absorbing the
+// key's ipad and opad blocks. Built once per key, so a MAC copies two states
+// instead of re-deriving the pads, and allocates nothing.
+struct HmacKey {
+  explicit HmacKey(const Bytes& key);
+
+  Sha256 inner;  // has absorbed key ^ ipad
+  Sha256 outer;  // has absorbed key ^ opad
+};
+
 // Computes HMAC-SHA256(key, data).
+Sha256Digest HmacSha256(const HmacKey& key, const Bytes& data);
 Sha256Digest HmacSha256(const Bytes& key, const Bytes& data);
 
 // Constant-time comparison of two digests.

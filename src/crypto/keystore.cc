@@ -22,11 +22,11 @@ Result<const KeyStore::Entry*> KeyStore::EntryFor(const Principal& principal) {
   // Deterministic per-principal stream.
   Rng rng(HashCombine(seed_, Fnv1a64(principal)));
   PROVNET_ASSIGN_OR_RETURN(RsaKeyPair kp, RsaGenerateKeyPair(rsa_bits_, rng));
-  Entry entry;
-  entry.rsa = std::move(kp);
-  entry.hmac_key.resize(32);
-  for (auto& b : entry.hmac_key) b = static_cast<uint8_t>(rng.Next());
-  auto [pos, inserted] = keys_.emplace(principal, std::move(entry));
+  Bytes hmac_key(32);
+  for (auto& b : hmac_key) b = static_cast<uint8_t>(rng.Next());
+  HmacKey hmac_pads(hmac_key);
+  auto [pos, inserted] = keys_.emplace(
+      principal, Entry{std::move(kp), std::move(hmac_key), hmac_pads});
   PROVNET_CHECK(inserted);
   return &pos->second;
 }
@@ -45,6 +45,12 @@ const Bytes& KeyStore::HmacKeyFor(const Principal& principal) {
   Result<const Entry*> entry = EntryFor(principal);
   PROVNET_CHECK(entry.ok()) << entry.status();
   return entry.value()->hmac_key;
+}
+
+const HmacKey& KeyStore::HmacPadsFor(const Principal& principal) {
+  Result<const Entry*> entry = EntryFor(principal);
+  PROVNET_CHECK(entry.ok()) << entry.status();
+  return entry.value()->hmac_pads;
 }
 
 }  // namespace provnet

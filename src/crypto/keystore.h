@@ -13,6 +13,7 @@
 #include <mutex>
 #include <string>
 
+#include "crypto/hmac.h"
 #include "crypto/rsa.h"
 #include "util/bytes.h"
 #include "util/status.h"
@@ -37,6 +38,8 @@ class KeyStore {
   // deployment every node can verify every principal's MAC (a shared-key
   // world, the paper's "more benign" setting).
   const Bytes& HmacKeyFor(const Principal& principal);
+  // The same secret's precomputed pads, which the says level MACs with.
+  const HmacKey& HmacPadsFor(const Principal& principal);
 
   // Number of principals with derived material (for tests/inspection).
   size_t size() const;
@@ -45,6 +48,7 @@ class KeyStore {
   struct Entry {
     RsaKeyPair rsa;
     Bytes hmac_key;
+    HmacKey hmac_pads;
   };
 
   Result<const Entry*> EntryFor(const Principal& principal);

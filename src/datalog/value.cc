@@ -26,85 +26,124 @@ const char* ValueKindName(ValueKind kind) {
   return "?";
 }
 
+struct Value::StringPayload : Payload {
+  explicit StringPayload(std::string s) : str(std::move(s)) {}
+  const std::string str;
+};
+
+struct Value::ListPayload : Payload {
+  explicit ListPayload(std::vector<Value> v) : items(std::move(v)) {}
+  const std::vector<Value> items;
+};
+
+void Value::FreePayload() {
+  if (kind_ == ValueKind::kString) {
+    delete static_cast<StringPayload*>(word_.payload);
+  } else {
+    delete static_cast<ListPayload*>(word_.payload);
+  }
+}
+
+const std::string& Value::str() const {
+  return static_cast<const StringPayload*>(word_.payload)->str;
+}
+
+const std::vector<Value>& Value::items() const {
+  return static_cast<const ListPayload*>(word_.payload)->items;
+}
+
 Value Value::Int(int64_t v) {
   Value out;
   out.kind_ = ValueKind::kInt;
-  out.int_ = v;
+  out.word_.i = v;
   return out;
 }
 
 Value Value::Real(double v) {
   Value out;
   out.kind_ = ValueKind::kDouble;
-  out.double_ = v;
+  out.word_.d = v;
   return out;
 }
 
 Value Value::Str(std::string v) {
+  auto* payload = new StringPayload(std::move(v));
+  payload->hash =
+      HashCombine(Mix64(static_cast<uint64_t>(ValueKind::kString)),
+                  Fnv1a64(payload->str));
   Value out;
   out.kind_ = ValueKind::kString;
-  out.string_ = std::move(v);
+  out.word_.payload = payload;
   return out;
 }
 
 Value Value::Address(NodeId v) {
   Value out;
   out.kind_ = ValueKind::kAddress;
-  out.int_ = v;
+  out.word_.i = v;
   return out;
 }
 
 Value Value::List(std::vector<Value> items) {
+  auto* payload = new ListPayload(std::move(items));
+  uint64_t h = Mix64(static_cast<uint64_t>(ValueKind::kList));
+  for (const Value& v : payload->items) h = HashCombine(h, v.Hash());
+  payload->hash = h;
   Value out;
   out.kind_ = ValueKind::kList;
-  out.list_ = std::make_shared<const std::vector<Value>>(std::move(items));
+  out.word_.payload = payload;
   return out;
 }
 
 int64_t Value::AsInt() const {
   PROVNET_CHECK(kind_ == ValueKind::kInt) << "AsInt on " << ValueKindName(kind_);
-  return int_;
+  return word_.i;
 }
 
 double Value::AsDouble() const {
   PROVNET_CHECK(kind_ == ValueKind::kDouble)
       << "AsDouble on " << ValueKindName(kind_);
-  return double_;
+  return word_.d;
 }
 
 const std::string& Value::AsString() const {
   PROVNET_CHECK(kind_ == ValueKind::kString)
       << "AsString on " << ValueKindName(kind_);
-  return string_;
+  return str();
 }
 
 NodeId Value::AsAddress() const {
   PROVNET_CHECK(kind_ == ValueKind::kAddress)
       << "AsAddress on " << ValueKindName(kind_);
-  return static_cast<NodeId>(int_);
+  return static_cast<NodeId>(word_.i);
 }
 
 const std::vector<Value>& Value::AsList() const {
   PROVNET_CHECK(kind_ == ValueKind::kList)
       << "AsList on " << ValueKindName(kind_);
-  return *list_;
+  return items();
 }
 
 Result<double> Value::ToNumber() const {
   switch (kind_) {
     case ValueKind::kInt:
-      return static_cast<double>(int_);
+      return static_cast<double>(word_.i);
     case ValueKind::kDouble:
-      return double_;
+      return word_.d;
     default:
       return InvalidArgumentError(std::string("not numeric: ") +
                                   ValueKindName(kind_));
   }
 }
 
-bool Value::ListEquals(const Value& other) const {
-  const auto& a = *list_;
-  const auto& b = *other.list_;
+bool Value::PayloadEquals(const Value& other) const {
+  if (kind_ == ValueKind::kString) {
+    return word_.payload->hash == other.word_.payload->hash &&
+           str() == other.str();
+  }
+  // No hash shortcut for lists: [3] equals [3.0], whose hash differs.
+  const auto& a = items();
+  const auto& b = other.items();
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
     if (!(a[i] == b[i])) return false;
@@ -120,13 +159,14 @@ int Value::Compare(const Value& other) const {
       other.kind_ == ValueKind::kInt || other.kind_ == ValueKind::kDouble;
   if (self_num && other_num) {
     if (kind_ == ValueKind::kInt && other.kind_ == ValueKind::kInt) {
-      if (int_ != other.int_) return int_ < other.int_ ? -1 : 1;
+      if (word_.i != other.word_.i) return word_.i < other.word_.i ? -1 : 1;
       return 0;
     }
-    double a = kind_ == ValueKind::kInt ? static_cast<double>(int_) : double_;
+    double a = kind_ == ValueKind::kInt ? static_cast<double>(word_.i)
+                                        : word_.d;
     double b = other.kind_ == ValueKind::kInt
-                   ? static_cast<double>(other.int_)
-                   : other.double_;
+                   ? static_cast<double>(other.word_.i)
+                   : other.word_.d;
     if (a < b) return -1;
     if (a > b) return 1;
     return 0;
@@ -138,16 +178,16 @@ int Value::Compare(const Value& other) const {
     case ValueKind::kNull:
       return 0;
     case ValueKind::kString: {
-      int c = string_.compare(other.string_);
+      int c = str().compare(other.str());
       return c < 0 ? -1 : (c > 0 ? 1 : 0);
     }
     case ValueKind::kAddress: {
-      if (int_ != other.int_) return int_ < other.int_ ? -1 : 1;
+      if (word_.i != other.word_.i) return word_.i < other.word_.i ? -1 : 1;
       return 0;
     }
     case ValueKind::kList: {
-      const auto& a = *list_;
-      const auto& b = *other.list_;
+      const auto& a = items();
+      const auto& b = other.items();
       size_t n = std::min(a.size(), b.size());
       for (size_t i = 0; i < n; ++i) {
         int c = a[i].Compare(b[i]);
@@ -163,28 +203,25 @@ int Value::Compare(const Value& other) const {
 }
 
 uint64_t Value::Hash() const {
+  // A string's and a list's hash was computed into the payload when it
+  // was built (Str, List), with the same formula.
+  if (has_payload()) return word_.payload->hash;
   uint64_t h = Mix64(static_cast<uint64_t>(kind_));
   switch (kind_) {
-    case ValueKind::kNull:
-      break;
     case ValueKind::kInt:
     case ValueKind::kAddress:
-      h = HashCombine(h, static_cast<uint64_t>(int_));
+      h = HashCombine(h, static_cast<uint64_t>(word_.i));
       break;
     case ValueKind::kDouble: {
       // Normalize -0.0 so equal doubles hash equally.
-      double d = double_ == 0.0 ? 0.0 : double_;
+      double d = word_.d == 0.0 ? 0.0 : word_.d;
       uint64_t bits;
       static_assert(sizeof(bits) == sizeof(d));
       __builtin_memcpy(&bits, &d, sizeof(bits));
       h = HashCombine(h, bits);
       break;
     }
-    case ValueKind::kString:
-      h = HashCombine(h, Fnv1a64(string_));
-      break;
-    case ValueKind::kList:
-      for (const Value& v : *list_) h = HashCombine(h, v.Hash());
+    default:
       break;
   }
   return h;
@@ -195,17 +232,17 @@ std::string Value::ToString() const {
     case ValueKind::kNull:
       return "null";
     case ValueKind::kInt:
-      return std::to_string(int_);
+      return std::to_string(word_.i);
     case ValueKind::kDouble:
-      return StrFormat("%g", double_);
+      return StrFormat("%g", word_.d);
     case ValueKind::kString:
-      return "\"" + string_ + "\"";
+      return "\"" + str() + "\"";
     case ValueKind::kAddress:
-      return "@" + std::to_string(int_);
+      return "@" + std::to_string(word_.i);
     case ValueKind::kList: {
       std::vector<std::string> parts;
-      parts.reserve(list_->size());
-      for (const Value& v : *list_) parts.push_back(v.ToString());
+      parts.reserve(items().size());
+      for (const Value& v : items()) parts.push_back(v.ToString());
       return "[" + StrJoin(parts, ", ") + "]";
     }
   }
@@ -218,20 +255,20 @@ void Value::Serialize(ByteWriter& out) const {
     case ValueKind::kNull:
       break;
     case ValueKind::kInt:
-      out.PutI64(int_);
+      out.PutI64(word_.i);
       break;
     case ValueKind::kDouble:
-      out.PutDouble(double_);
+      out.PutDouble(word_.d);
       break;
     case ValueKind::kString:
-      out.PutString(string_);
+      out.PutString(str());
       break;
     case ValueKind::kAddress:
-      out.PutVarint(static_cast<uint64_t>(int_));
+      out.PutVarint(static_cast<uint64_t>(word_.i));
       break;
     case ValueKind::kList:
-      out.PutVarint(list_->size());
-      for (const Value& v : *list_) v.Serialize(out);
+      out.PutVarint(items().size());
+      for (const Value& v : items()) v.Serialize(out);
       break;
   }
 }

@@ -3,11 +3,21 @@
 // NDlog attributes are dynamically typed. The kinds mirror what P2 supported
 // for the paper's workloads: integers, doubles, strings, node addresses
 // (location specifiers), and lists (path vectors for the Best-Path query).
+//
+// Layout: a kind tag plus one 8-byte word, 16 bytes in all. The word holds
+// an int or an address (as an int64) or a double itself. A string or a list
+// lives in an immutable payload the word points to: a reference count, the
+// value's Hash() (computed once, when the value is built), and the
+// std::string or std::vector<Value>. Copying a string or list shares its
+// payload, so tuple copies, stored rows and join probes never copy
+// characters or path vectors; the payload is freed with its last copy. The
+// counts are atomic because payloads cross worker lanes (every lane that
+// evaluates a rule copies its constants). A moved-from Value is null.
 #ifndef PROVNET_DATALOG_VALUE_H_
 #define PROVNET_DATALOG_VALUE_H_
 
+#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -36,6 +46,34 @@ class Value {
   // Null value.
   Value() = default;
 
+  Value(const Value& other) : kind_(other.kind_), word_(other.word_) {
+    Retain();
+  }
+  Value(Value&& other) noexcept : kind_(other.kind_), word_(other.word_) {
+    other.kind_ = ValueKind::kNull;
+  }
+  // Both assignments read `other` before releasing this value's payload,
+  // which may own `other` (v = v.AsList()[0]) or be `other`'s own.
+  Value& operator=(const Value& other) {
+    other.Retain();
+    const ValueKind kind = other.kind_;
+    const Word word = other.word_;
+    Release();
+    kind_ = kind;
+    word_ = word;
+    return *this;
+  }
+  Value& operator=(Value&& other) noexcept {
+    const ValueKind kind = other.kind_;
+    const Word word = other.word_;
+    other.kind_ = ValueKind::kNull;
+    Release();
+    kind_ = kind;
+    word_ = word;
+    return *this;
+  }
+  ~Value() { Release(); }
+
   static Value Int(int64_t v);
   static Value Real(double v);
   static Value Str(std::string v);
@@ -58,7 +96,7 @@ class Value {
 
   // Equality is consistent with Compare() == 0 (Int 3 equals Double 3.0)
   // but avoids the full three-way comparison: it is the innermost check of
-  // the join core's unification loop. Shared list payloads short-circuit by
+  // the join core's unification loop. Shared payloads short-circuit by
   // pointer, so path-vector compares are O(1) in the common case.
   bool operator==(const Value& other) const {
     if (kind_ == other.kind_) {
@@ -67,22 +105,21 @@ class Value {
           return true;
         case ValueKind::kInt:
         case ValueKind::kAddress:
-          return int_ == other.int_;
+          return word_.i == other.word_.i;
         case ValueKind::kDouble:
-          return double_ == other.double_;
+          return word_.d == other.word_.d;
         case ValueKind::kString:
-          return string_ == other.string_;
         case ValueKind::kList:
-          return list_ == other.list_ || ListEquals(other);
+          return word_.payload == other.word_.payload || PayloadEquals(other);
       }
       return false;
     }
     // Cross-kind: only int/double mixes can still be equal.
     if (kind_ == ValueKind::kInt && other.kind_ == ValueKind::kDouble) {
-      return static_cast<double>(int_) == other.double_;
+      return static_cast<double>(word_.i) == other.word_.d;
     }
     if (kind_ == ValueKind::kDouble && other.kind_ == ValueKind::kInt) {
-      return double_ == static_cast<double>(other.int_);
+      return word_.d == static_cast<double>(other.word_.i);
     }
     return false;
   }
@@ -102,15 +139,45 @@ class Value {
   static Result<Value> Deserialize(ByteReader& in);
 
  private:
-  bool ListEquals(const Value& other) const;
+  // What a string's and a list's payloads share; StringPayload and
+  // ListPayload (value.cc) add the std::string or std::vector<Value>.
+  struct Payload {
+    std::atomic<uint64_t> refs{1};
+    uint64_t hash = 0;
+  };
+  struct StringPayload;
+  struct ListPayload;
+
+  // Copied as a whole: no member is ever read as another.
+  union Word {
+    int64_t i;
+    double d;
+    Payload* payload;
+  };
+
+  bool has_payload() const {
+    return kind_ == ValueKind::kString || kind_ == ValueKind::kList;
+  }
+  void Retain() const {
+    if (has_payload()) word_.payload->refs.fetch_add(1);
+  }
+  void Release() {
+    if (has_payload() && word_.payload->refs.fetch_sub(1) == 1) {
+      FreePayload();
+    }
+  }
+  void FreePayload();
+
+  const std::string& str() const;
+  const std::vector<Value>& items() const;
+  // Same-kind string or list equality for distinct payloads.
+  bool PayloadEquals(const Value& other) const;
 
   ValueKind kind_ = ValueKind::kNull;
-  int64_t int_ = 0;
-  double double_ = 0.0;
-  std::string string_;
-  // List payload is shared so copying tuples with long path vectors is cheap.
-  std::shared_ptr<const std::vector<Value>> list_;
+  Word word_ = {0};
 };
+
+static_assert(sizeof(Value) == 16, "a Value is a kind tag and one word");
 
 }  // namespace provnet
 

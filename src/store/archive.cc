@@ -196,36 +196,53 @@ std::vector<ProvRecord> ProvArchive::FindInWindow(double from,
 }
 
 Status ProvArchive::Replay() {
+  constexpr uint64_t kPage = PageFile::kPageBytes;
+  const uint64_t end = file_.end_offset();
+  // One pass, front to back: `window` holds log bytes [window_at,
+  // window_at + window.size()), read a page at a time, and keeps only what
+  // the frame at `pos` still needs. Each written page is read once.
+  Bytes window;
+  uint64_t window_at = 0;
   uint64_t pos = 0;
-  uint64_t end = file_.end_offset();
+  auto cover = [&](uint64_t to) {  // makes [pos, to) resident
+    uint64_t have = window_at + window.size();
+    if (to <= have) return true;
+    window.erase(window.begin(),
+                 window.begin() + static_cast<long>(pos - window_at));
+    window_at = pos;
+    uint64_t upto = std::min(end, (to + kPage - 1) / kPage * kPage);
+    Bytes pages;
+    if (!file_.Read(have, static_cast<size_t>(upto - have), &pages)) {
+      return false;
+    }
+    window.insert(window.end(), pages.begin(), pages.end());
+    return true;
+  };
   bool saw_header = false;
   while (pos < end) {
     // Frame header: type byte + length varint (at most 1 + 10 bytes).
-    size_t probe = static_cast<size_t>(std::min<uint64_t>(11, end - pos));
-    Bytes head;
-    if (!file_.Read(pos, probe, &head)) break;
-    ByteReader hr(head);
+    if (!cover(std::min<uint64_t>(pos + 11, end))) break;
+    ByteReader hr(window.data() + (pos - window_at),
+                  static_cast<size_t>(window_at + window.size() - pos));
     Result<uint8_t> type = hr.GetU8();
     Result<uint64_t> len = type.ok() ? hr.GetVarint() : Result<uint64_t>(
                                            InvalidArgumentError("no header"));
     if (!type.ok() || !len.ok()) break;
-    uint64_t header_len = hr.position();
-    uint64_t payload_at = pos + header_len;
-    uint64_t frame_end = payload_at + *len + kChecksumBytes;
-    if (frame_end > end) break;  // torn tail: frame extends past the log
-    Bytes body;
-    if (!file_.Read(payload_at, static_cast<size_t>(*len) + kChecksumBytes,
-                    &body)) {
-      break;
+    uint64_t payload_at = pos + hr.position();
+    if (*len > end - payload_at || end - payload_at - *len < kChecksumBytes) {
+      break;  // torn tail: frame extends past the log
     }
-    ByteReader cr(body.data() + *len, kChecksumBytes);
+    uint64_t frame_end = payload_at + *len + kChecksumBytes;
+    if (!cover(frame_end)) break;
+    const uint8_t* body = window.data() + (payload_at - window_at);
+    const size_t body_len = static_cast<size_t>(*len);
+    ByteReader cr(body + body_len, kChecksumBytes);
     Result<uint64_t> stored = cr.GetU64();
     if (!stored.ok() ||
-        *stored != FrameChecksum(*type, body.data(),
-                                 static_cast<size_t>(*len))) {
+        *stored != FrameChecksum(*type, body, body_len)) {
       break;  // torn or corrupt frame
     }
-    ByteReader pr(body.data(), static_cast<size_t>(*len));
+    ByteReader pr(body, body_len);
     if (!saw_header && *type != kHeader) break;  // header must come first
     bool ok = true;
     switch (*type) {
@@ -248,19 +265,18 @@ Status ProvArchive::Replay() {
         break;
       }
       case kString: {
-        std::string s(body.begin(), body.begin() + static_cast<long>(*len));
+        std::string s(body, body + body_len);
         uint32_t id = static_cast<uint32_t>(strings_.size());
         strings_.push_back(s);
         string_ids_.emplace(std::move(s), id);
         break;
       }
       case kRecord: {
-        Result<ProvRecord> rec = DecodeRecord(body.data(),
-                                              static_cast<size_t>(*len));
+        Result<ProvRecord> rec = DecodeRecord(body, body_len);
         ok = rec.ok();
         if (ok) {
           IndexRecord(DigestOf(rec->tuple), rec->created_at, payload_at,
-                      static_cast<size_t>(*len));
+                      body_len);
         }
         break;
       }

@@ -94,8 +94,9 @@ class ProvArchive {
   // Indexes one record frame whose payload starts at `offset`.
   void IndexRecord(TupleDigest digest, double created_at, uint64_t offset,
                    size_t len);
-  // Replays every intact frame of an existing log, truncating a torn tail
-  // (or refusing a log of another version before touching it).
+  // Replays every intact frame of an existing log in one front-to-back
+  // pass that reads each written page once, truncating a torn tail (or
+  // refusing a log of another version before touching it).
   Status Replay();
 
   PageFile file_;

@@ -382,6 +382,20 @@ TEST_F(AuthenticatorTest, HmacDetectsTamper) {
   EXPECT_EQ(auth_.Verify(tag, other).code(), StatusCode::kUnauthenticated);
 }
 
+TEST_F(AuthenticatorTest, KeyStoreMacEqualsByteKeyMac) {
+  // The says level MACs with the key store's precomputed pads; its tags must
+  // be exactly the MAC of the principal's key bytes.
+  const Bytes payload = ToBytes("bestPath(@0, @2, [@0, @1, @2], 7)");
+  for (const Principal p : {"n0", "n1", "alice", "a principal name"}) {
+    Sha256Digest expected = HmacSha256(keystore_.HmacKeyFor(p), payload);
+    SaysTag tag = auth_.Say(p, payload, SaysLevel::kHmac).value();
+    EXPECT_EQ(tag.proof, Bytes(expected.begin(), expected.end())) << p;
+    SaysTag by_bytes{SaysLevel::kHmac, p,
+                     Bytes(expected.begin(), expected.end())};
+    EXPECT_TRUE(auth_.Verify(by_bytes, payload).ok()) << p;
+  }
+}
+
 TEST_F(AuthenticatorTest, RsaRoundTripAndTamper) {
   Bytes payload = ToBytes("reachable(a,c)");
   SaysTag tag = auth_.Say("a", payload, SaysLevel::kRsa).value();

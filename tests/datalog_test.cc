@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "datalog/analysis.h"
 #include "datalog/lexer.h"
 #include "datalog/localize.h"
@@ -80,6 +82,96 @@ TEST(ValueTest, ToStringFormats) {
   EXPECT_EQ(Value::Address(3).ToString(), "@3");
   EXPECT_EQ(Value::Str("s").ToString(), "\"s\"");
   EXPECT_EQ(Value::List({Value::Int(1), Value::Int(2)}).ToString(), "[1, 2]");
+}
+
+TEST(ValueTest, HashIsPinned) {
+  // Tuple digests are built from these hashes and ride the wire (child refs,
+  // records requests), so Value's layout must not move them.
+  EXPECT_EQ(Value().Hash(), 16294208416658607535ull);
+  EXPECT_EQ(Value::Int(42).Hash(), 6041191397884686043ull);
+  EXPECT_EQ(Value::Real(3.5).Hash(), 3780724737243679687ull);
+  EXPECT_EQ(Value::Str("n1").Hash(), 6838254911978076948ull);
+  EXPECT_EQ(Value::Address(7).Hash(), 15342306261498566100ull);
+  EXPECT_EQ(Value::List({Value::Address(1), Value::Address(2)}).Hash(),
+            17845563882900840507ull);
+  EXPECT_EQ(Value::List({}).Hash(), 7134611160154358618ull);
+  Tuple path("path", {Value::Address(0), Value::Address(2),
+                      Value::List({Value::Address(0), Value::Address(1),
+                                   Value::Address(2)}),
+                      Value::Int(7)});
+  EXPECT_EQ(path.Hash(), 3319054913049650710ull);
+}
+
+TEST(ValueTest, CopiesShareAndMovesLeaveNull) {
+  Value list = Value::List({Value::Address(1), Value::Address(2)});
+  Value str = Value::Str("longer than any small-string buffer");
+  Value list_copy = list;
+  Value str_copy(str);
+  EXPECT_EQ(&list_copy.AsList(), &list.AsList());
+  EXPECT_EQ(&str_copy.AsString(), &str.AsString());
+  EXPECT_EQ(list_copy, list);
+  EXPECT_EQ(str_copy, str);
+
+  Value& alias = list;
+  list = alias;
+  EXPECT_EQ(list.ToString(), "[@1, @2]");
+  list = std::move(alias);
+  EXPECT_EQ(list.ToString(), "[@1, @2]");
+
+  // Assigning a list its own element: the list's payload, which holds the
+  // element, is released only after the element was copied.
+  Value nested = Value::List({Value::Str("head"), Value::Int(2)});
+  nested = nested.AsList()[0];
+  EXPECT_EQ(nested.AsString(), "head");
+
+  Value moved = std::move(list_copy);
+  EXPECT_TRUE(list_copy.is_null());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(moved, list);
+  Value assigned = Value::Int(1);
+  assigned = std::move(str_copy);
+  EXPECT_TRUE(str_copy.is_null());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(assigned, str);
+
+  // Overwriting one copy leaves the others' payload alone.
+  moved = Value::Int(5);
+  EXPECT_EQ(list.ToString(), "[@1, @2]");
+
+  // A payload outlives the Value it was built in.
+  Value kept_list;
+  Value kept_str;
+  {
+    Value inner = Value::List({Value::Str("x"), Value::Int(3)});
+    kept_list = inner;
+    kept_str = inner.AsList()[0];
+  }
+  EXPECT_EQ(kept_list.ToString(), "[\"x\", 3]");
+  EXPECT_EQ(kept_str.AsString(), "x");
+}
+
+TEST(ValueTest, ConcurrentCopiesOfOnePayloadAreSafe) {
+  const Value list = Value::List(
+      {Value::Address(0), Value::Address(1), Value::Address(2)});
+  const Value str = Value::Str("shared by every worker lane");
+  const uint64_t list_hash = list.Hash();
+  const uint64_t str_hash = str.Hash();
+  std::vector<std::thread> lanes;
+  for (int t = 0; t < 4; ++t) {
+    lanes.emplace_back([&] {
+      std::vector<Value> held;
+      for (int i = 0; i < 20000; ++i) {
+        held.push_back(list);
+        held.push_back(str);
+        Value moved = std::move(held.back());
+        held.back() = moved;
+        if (held.size() >= 64) held.clear();
+      }
+    });
+  }
+  for (std::thread& lane : lanes) lane.join();
+  EXPECT_EQ(list.Hash(), list_hash);
+  EXPECT_EQ(list.ToString(), "[@0, @1, @2]");
+  EXPECT_EQ(str.Hash(), str_hash);
+  EXPECT_EQ(str.AsString(), "shared by every worker lane");
 }
 
 // --- Tuple -------------------------------------------------------------------

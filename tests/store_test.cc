@@ -317,6 +317,29 @@ TEST(ProvArchiveTest, ReopenReplaysRecords) {
   EXPECT_EQ(archive.FindInWindow(0.0, 5.0).size(), 2u);  // times replayed too
 }
 
+TEST(ProvArchiveTest, ReplayReadsEachWrittenPageOnce) {
+  TempDir dir("archive_replay_reads");
+  const std::string path = dir.File("node0.prov");
+  constexpr size_t kRecords = 800;
+  {
+    store::ProvArchive archive;
+    ASSERT_TRUE(archive.Open(path).ok());
+    for (size_t i = 0; i < kRecords; ++i) {
+      Tuple t("filler", {Value::Int(static_cast<int64_t>(i))});
+      archive.Add(MakeRecord(t, "r", 0, "a", 1.0 + i), DigestOf(t));
+    }
+    ASSERT_TRUE(archive.Flush().ok());
+  }
+  const uint64_t full_pages = fs::file_size(path) / kPageBytes;
+  ASSERT_GE(full_pages, 5u);
+
+  store::ProvArchive archive;
+  ASSERT_TRUE(archive.Open(path).ok());
+  EXPECT_LE(archive.TakeIo().page_reads, full_pages);
+  EXPECT_EQ(archive.size(), kRecords);
+  EXPECT_EQ(archive.FindInWindow(0.0, 1.0e9).size(), kRecords);
+}
+
 // Append raw garbage to a finished log: a crash mid-frame leaves exactly
 // this shape (intact prefix + partial frame).
 void TearTail(const std::string& path, const Bytes& garbage) {
@@ -373,6 +396,31 @@ TEST(ProvArchiveTest, TornFinalRecordIsDroppedNotFatal) {
   ASSERT_TRUE(archive.Open(path).ok());
   EXPECT_EQ(archive.size(), kLogRecords - 1);  // every intact record survives
   EXPECT_EQ(archive.FindByDigest(DigestOf(t)).size(), kLogRecords - 1);
+}
+
+TEST(ProvArchiveTest, FrameLengthPastTheEndOfTheLogIsATornTail) {
+  TempDir dir("archive_huge_length");
+  const std::string path = dir.File("node0.prov");
+  Tuple t("x", {Value::Int(7)});
+  {
+    store::ProvArchive archive;
+    ASSERT_TRUE(archive.Open(path).ok());
+    archive.Add(MakeRecord(t, "r", 0, "a", 1.0), DigestOf(t));
+    ASSERT_TRUE(archive.Flush().ok());
+  }
+  const uint64_t intact = fs::file_size(path);
+  // A string frame whose length varint is so large that its end offset
+  // wraps past 2^64 back into the log.
+  ByteWriter torn;
+  torn.PutU8(1);
+  torn.PutVarint(~uint64_t{0} - 8 - intact);
+  torn.PutRaw(Payload(0x11, 32).data(), 32);
+  TearTail(path, torn.bytes());
+
+  store::ProvArchive archive;
+  ASSERT_TRUE(archive.Open(path).ok());
+  EXPECT_EQ(archive.size(), 1u);
+  EXPECT_EQ(fs::file_size(path), intact);
 }
 
 TEST(ProvArchiveTest, LogOfAnotherVersionIsRefusedAndKeptIntact) {
