@@ -569,11 +569,19 @@ void Engine::RecordProvenance(NodeId node_id, const Tuple& tuple,
       break;
   }
 
-  bool online = options_.record_online ||
-                options_.prov_mode == ProvMode::kPointers;
-  if (online) contexts_[node_id]->online_store().Add(rec, digest);
+  // Encoded once: both stores append these bytes.
+  NodeContext& ctx = *contexts_[node_id];
+  ByteWriter& encoded = ctx.record_buffer();
+  encoded.Clear();
+  rec.Serialize(encoded);
+  const uint8_t* data = encoded.bytes().data();
+  if (options_.record_online || options_.prov_mode == ProvMode::kPointers) {
+    ctx.online_store().AddEncoded(data, encoded.size(), expires_at >= 0,
+                                  digest);
+  }
   if (options_.record_offline) {
-    contexts_[node_id]->offline_store().Add(rec, digest);
+    ctx.offline_store().AddEncoded(data, encoded.size(), rec.created_at,
+                                   digest);
     RecordArchiveIo(node_id);
   }
 }

@@ -47,6 +47,11 @@ class NodeContext {
   // engine opens archives at Init, before any fact flows, and at restart.
   Status OpenArchive(const std::string& path);
 
+  // Reused buffer the engine encodes this node's provenance records into
+  // before both stores append them. It belongs to the node, not the engine:
+  // worker lanes record provenance for the nodes they own.
+  ByteWriter& record_buffer() { return record_buffer_; }
+
   // Total stored tuples across tables (diagnostics).
   size_t TupleCount() const;
 
@@ -95,6 +100,7 @@ class NodeContext {
   std::unordered_map<std::string, std::unique_ptr<Table>> tables_;
   OnlineProvStore online_;
   std::unique_ptr<store::ProvArchive> offline_;
+  ByteWriter record_buffer_;
   std::unordered_map<Principal, ReplayGuard> replay_guards_;
   std::unordered_map<uint64_t, std::vector<Principal>> co_asserters_;
 };

@@ -208,17 +208,19 @@ void Sha256::Update(const std::string& data) {
 }
 
 Sha256Digest Sha256::Finish() {
-  uint64_t bit_len = total_len_ * 8;
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  uint8_t zero = 0;
-  while (buffer_len_ != 56) Update(&zero, 1);
-  uint8_t len_bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<uint8_t>(bit_len >> (8 * (7 - i)));
+  const uint64_t bit_len = total_len_ * 8;
+  // The 0x80 byte, then zeros up to the 8-byte length at the end of a block:
+  // with more than 55 bytes buffered they spill into one more block.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_ + buffer_len_, 0, sizeof(buffer_) - buffer_len_);
+    ProcessBlock(buffer_);
+    buffer_len_ = 0;
   }
-  // Bypass total_len_ bookkeeping for the length suffix.
-  std::memcpy(buffer_ + 56, len_bytes, 8);
+  std::memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<uint8_t>(bit_len >> (8 * (7 - i)));
+  }
   ProcessBlock(buffer_);
   buffer_len_ = 0;
 

@@ -273,7 +273,13 @@ void Value::Serialize(ByteWriter& out) const {
   }
 }
 
-Result<Value> Value::Deserialize(ByteReader& in) {
+namespace {
+
+// Lists decode at most this deep: the decoder recurses once per level, so
+// hostile wire or archive bytes cannot run it off the stack.
+constexpr int kMaxListNesting = 64;
+
+Result<Value> DeserializeAt(ByteReader& in, int depth) {
   PROVNET_ASSIGN_OR_RETURN(uint8_t tag, in.GetU8());
   if (tag > static_cast<uint8_t>(ValueKind::kList)) {
     return InvalidArgumentError("bad value kind tag");
@@ -283,34 +289,43 @@ Result<Value> Value::Deserialize(ByteReader& in) {
       return Value();
     case ValueKind::kInt: {
       PROVNET_ASSIGN_OR_RETURN(int64_t v, in.GetI64());
-      return Int(v);
+      return Value::Int(v);
     }
     case ValueKind::kDouble: {
       PROVNET_ASSIGN_OR_RETURN(double v, in.GetDouble());
-      return Real(v);
+      return Value::Real(v);
     }
     case ValueKind::kString: {
       PROVNET_ASSIGN_OR_RETURN(std::string v, in.GetString());
-      return Str(std::move(v));
+      return Value::Str(std::move(v));
     }
     case ValueKind::kAddress: {
       PROVNET_ASSIGN_OR_RETURN(uint64_t v, in.GetVarint());
       if (v > UINT32_MAX) return InvalidArgumentError("address overflow");
-      return Address(static_cast<NodeId>(v));
+      return Value::Address(static_cast<NodeId>(v));
     }
     case ValueKind::kList: {
+      if (depth >= kMaxListNesting) {
+        return InvalidArgumentError("lists nested too deep");
+      }
       PROVNET_ASSIGN_OR_RETURN(uint64_t n, in.GetVarint());
       if (n > in.remaining()) return InvalidArgumentError("list too long");
       std::vector<Value> items;
       items.reserve(n);
       for (uint64_t i = 0; i < n; ++i) {
-        PROVNET_ASSIGN_OR_RETURN(Value v, Deserialize(in));
+        PROVNET_ASSIGN_OR_RETURN(Value v, DeserializeAt(in, depth + 1));
         items.push_back(std::move(v));
       }
-      return List(std::move(items));
+      return Value::List(std::move(items));
     }
   }
   return InternalError("unreachable");
+}
+
+}  // namespace
+
+Result<Value> Value::Deserialize(ByteReader& in) {
+  return DeserializeAt(in, 0);
 }
 
 }  // namespace provnet

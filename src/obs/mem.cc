@@ -24,6 +24,8 @@ const char* MemSubsystemName(MemSubsystem s) {
       return "archive_pages";
     case MemSubsystem::kOnlineRecords:
       return "online_records";
+    case MemSubsystem::kArchiveIndex:
+      return "archive_index";
     case MemSubsystem::kNumSubsystems:
       break;
   }

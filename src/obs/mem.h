@@ -3,8 +3,9 @@
 // Cheap byte gauges incremented at the existing allocation choke points —
 // Table row/index mutations, ProvExpr DAG nodes, BDD arena nodes, network
 // queue push/pop, the trace ring, ProvQuery session state, the online
-// provenance store — so the full-provenance memory curve is a first-class
-// exported number instead of an external RSS reading nobody can attribute.
+// provenance store, the offline archive's pages and index — so the
+// full-provenance memory curve is a first-class exported number instead of
+// an external RSS reading nobody can attribute.
 //
 // The accounting is process-global (ProvExpr and Table have no engine
 // back-pointer) and approximate by design: each hook charges a fixed
@@ -41,6 +42,7 @@ enum class MemSubsystem : uint8_t {
   kProvArena,            // hash-consed derivation arena (src/store/arena.*)
   kArchivePages,         // offline-archive resident pages
   kOnlineRecords,        // online provenance records (encoded, per digest)
+  kArchiveIndex,         // offline-archive slot index and digest chains
   kNumSubsystems,
 };
 

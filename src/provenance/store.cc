@@ -111,18 +111,24 @@ void OnlineProvStore::Release(uint64_t b) {
   obs::MemAccounting::Global().Sub(obs::MemSubsystem::kOnlineRecords, b);
 }
 
-void OnlineProvStore::Add(const ProvRecord& record, TupleDigest digest) {
-  scratch_.Clear();
-  record.Serialize(scratch_);
+void OnlineProvStore::AddEncoded(const uint8_t* data, size_t len,
+                                 bool expiring, TupleDigest digest) {
   auto [it, fresh] = records_.try_emplace(digest);
   Entry& entry = it->second;
   uint64_t before = fresh ? 0 : EntryBytes(entry);
-  const Bytes& encoded = scratch_.bytes();
-  entry.bytes.insert(entry.bytes.end(), encoded.begin(), encoded.end());
+  // One copy: a fresh entry's capacity is exactly its record's size.
+  entry.bytes.insert(entry.bytes.end(), data, data + len);
   ++entry.count;
-  entry.expiring = entry.expiring || record.expires_at >= 0;
+  entry.expiring = entry.expiring || expiring;
   Charge(EntryBytes(entry) - before);
   ++count_;
+}
+
+void OnlineProvStore::Add(const ProvRecord& record, TupleDigest digest) {
+  ByteWriter encoded;
+  record.Serialize(encoded);
+  AddEncoded(encoded.bytes().data(), encoded.size(), record.expires_at >= 0,
+             digest);
 }
 
 std::vector<ProvRecord> OnlineProvStore::Lookup(TupleDigest digest) const {

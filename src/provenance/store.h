@@ -15,15 +15,14 @@
 //    queries (the ProvQuery API, query/provquery.h), the paper's
 //    IP-traceback analogy.
 //
-// The online store holds each record in its wire encoding, the bytes
-// ProvRecord::Serialize writes, concatenated per tuple digest. Those are
-// exactly the bytes a records response ships, so a responder copies them
-// without decoding; and a record costs its ~120 encoded bytes instead of a
-// heap object graph (tuple values, a children vector, copied base tuples)
-// several times that size. Local readers decode on lookup, through the same
-// codec that guards hostile wire input. The archive keeps its own interned
-// encoding because it is an append-only log; this store must support removal
-// and expiry.
+// ProvRecord::Serialize is the one encoding of a record. The engine encodes
+// each record once, and both stores keep those bytes: the online store
+// concatenates them per tuple digest, the archive appends them to its log.
+// They are exactly the bytes a records response ships, so a responder copies
+// them without decoding; and a record costs its ~120 encoded bytes instead
+// of a heap object graph (tuple values, a children vector, copied base
+// tuples) several times that size. Local readers decode on lookup, through
+// the same codec that guards hostile wire input.
 #ifndef PROVNET_PROVENANCE_STORE_H_
 #define PROVNET_PROVENANCE_STORE_H_
 
@@ -93,7 +92,12 @@ class OnlineProvStore {
   OnlineProvStore(const OnlineProvStore&) = delete;
   OnlineProvStore& operator=(const OnlineProvStore&) = delete;
 
-  // Appends `record` under `digest`, the caller's DigestOf(record.tuple).
+  // Appends one record's ProvRecord::Serialize bytes under `digest`, the
+  // caller's DigestOf of the record's tuple; `expiring` when its
+  // expires_at >= 0.
+  void AddEncoded(const uint8_t* data, size_t len, bool expiring,
+                  TupleDigest digest);
+  // Serializes `record` and appends it as AddEncoded does.
   void Add(const ProvRecord& record, TupleDigest digest);
 
   // All current derivations of a tuple, decoded; empty when unknown.
@@ -130,9 +134,6 @@ class OnlineProvStore {
   void Release(uint64_t b);
 
   std::unordered_map<TupleDigest, Entry> records_;
-  // Reused encode buffer: a record is appended to its entry in one copy, so
-  // a fresh entry's capacity is exactly its record's size.
-  ByteWriter scratch_;
   size_t count_ = 0;
   uint64_t bytes_ = 0;
 };

@@ -387,14 +387,16 @@ Status Engine::HandleProvRequest(NodeId to, NodeId from, ByteReader& body) {
         inner.PutRaw(online->bytes.data(), online->bytes.size());
         break;
       }
-      bool offline = false;
-      std::vector<ProvRecord> records = ProvRecordsAt(to, digest, &offline);
-      // Responder-side archive flag: set when the records came from the
-      // offline store, so the asker's QueryStats::offline_hits covers remote
-      // archive reads, not just its own (satellite of the Section 4.1 walk).
-      inner.PutU8(offline ? 1 : 0);
-      inner.PutVarint(records.size());
-      for (const ProvRecord& rec : records) rec.Serialize(inner);
+      // The archive keeps the same encoding: ship its stored bytes too. The
+      // archive flag is set when the records came from the offline store,
+      // so the asker's QueryStats::offline_hits covers remote archive reads,
+      // not just its own.
+      const store::ProvArchive& archive = contexts_[to]->offline_store();
+      const uint32_t count = archive.CountOf(digest);
+      inner.PutU8(count > 0 ? 1 : 0);
+      inner.PutVarint(count);
+      archive.AppendEncoded(digest, inner);
+      RecordArchiveIo(to);
       break;
     }
     case kQueryClaims: {

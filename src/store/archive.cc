@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <utility>
 
+#include "obs/mem.h"
 #include "util/hash.h"
+#include "util/logging.h"
 
 namespace provnet::store {
 
@@ -11,14 +13,14 @@ namespace {
 
 enum FrameType : uint8_t {
   kHeader = 0,  // magic + version
-  kString = 1,  // interned string (id = arrival order)
-  kRecord = 2,  // one ProvRecord, id-interned encoding
+  kRecord = 2,  // one ProvRecord, its ProvRecord::Serialize bytes
 };
 
 constexpr const char* kMagic = "provarch";
 // Bumped whenever a frame or record encoding changes, so a log written in
 // another encoding fails the header check instead of being misparsed.
-constexpr uint64_t kVersion = 2;
+// Version 2 interned names in string frames (type 1).
+constexpr uint64_t kVersion = 3;
 // Frame trailer: 8-byte checksum.
 constexpr size_t kChecksumBytes = 8;
 
@@ -28,7 +30,18 @@ uint64_t FrameChecksum(uint8_t type, const uint8_t* payload, size_t len) {
   return Fnv1a64(payload, len) ^ (0x9E3779B97F4A7C15ull * (type + 1));
 }
 
+// A record payload is exactly one ProvRecord encoding, decoded by the codec
+// that guards the wire.
+Result<ProvRecord> DecodeRecord(const uint8_t* data, size_t len) {
+  ByteReader in(data, len);
+  PROVNET_ASSIGN_OR_RETURN(ProvRecord rec, ProvRecord::Deserialize(in));
+  if (!in.AtEnd()) return InvalidArgumentError("trailing bytes after record");
+  return rec;
+}
+
 }  // namespace
+
+ProvArchive::~ProvArchive() { ChargeIndex(0); }
 
 Status ProvArchive::Open(const std::string& path) {
   PROVNET_RETURN_IF_ERROR(file_.Open(path));
@@ -52,98 +65,10 @@ void ProvArchive::AppendFrame(uint8_t type, const uint8_t* payload,
 }
 
 void ProvArchive::AppendHeader() {
-  payload_.Clear();
-  payload_.PutString(kMagic);
-  payload_.PutVarint(kVersion);
-  AppendFrame(kHeader, payload_.bytes().data(), payload_.size(), nullptr);
-}
-
-uint32_t ProvArchive::InternString(const std::string& s) {
-  auto it = string_ids_.find(s);
-  if (it != string_ids_.end()) return it->second;
-  uint32_t id = static_cast<uint32_t>(strings_.size());
-  strings_.push_back(s);
-  string_ids_.emplace(s, id);
-  AppendFrame(kString, reinterpret_cast<const uint8_t*>(s.data()), s.size(),
-              nullptr);
-  return id;
-}
-
-void ProvArchive::EncodeRecord(const ProvRecord& record, ByteWriter& out) {
-  // Strings are interned first so their frames precede this record's frame
-  // in the log — replay then always resolves every id.
-  out.PutVarint(InternString(record.tuple.predicate()));
-  out.PutVarint(record.tuple.arity());
-  for (const Value& v : record.tuple.args()) v.Serialize(out);
-  out.PutVarint(InternString(record.rule));
-  out.PutVarint(record.location);
-  out.PutVarint(InternString(record.asserted_by));
-  out.PutDouble(record.created_at);
-  out.PutDouble(record.expires_at);
-  out.PutVarint(record.children.size());
-  for (const ProvChildRef& c : record.children) {
-    out.PutVarint(c.node);
-    out.PutU64(c.digest);
-    out.PutU8(c.is_base ? 1 : 0);
-    if (c.is_base) {
-      out.PutVarint(InternString(c.base_tuple.predicate()));
-      out.PutVarint(c.base_tuple.arity());
-      for (const Value& v : c.base_tuple.args()) v.Serialize(out);
-    }
-    out.PutVarint(InternString(c.asserted_by));
-  }
-}
-
-Result<ProvRecord> ProvArchive::DecodeRecord(const uint8_t* data,
-                                             size_t len) const {
-  ByteReader in(data, len);
-  auto get_string = [this](uint64_t id) -> Result<std::string> {
-    if (id >= strings_.size()) {
-      return InvalidArgumentError("archive string id out of range");
-    }
-    return strings_[static_cast<size_t>(id)];
-  };
-  auto get_tuple = [&](ByteReader& r) -> Result<Tuple> {
-    PROVNET_ASSIGN_OR_RETURN(uint64_t pred_id, r.GetVarint());
-    PROVNET_ASSIGN_OR_RETURN(std::string pred, get_string(pred_id));
-    PROVNET_ASSIGN_OR_RETURN(uint64_t arity, r.GetVarint());
-    if (arity > r.remaining()) return InvalidArgumentError("bad arity");
-    std::vector<Value> args;
-    args.reserve(static_cast<size_t>(arity));
-    for (uint64_t i = 0; i < arity; ++i) {
-      PROVNET_ASSIGN_OR_RETURN(Value v, Value::Deserialize(r));
-      args.push_back(std::move(v));
-    }
-    return Tuple(std::move(pred), std::move(args));
-  };
-
-  ProvRecord rec;
-  PROVNET_ASSIGN_OR_RETURN(rec.tuple, get_tuple(in));
-  PROVNET_ASSIGN_OR_RETURN(uint64_t rule_id, in.GetVarint());
-  PROVNET_ASSIGN_OR_RETURN(rec.rule, get_string(rule_id));
-  PROVNET_ASSIGN_OR_RETURN(uint64_t location, in.GetVarint());
-  rec.location = static_cast<NodeId>(location);
-  PROVNET_ASSIGN_OR_RETURN(uint64_t asserted_id, in.GetVarint());
-  PROVNET_ASSIGN_OR_RETURN(rec.asserted_by, get_string(asserted_id));
-  PROVNET_ASSIGN_OR_RETURN(rec.created_at, in.GetDouble());
-  PROVNET_ASSIGN_OR_RETURN(rec.expires_at, in.GetDouble());
-  PROVNET_ASSIGN_OR_RETURN(uint64_t n, in.GetVarint());
-  if (n > in.remaining()) return InvalidArgumentError("too many children");
-  for (uint64_t i = 0; i < n; ++i) {
-    ProvChildRef ref;
-    PROVNET_ASSIGN_OR_RETURN(uint64_t node, in.GetVarint());
-    ref.node = static_cast<NodeId>(node);
-    PROVNET_ASSIGN_OR_RETURN(ref.digest, in.GetU64());
-    PROVNET_ASSIGN_OR_RETURN(uint8_t base, in.GetU8());
-    ref.is_base = base != 0;
-    if (ref.is_base) {
-      PROVNET_ASSIGN_OR_RETURN(ref.base_tuple, get_tuple(in));
-    }
-    PROVNET_ASSIGN_OR_RETURN(uint64_t child_asserted, in.GetVarint());
-    PROVNET_ASSIGN_OR_RETURN(ref.asserted_by, get_string(child_asserted));
-    rec.children.push_back(std::move(ref));
-  }
-  return rec;
+  ByteWriter header;
+  header.PutString(kMagic);
+  header.PutVarint(kVersion);
+  AppendFrame(kHeader, header.bytes().data(), header.size(), nullptr);
 }
 
 Result<ProvRecord> ProvArchive::DecodeSlot(const Slot& slot) const {
@@ -154,34 +79,84 @@ Result<ProvRecord> ProvArchive::DecodeSlot(const Slot& slot) const {
   return DecodeRecord(payload.data(), payload.size());
 }
 
+void ProvArchive::ChargeIndex(uint64_t now_bytes) {
+  obs::MemAccounting& mem = obs::MemAccounting::Global();
+  mem.Sub(obs::MemSubsystem::kArchiveIndex, index_bytes_);
+  mem.Add(obs::MemSubsystem::kArchiveIndex, now_bytes);
+  index_bytes_ = now_bytes;
+}
+
 void ProvArchive::IndexRecord(TupleDigest digest, double created_at,
                               uint64_t offset, size_t len) {
+  PROVNET_CHECK(slots_.size() < kNoSlot) << "archive index is full";
+  const uint32_t at = static_cast<uint32_t>(slots_.size());
   Slot slot;
   slot.offset = offset;
   slot.len = static_cast<uint32_t>(len);
-  slot.digest = digest;
   slot.created_at = created_at;
-  by_digest_[digest].push_back(slots_.size());
   slots_.push_back(slot);
+  auto [it, fresh] = by_digest_.try_emplace(digest);
+  Chain& chain = it->second;
+  if (fresh) {
+    chain.first = at;
+  } else {
+    slots_[chain.last].next = at;
+  }
+  chain.last = at;
+  // Per-digest estimate: the hash-map node (next pointer, digest, chain)
+  // plus its bucket slot.
+  constexpr uint64_t kChainBytes =
+      sizeof(decltype(by_digest_)::value_type) + 2 * sizeof(void*);
+  ChargeIndex(slots_.capacity() * sizeof(Slot) +
+              by_digest_.size() * kChainBytes);
+}
+
+void ProvArchive::AddEncoded(const uint8_t* data, size_t len,
+                             double created_at, TupleDigest digest) {
+  uint64_t offset = 0;
+  AppendFrame(kRecord, data, len, &offset);
+  IndexRecord(digest, created_at, offset, len);
 }
 
 void ProvArchive::Add(const ProvRecord& record, TupleDigest digest) {
-  payload_.Clear();
-  EncodeRecord(record, payload_);
-  uint64_t offset = 0;
-  AppendFrame(kRecord, payload_.bytes().data(), payload_.size(), &offset);
-  IndexRecord(digest, record.created_at, offset, payload_.size());
+  ByteWriter encoded;
+  record.Serialize(encoded);
+  AddEncoded(encoded.bytes().data(), encoded.size(), record.created_at,
+             digest);
 }
 
 std::vector<ProvRecord> ProvArchive::FindByDigest(TupleDigest digest) const {
   std::vector<ProvRecord> out;
   auto it = by_digest_.find(digest);
   if (it == by_digest_.end()) return out;
-  for (size_t idx : it->second) {
-    Result<ProvRecord> rec = DecodeSlot(slots_[idx]);
+  for (uint32_t i = it->second.first; i != kNoSlot; i = slots_[i].next) {
+    Result<ProvRecord> rec = DecodeSlot(slots_[i]);
     if (rec.ok()) out.push_back(std::move(rec).value());
   }
   return out;
+}
+
+uint32_t ProvArchive::CountOf(TupleDigest digest) const {
+  auto it = by_digest_.find(digest);
+  if (it == by_digest_.end()) return 0;
+  uint32_t count = 0;
+  for (uint32_t i = it->second.first; i != kNoSlot; i = slots_[i].next) {
+    ++count;
+  }
+  return count;
+}
+
+void ProvArchive::AppendEncoded(TupleDigest digest, ByteWriter& out) const {
+  auto it = by_digest_.find(digest);
+  if (it == by_digest_.end()) return;
+  for (uint32_t i = it->second.first; i != kNoSlot; i = slots_[i].next) {
+    const Slot& slot = slots_[i];
+    const bool read = file_.Read(slot.offset, slot.len, out.Extend(slot.len));
+    // Every slot indexes bytes this archive appended or replayed, so a read
+    // that fails means the log changed under it.
+    PROVNET_CHECK(read) << "archive record unreadable at offset "
+                        << slot.offset;
+  }
 }
 
 std::vector<ProvRecord> ProvArchive::FindInWindow(double from,
@@ -262,13 +237,6 @@ Status ProvArchive::Replay() {
           }
         }
         saw_header = ok;
-        break;
-      }
-      case kString: {
-        std::string s(body, body + body_len);
-        uint32_t id = static_cast<uint32_t>(strings_.size());
-        strings_.push_back(s);
-        string_ids_.emplace(std::move(s), id);
         break;
       }
       case kRecord: {

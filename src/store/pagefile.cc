@@ -1,6 +1,7 @@
 #include "store/pagefile.h"
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 
 #include "obs/mem.h"
@@ -139,30 +140,30 @@ Status PageFile::Flush() {
   return OkStatus();
 }
 
-bool PageFile::Read(uint64_t offset, size_t len, Bytes* out) const {
+bool PageFile::Read(uint64_t offset, size_t len, uint8_t* out) const {
   if (offset + len > end_offset_) return false;
-  out->clear();
-  out->reserve(len);
   uint64_t page = offset / kPageBytes;
   size_t at = static_cast<size_t>(offset % kPageBytes);
-  while (out->size() < len) {
-    size_t take = std::min(len - out->size(), kPageBytes - at);
+  for (size_t done = 0; done < len; ++page, at = 0) {
+    size_t take = std::min(len - done, kPageBytes - at);
     if (page >= first_page_) {
       const Bytes& src = pages_[static_cast<size_t>(page - first_page_)];
-      out->insert(out->end(), src.begin() + static_cast<long>(at),
-                  src.begin() + static_cast<long>(at + take));
+      std::memcpy(out + done, src.data() + at, take);
     } else {
       // A written page: read the range back from the file.
-      size_t have = out->size();
-      out->resize(have + take);
       std::fseek(file_, static_cast<long>(page * kPageBytes + at), SEEK_SET);
-      if (std::fread(out->data() + have, 1, take, file_) != take) return false;
+      if (std::fread(out + done, 1, take, file_) != take) return false;
       ++io_.page_reads;
     }
-    ++page;
-    at = 0;
+    done += take;
   }
   return true;
+}
+
+bool PageFile::Read(uint64_t offset, size_t len, Bytes* out) const {
+  if (offset + len > end_offset_) return false;
+  out->resize(len);
+  return Read(offset, len, out->data());
 }
 
 Status PageFile::TruncateTo(uint64_t offset) {

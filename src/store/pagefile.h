@@ -55,8 +55,10 @@ class PageFile {
   // resident until Flush() or until it fills.
   uint64_t Append(const uint8_t* data, size_t len);
 
-  // Reads `len` bytes at `offset` into `out` (replacing its contents).
-  // False when the range is outside the log.
+  // Reads `len` bytes at `offset` into `out`, which has room for them.
+  // False when the range is outside the log or the file read fails.
+  bool Read(uint64_t offset, size_t len, uint8_t* out) const;
+  // As above, replacing the contents of `out`.
   bool Read(uint64_t offset, size_t len, Bytes* out) const;
 
   // Writes the partial page through to the backing file. No-op in memory

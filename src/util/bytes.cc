@@ -51,6 +51,11 @@ void ByteWriter::PutRaw(const uint8_t* data, size_t len) {
   buf_.insert(buf_.end(), data, data + len);
 }
 
+uint8_t* ByteWriter::Extend(size_t len) {
+  buf_.resize(buf_.size() + len);
+  return buf_.data() + buf_.size() - len;
+}
+
 Status ByteReader::Need(size_t n) const {
   if (len_ - pos_ < n) {
     return OutOfRangeError("truncated buffer: need " + std::to_string(n) +

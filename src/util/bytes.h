@@ -32,6 +32,9 @@ class ByteWriter {
   void PutString(const std::string& s);
   void PutBlob(const Bytes& b);
   void PutRaw(const uint8_t* data, size_t len);
+  // Appends `len` zero bytes and returns where they start, for a caller that
+  // fills them in place. Valid until the next Put.
+  uint8_t* Extend(size_t len);
   void Reserve(size_t n) { buf_.reserve(n); }
   // Empties the buffer, keeping its capacity for reuse.
   void Clear() { buf_.clear(); }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "apps/bestpath.h"
 #include "bignum/montgomery.h"
 #include "crypto/authenticator.h"
@@ -72,6 +74,29 @@ TEST_P(Sha256PaddingSweep, MatchesIncremental) {
 INSTANTIATE_TEST_SUITE_P(Boundaries, Sha256PaddingSweep,
                          ::testing::Values(0, 1, 55, 56, 57, 63, 64, 65, 127,
                                            128, 129));
+
+// The sweep above compares two paths that share Finish, so it cannot see a
+// padding bug. Known answers (Python's hashlib) for SHA-256('x' * n) at the
+// lengths where the padding fits its block, just fills it, or spills into
+// another.
+TEST(Sha256Test, PaddingKnownAnswers) {
+  const std::pair<size_t, const char*> known[] = {
+      {55, "d5e285683cd4efc02d021a5c62014694958901005d6f71e89e0989fac77e4072"},
+      {56, "04c26261370ee7541549d16dee320c723e3fd14671e66a099afe0a377c16888e"},
+      {57, "ae14a2563ccf969d99aca69ce6bb74981f734bbf9f655f73b8f06db68cab5217"},
+      {63, "75220b47218278e656f2013bb8f0c455a25eaf01e86c64924e9d48d89776d6f2"},
+      {64, "7ce100971f64e7001e8fe5a51973ecdfe1ced42befe7ee8d5fd6219506b5393c"},
+      {65, "9537c5fdf120482f7d58d25e9ed583f52c02b4e304ea814db1633ad565aed7e9"},
+      {119,
+       "000b48d4edf0fa7bee3c6236ecd2785baa5db4eeb8bb54341b029e0d9fa5fb0c"},
+      {120,
+       "13f05a0b594787f5ecd315edc96141bd3243203d1b7d4f0836f37308b276ba98"},
+  };
+  for (const auto& [n, hex] : known) {
+    EXPECT_EQ(DigestToHex(Sha256::Hash(std::string(n, 'x'))), hex)
+        << "n=" << n;
+  }
+}
 
 // --- HMAC (RFC 4231 test vectors) -------------------------------------------
 

@@ -77,6 +77,22 @@ TEST(ValueTest, DeserializeRejectsBadTag) {
   EXPECT_FALSE(Value::Deserialize(r).ok());
 }
 
+// Lists nest at most 64 deep on decode; deeper input, however deep, is
+// rejected instead of recursing off the stack.
+TEST(ValueTest, DeserializeRejectsListsNestedTooDeep) {
+  for (size_t depth : {size_t{64}, size_t{65}, size_t{100000}}) {
+    SCOPED_TRACE(depth);
+    ByteWriter w;
+    for (size_t i = 0; i < depth; ++i) {
+      w.PutU8(static_cast<uint8_t>(ValueKind::kList));
+      w.PutVarint(1);
+    }
+    w.PutU8(static_cast<uint8_t>(ValueKind::kNull));
+    ByteReader r(w.bytes());
+    EXPECT_EQ(Value::Deserialize(r).ok(), depth <= 64);
+  }
+}
+
 TEST(ValueTest, ToStringFormats) {
   EXPECT_EQ(Value::Int(5).ToString(), "5");
   EXPECT_EQ(Value::Address(3).ToString(), "@3");

@@ -5,7 +5,8 @@
 // The oracles:
 //   * pinned bytes - a chained digest over every honest payload of four
 //     seeded runs (NDLog, SeNDLog with condensed, pointer and full
-//     provenance) must not move, at one thread and at four;
+//     provenance) must not move, at one thread and at four, and neither
+//     may the digest of pointer walks answered from the offline archive;
 //   * quarantine   - torn or truncated messages of every kind, bare or
 //     re-signed under the sender's key, never fail the run: each delivery
 //     becomes exactly one security event;
@@ -141,6 +142,60 @@ TEST(EnvelopeTest, HonestWireBytesArePinned) {
       EXPECT_EQ(got.digest, want.digest);
       EXPECT_EQ(got.per_kind, want.per_kind);
     }
+  }
+}
+
+// Pointer provenance with HMAC says and an in-memory archive: after the
+// fixpoint the odd nodes' online stores are cleared, so the distributed walk
+// of every bestPath at every node gets its records from those nodes'
+// archives. Returns the wire digest of the walks alone and adds up their
+// archive hits.
+WireDigest RunArchiveServedWalks(size_t threads, uint64_t* offline_hits) {
+  Rng rng(5);
+  Topology topo = Topology::RingPlusRandom(10, 3, rng);
+  EngineOptions opts;
+  opts.threads = threads;
+  opts.authenticate = true;
+  opts.says_level = SaysLevel::kHmac;
+  opts.prov_mode = ProvMode::kPointers;
+  opts.record_offline = true;
+  auto engine =
+      Engine::Create(topo, BestPathSendlogProgram(), opts).value();
+  EXPECT_TRUE(engine->InsertLinkFacts().ok());
+  EXPECT_TRUE(engine->Run().ok());
+  for (NodeId n = 1; n < engine->num_nodes(); n += 2) {
+    engine->node(n).online_store().Clear();
+  }
+
+  WireDigest wire;
+  wire.Attach(*engine);
+  for (NodeId n = 0; n < engine->num_nodes(); ++n) {
+    for (const Tuple& best : engine->TuplesAt(n, "bestPath")) {
+      Result<QueryResult> walk = ProvQueryBuilder(*engine)
+                                     .At(n)
+                                     .Of(best)
+                                     .WithScope(QueryScope::kDistributed)
+                                     .Run();
+      EXPECT_TRUE(walk.ok()) << walk.status();
+      if (walk.ok()) *offline_hits += walk->stats.offline_hits;
+    }
+  }
+  EXPECT_EQ(engine->security_log().size(), 0u);
+  engine->network().ClearSendTap();
+  return wire;
+}
+
+// Records answers served from the archive ship the same bytes whichever
+// store encoded them; pinned at one thread and at four.
+TEST(EnvelopeTest, ArchiveServedWireBytesArePinned) {
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(::testing::Message() << "threads " << threads);
+    uint64_t offline_hits = 0;
+    WireDigest got = RunArchiveServedWalks(threads, &offline_hits);
+    EXPECT_EQ(got.digest, 14078179959162227642ull);
+    EXPECT_EQ(got.per_kind,
+              (std::map<uint8_t, uint64_t>{{2, 434}, {3, 434}}));
+    EXPECT_EQ(offline_hits, 350u);
   }
 }
 

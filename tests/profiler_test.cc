@@ -181,8 +181,8 @@ TEST(MemAccountingTest, NoArchivePageWithoutRecordOffline) {
     return peak;
   };
   EXPECT_EQ(archive_peak(false), 0u);
-  // The 12 logs hold 34 pages, charged 4,160 bytes each.
-  EXPECT_EQ(archive_peak(true), 141440u);
+  // The 12 logs hold 43 pages, charged 4,160 bytes each.
+  EXPECT_EQ(archive_peak(true), 178880u);
 }
 
 // --- Golden determinism: observability on vs. off ---------------------------

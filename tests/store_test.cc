@@ -9,10 +9,12 @@
 //     reading written pages back from the file;
 //   * archive      - ProvArchive decodes records identical (serialized
 //     bytes) to what was added, replays every record on reopen,
-//     truncates a torn tail instead of failing recovery, and refuses a log
+//     truncates a torn tail instead of failing recovery (a checksummed
+//     frame that is not exactly one record is torn too), and refuses a log
 //     of another format version without touching it;
 //   * online       - after a cold pointer-provenance fixpoint, every node's
-//     online records decode to exactly the records its archive holds;
+//     online records decode to exactly the records its archive holds, and
+//     both stores keep the same bytes for every digest;
 //   * arena        - Canonical() interns structurally-equal derivations to
 //     one id, the expression/count/wire/annotation/decode caches answer
 //     what was put in them and nothing else;
@@ -28,11 +30,13 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/programs.h"
 #include "core/engine.h"
 #include "net/topology.h"
+#include "obs/mem.h"
 #include "provenance/derivation.h"
 #include "provenance/semiring.h"
 #include "provenance/store.h"
@@ -340,6 +344,31 @@ TEST(ProvArchiveTest, ReplayReadsEachWrittenPageOnce) {
   EXPECT_EQ(archive.FindInWindow(0.0, 1.0e9).size(), kRecords);
 }
 
+// The slot index and digest chains are charged to archive_index while the
+// archive lives, and released with it.
+TEST(ProvArchiveTest, IndexIsChargedToTheLedgerUntilDestroyed) {
+  obs::MemAccounting& mem = obs::MemAccounting::Global();
+  mem.Reset();
+  mem.Enable();
+  const obs::MemSubsystem kIndex = obs::MemSubsystem::kArchiveIndex;
+  {
+    store::ProvArchive archive;
+    ASSERT_TRUE(archive.Open("").ok());
+    uint64_t charged = 0;
+    for (size_t i = 0; i < kLogRecords; ++i) {
+      Tuple t("x", {Value::Int(static_cast<int64_t>(i % 10))});
+      archive.Add(MakeRecord(t, "r", 0, "a", 1.0), DigestOf(t));
+      EXPECT_GE(mem.CurrentBytes(kIndex), charged);  // grows, never shrinks
+      charged = mem.CurrentBytes(kIndex);
+    }
+    EXPECT_GT(charged, 0u);
+  }
+  EXPECT_EQ(mem.CurrentBytes(kIndex), 0u);
+  EXPECT_GT(mem.PeakBytes(kIndex), 0u);
+  mem.Reset();
+  mem.Disable();
+}
+
 // Append raw garbage to a finished log: a crash mid-frame leaves exactly
 // this shape (intact prefix + partial frame).
 void TearTail(const std::string& path, const Bytes& garbage) {
@@ -409,8 +438,8 @@ TEST(ProvArchiveTest, FrameLengthPastTheEndOfTheLogIsATornTail) {
     ASSERT_TRUE(archive.Flush().ok());
   }
   const uint64_t intact = fs::file_size(path);
-  // A string frame whose length varint is so large that its end offset
-  // wraps past 2^64 back into the log.
+  // A frame whose length varint is so large that its end offset wraps past
+  // 2^64 back into the log.
   ByteWriter torn;
   torn.PutU8(1);
   torn.PutVarint(~uint64_t{0} - 8 - intact);
@@ -423,41 +452,115 @@ TEST(ProvArchiveTest, FrameLengthPastTheEndOfTheLogIsATornTail) {
   EXPECT_EQ(fs::file_size(path), intact);
 }
 
+// One archive frame, `[u8 type][varint len][payload][u64 checksum]`, with a
+// checksum that verifies.
+Bytes Frame(uint8_t type, const Bytes& payload) {
+  ByteWriter frame;
+  frame.PutU8(type);
+  frame.PutVarint(payload.size());
+  frame.PutRaw(payload.data(), payload.size());
+  frame.PutU64(Fnv1a64(payload) ^ (0x9E3779B97F4A7C15ull * (type + 1)));
+  return frame.bytes();
+}
+
 TEST(ProvArchiveTest, LogOfAnotherVersionIsRefusedAndKeptIntact) {
   TempDir dir("archive_other_version");
   const std::string path = dir.File("node0.prov");
-  // An intact header frame — right magic, good checksum — naming format
-  // version 1: `[u8 type 0][varint len][payload][u64 checksum]`.
-  ByteWriter payload;
-  payload.PutString("provarch");
-  payload.PutVarint(1);
-  ByteWriter frame;
-  frame.PutU8(0);
-  frame.PutVarint(payload.bytes().size());
-  frame.PutRaw(payload.bytes().data(), payload.bytes().size());
-  frame.PutU64(Fnv1a64(payload.bytes()) ^ 0x9E3779B97F4A7C15ull);
-  const Bytes log = frame.bytes();
-  ASSERT_EQ(log.size(), 20u);
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(log.data(), 1, log.size(), f), log.size());
-    std::fclose(f);
-  }
+  // Version 2 is the format that interned names in string frames.
+  for (uint64_t version : {1, 2}) {
+    SCOPED_TRACE(::testing::Message() << "version " << version);
+    // An intact header frame — right magic, good checksum — naming another
+    // format version.
+    ByteWriter payload;
+    payload.PutString("provarch");
+    payload.PutVarint(version);
+    const Bytes log = Frame(0, payload.bytes());
+    ASSERT_EQ(log.size(), 20u);
+    {
+      std::FILE* f = std::fopen(path.c_str(), "wb");
+      ASSERT_NE(f, nullptr);
+      ASSERT_EQ(std::fwrite(log.data(), 1, log.size(), f), log.size());
+      std::fclose(f);
+    }
 
+    {
+      store::ProvArchive archive;
+      Status opened = archive.Open(path);
+      EXPECT_EQ(opened.code(), StatusCode::kFailedPrecondition) << opened;
+    }
+    // Refused, not recovered: the log keeps every byte it had.
+    ASSERT_EQ(fs::file_size(path), log.size());
+    Bytes kept(log.size());
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    EXPECT_EQ(std::fread(kept.data(), 1, kept.size(), f), kept.size());
+    std::fclose(f);
+    EXPECT_EQ(kept, log);
+  }
+}
+
+// A record frame whose checksum verifies but whose payload is not exactly
+// one ProvRecord encoding — cut short, followed by trailing bytes, claiming
+// more children than it holds, or nesting lists past the decoder's bound —
+// ends replay as a torn tail: the log is truncated there and every earlier
+// record stays readable.
+TEST(ProvArchiveTest, UndecodableRecordFrameIsATornTail) {
+  TempDir dir("archive_undecodable");
+  const std::string path = dir.File("node0.prov");
+  Tuple t("x", {Value::Int(7)});
+  std::vector<ProvRecord> want;
   {
     store::ProvArchive archive;
-    Status opened = archive.Open(path);
-    EXPECT_EQ(opened.code(), StatusCode::kFailedPrecondition) << opened;
+    ASSERT_TRUE(archive.Open(path).ok());
+    for (size_t i = 0; i < kLogRecords; ++i) {
+      ProvRecord rec = MakeRecord(t, "r", 0, "a", 1.0 + i);
+      archive.Add(rec, DigestOf(t));
+      want.push_back(rec);
+    }
+    ASSERT_TRUE(archive.Flush().ok());
   }
-  // Refused, not recovered: the log keeps every byte it had.
-  ASSERT_EQ(fs::file_size(path), log.size());
-  Bytes kept(log.size());
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  EXPECT_EQ(std::fread(kept.data(), 1, kept.size(), f), kept.size());
-  std::fclose(f);
-  EXPECT_EQ(kept, log);
+  ExpectSpansTwoPages(path);
+  const uint64_t intact = fs::file_size(path);
+
+  const Bytes record = RecordBytes(MakeRecord(t, "r", 0, "a", 99.0));
+  ASSERT_EQ(record.back(), 0u);  // the last byte is the children count
+  ProvChildRef child;
+  child.node = 1;
+  child.digest = DigestOf(t);
+  child.asserted_by = "b";
+  // The record with its children count raised to 3 and one child after it.
+  ByteWriter too_many;
+  too_many.PutRaw(record.data(), record.size() - 1);
+  too_many.PutVarint(3);
+  child.Serialize(too_many);
+  Bytes trailing = record;
+  trailing.push_back(0);
+  // The record with its tuple's one value replaced by lists nested 100,000
+  // deep.
+  ByteWriter deep;
+  deep.PutString("x");
+  deep.PutVarint(1);
+  for (size_t i = 0; i < 100000; ++i) {
+    deep.PutU8(static_cast<uint8_t>(ValueKind::kList));
+    deep.PutVarint(1);
+  }
+  deep.PutU8(static_cast<uint8_t>(ValueKind::kNull));
+  deep.PutRaw(record.data() + t.WireSize(), record.size() - t.WireSize());
+  const std::pair<const char*, Bytes> hostile[] = {
+      {"truncated", Bytes(record.begin(), record.end() - 5)},
+      {"trailing bytes", trailing},
+      {"too many children", too_many.bytes()},
+      {"lists nested too deep", deep.bytes()},
+  };
+  for (const auto& [what, payload] : hostile) {
+    SCOPED_TRACE(what);
+    TearTail(path, Frame(2, payload));
+    store::ProvArchive archive;
+    ASSERT_TRUE(archive.Open(path).ok());
+    EXPECT_EQ(archive.size(), kLogRecords);
+    EXPECT_EQ(fs::file_size(path), intact);
+    ExpectSameRecords(archive.FindByDigest(DigestOf(t)), want);
+  }
 }
 
 // --- ProvArena --------------------------------------------------------------
@@ -629,6 +732,13 @@ TEST(OnlineArchiveTest, OnlineRecordsEqualTheArchiveAfterAColdFixpoint) {
         std::vector<ProvRecord> got = online.Lookup(d);
         ExpectSameRecords(got, archive.FindByDigest(d));
         compared += got.size();
+        // Both stores keep the bytes the engine encoded once.
+        const OnlineProvStore::Entry* entry = online.Encoded(d);
+        ASSERT_NE(entry, nullptr);
+        EXPECT_EQ(archive.CountOf(d), entry->count);
+        ByteWriter stored;
+        archive.AppendEncoded(d, stored);
+        EXPECT_EQ(stored.bytes(), entry->bytes);
       }
       EXPECT_EQ(compared, online.size());  // every online record was checked
     }
